@@ -1,8 +1,11 @@
 """Stratum enumeration, geometric moves, handle calculus, component bounds.
 
-One-cylinder classes of a stratum are finite: enumerate the generalized
-permutations of each admissible type, keep those whose suspension lands
-in the stratum, and fold by the calibrated symmetry.  Classes merge when
+One-cylinder classes of a stratum are finite.  Enumeration is orderly: one
+pass over the relabeled words of length r + l splits each word at every
+admissible r, keeps the splits whose suspension lands in the stratum, and
+of those only the one that is lexicographically minimal among its images
+under the symmetries that keep its type, so each class is met exactly
+once and canonicalized once (Read 1978; McKay 1998).  Classes merge when
 a geometric move certifies they lie in one connected component:
 
 * re-reading a single-vertical-cylinder suspension along the vertical
@@ -20,6 +23,7 @@ separation from a failed merge; known separations travel as citations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -29,9 +33,9 @@ from .genperm import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, cano
 from .strata import (
     ComponentTag,
     SingularityPattern,
+    corner_walk,
+    cycle_orders,
     match_component,
-    pattern_orders,
-    single_vertex,
     singularity_pattern,
     smooth_marked_points,
 )
@@ -50,28 +54,111 @@ from .suspension import (
 
 def _letter_sequences(p: int):
     """All words of length p over letters 1..p/2, each letter used twice,
-    first appearances in increasing order (canonical relabeling built in)."""
+    first appearances in increasing order (canonical relabeling built in).
+
+    Yields (word, pair, lo, hi): pair[i] is the other position of
+    word[i]'s letter, lo the earliest second cell of a letter and hi the
+    latest first cell.  The first free position takes the next letter and
+    is paired with each later free position in turn.
+    """
     word = [0] * p
-    open_slots: list[int] = []
+    pair = [0] * p
 
-    def rec(pos: int, next_new: int):
-        if pos == p:
-            yield tuple(word)
-            return
-        # close an already-open letter
-        for i in range(len(open_slots)):
-            letter = open_slots.pop(i)
-            word[pos] = letter
-            yield from rec(pos + 1, next_new)
-            open_slots.insert(i, letter)
-        # open a new letter, keeping room to close everything
-        if next_new <= p // 2 and len(open_slots) + 1 <= p - pos - 1:
-            word[pos] = next_new
-            open_slots.append(next_new)
-            yield from rec(pos + 1, next_new + 1)
-            open_slots.pop()
+    def rec(free: tuple[int, ...], letter: int, lo: int):
+        a = free[0]
+        word[a] = letter
+        for k in range(1, len(free)):
+            b = free[k]
+            word[b] = letter
+            pair[a], pair[b] = b, a
+            if len(free) == 2:
+                yield tuple(word), pair, min(lo, b), a
+            else:
+                yield from rec(free[1:k] + free[k + 1 :], letter + 1, min(lo, b))
 
-    yield from rec(0, 1)
+    yield from rec(tuple(range(p)), 1, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _same_type_moves(r: int, l: int, sym: SymmetryGroup) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The non-identity symmetries that keep type (r, l), as (order, inverse).
+
+    A move reads position order[i] into cell i.  These are the row
+    rotations, the simultaneous reversal and, when r == l, the row swap:
+    the part of the sym group that maps type-(r, l) words to themselves.
+    """
+    top, bottom = tuple(range(r)), tuple(range(r, r + l))
+    arrangements = [(top, bottom)]
+    if sym.reverse_rows:
+        arrangements.append((top[::-1], bottom[::-1]))
+    if sym.swap_rows and r == l:
+        arrangements += [(y, x) for x, y in arrangements]
+    orders = dict.fromkeys(
+        x[a:] + x[:a] + y[b:] + y[:b]
+        for x, y in arrangements
+        for a in (range(r) if sym.rotate_rows else (0,))
+        for b in (range(l) if sym.rotate_rows else (0,))
+    )
+    orders.pop(top + bottom)
+    return tuple((order, tuple(sorted(range(r + l), key=order.__getitem__))) for order in orders)
+
+
+def _orbit_minimal(pair: list[int], moves) -> bool:
+    """True iff no move yields a lexicographically smaller relabeled word.
+
+    Relabeling by first appearance is done incrementally: cell i of a
+    word reads the index of its letter's first cell, or i for a new
+    letter.  Two words agree up to cell i exactly when their relabeled
+    prefixes agree, and then these codes order cell i as the relabeled
+    letters do, so each move stops at its first differing cell.
+    """
+    code = [j if j < i else i for i, j in enumerate(pair)]
+    for order, inverse in moves:
+        for i, pos in enumerate(order):
+            j = inverse[pair[pos]]
+            if j > i:
+                j = i
+            if j != code[i]:
+                if j < code[i]:
+                    return False
+                break
+    return True
+
+
+def _orderly_keys(
+    p: int, top_lengths: list[int], want: tuple[int, ...] | None, sym: SymmetryGroup
+) -> dict[int, list]:
+    """Canonical keys of the classes of each type (r, p - r), r in top_lengths.
+
+    One pass over the relabeled words of length p; each word is split at
+    every requested r.  A split survives when each row holds a doubled
+    letter, its cone points match ``want`` and it is the minimum of its
+    same-type orbit.  Each class has exactly one such split, so it pays
+    for exactly one full canonical key.
+    """
+    minimal = want is not None and len(want) == 1
+    moves = {r: _same_type_moves(r, p - r, sym) for r in top_lengths}
+    keys: dict[int, list] = {r: [] for r in top_lengths}
+    for word, pair, lo, hi in _letter_sequences(p):
+        for r in top_lengths:
+            # a doubled letter in the top row has its second cell before r,
+            # one in the bottom row its first cell at r or later
+            if not lo < r <= hi:
+                continue
+            if minimal:
+                if len(corner_walk(pair, r)) != p:
+                    continue
+            elif want is not None and cycle_orders(pair, r) != want:
+                continue
+            if _orbit_minimal(pair, moves[r]):
+                keys[r].append(canonical_key(word[:r], word[r:], sym))
+    return keys
+
+
+def _classes(keys: list) -> list[GeneralizedPermutation]:
+    out = [GeneralizedPermutation.from_rows(*key) for key in keys]
+    out.sort(key=lambda g: (g.type, g.rows()))
+    return out
 
 
 def enumerate_type(
@@ -85,6 +172,10 @@ def enumerate_type(
 
     Keeps only permutations with a doubled letter in each row (the
     non-orientable condition, which is also exactly admissibility here).
+    Generation is orderly: a word is kept only when it is the minimum of
+    its orbit under the symmetries that keep type (r, l), so no class is
+    produced twice and no dedupe is needed.  Classes are returned as
+    their canonical forms, which may have type (l, r) under row swap.
     """
     if (r + l) % 2:
         raise SizeLimit("r + l must be even")
@@ -93,27 +184,7 @@ def enumerate_type(
     if r + l > size_limit:
         raise SizeLimit("type (%d,%d) exceeds the size guard %d" % (r, l, size_limit))
     want = tuple(sorted(pattern, reverse=True)) if pattern is not None else None
-    minimal = want is not None and len(want) == 1
-    seen: set = set()
-    out: list[GeneralizedPermutation] = []
-    for word in _letter_sequences(r + l):
-        top, bottom = word[:r], word[r:]
-        top_set = set(top)
-        # doubled letter in each row: top has one iff some letter repeats
-        if len(top_set) == r or len(set(bottom)) == l:
-            continue
-        if minimal:
-            if not single_vertex(top, bottom):
-                continue
-        elif want is not None and pattern_orders(top, bottom) != want:
-            continue
-        key = canonical_key(top, bottom, sym)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(GeneralizedPermutation.from_rows(*key))
-    out.sort(key=lambda g: (g.type, g.rows()))
-    return out
+    return _classes(_orderly_keys(r + l, [r], want, sym)[r])
 
 
 def stratum_types(pattern: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -130,8 +201,10 @@ def enumerate_stratum(
     """Canonical one-cylinder classes of a stratum, across all types.
 
     With row swap in the symmetry, types (r, l) and (l, r) describe the
-    same classes; only r >= l is enumerated then.  An empty result means
-    the stratum contains no one-cylinder surface, hence is empty.
+    same classes; only r >= l is enumerated then.  All types come from one
+    orderly pass over the words of length r + l (see :func:`enumerate_type`);
+    the result lists them type by type.  An empty result means the stratum
+    contains no one-cylinder surface, hence is empty.
     """
     want = tuple(sorted(pattern, reverse=True))
     total = sum(k + 2 for k in want)
@@ -139,17 +212,9 @@ def enumerate_stratum(
         return []
     if total > size_limit:
         raise SizeLimit("stratum needs r+l = %d > guard %d" % (total, size_limit))
-    classes: list[GeneralizedPermutation] = []
-    seen: set = set()
-    for r, l in stratum_types(want):
-        if sym.swap_rows and r < l:
-            continue
-        for gp in enumerate_type(r, l, pattern=want, sym=sym, size_limit=size_limit):
-            key = gp.canonical_key(sym)
-            if key not in seen:
-                seen.add(key)
-                classes.append(gp)
-    return classes
+    top_lengths = [r for r, l in stratum_types(want) if not (sym.swap_rows and r < l)]
+    keys = _orderly_keys(total, top_lengths, want, sym)
+    return [gp for r in top_lengths for gp in _classes(keys[r])]
 
 
 # -- handle calculus -------------------------------------------------------

@@ -65,6 +65,14 @@ def _parse_lambda(gp: GeneralizedPermutation, text: str | None, seed: int) -> tu
     return lam_from_positions(gp, values)
 
 
+def _parse_type(text: str) -> tuple[int, int]:
+    try:
+        r, l = (int(v) for v in text.split(","))
+    except ValueError:
+        raise OneCylError("--type needs two integers 'r,l', got %r" % text) from None
+    return r, l
+
+
 def _parse_pattern(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.replace(",", " ").split())
 
@@ -281,11 +289,13 @@ def _dispatch(args) -> int:
 
     if args.command == "enumerate":
         if args.rl:
-            r, l = (int(v) for v in args.rl.split(","))
+            r, l = _parse_type(args.rl)
             pattern = _parse_pattern(args.pattern) if args.pattern else None
             classes = enumerate_type(r, l, pattern=pattern, sym=sym, size_limit=args.limit)
-        else:
+        elif args.pattern:
             classes = enumerate_stratum(_parse_pattern(args.pattern), sym=sym, size_limit=args.limit)
+        else:
+            raise OneCylError("enumerate needs --type r,l or --pattern orders")
         _emit(
             args,
             {"count": len(classes), "classes": [gp.render() for gp in classes]},

@@ -71,6 +71,21 @@ def _relabel_key(top: Sequence[int], bottom: Sequence[int]) -> tuple[tuple[int, 
     return tuple(out[0]), tuple(out[1])
 
 
+def position_pairing(cells: Sequence[int]) -> list[int]:
+    """Partner positions: out[i] is the other position holding cells[i]."""
+    first: dict[int, int] = {}
+    out = [0] * len(cells)
+    for i, letter in enumerate(cells):
+        j = first.pop(letter, None)
+        if j is None:
+            first[letter] = i
+        else:
+            out[i], out[j] = j, i
+    if first:
+        raise LetterCountError("some letter does not occur exactly twice")
+    return out
+
+
 def canonical_key(
     top: Sequence[int], bottom: Sequence[int], sym: SymmetryGroup = DEFAULT_SYM
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -179,13 +194,7 @@ class GeneralizedPermutation:
         Positions are 0-based, top row first.  The involution has no
         fixed point because every letter fills exactly two cells.
         """
-        where: dict[int, list[int]] = {}
-        for pos, letter in enumerate(self.top + self.bottom):
-            where.setdefault(letter, []).append(pos)
-        out = [0] * self.size
-        for a, b in where.values():
-            out[a], out[b] = b, a
-        return tuple(out)
+        return tuple(position_pairing(self.top + self.bottom))
 
     def letter_positions(self) -> dict[int, tuple[int, ...]]:
         where: dict[int, list[int]] = {}

@@ -10,88 +10,88 @@ m - 2 (cone angle m*pi, a simple pole for m = 1).
 ``vertex_cycles`` returns each class as a rotationally ordered list of
 junctions; the order is what angle computations in the suspension module
 consume.  Junctions are keyed ("T", i) / ("B", j) for the point at the
-left end of top cell i (0-based, wrapping) and likewise below.
+left end of top cell i (0-based, wrapping) and likewise below.  Every
+junction query runs one corner walk (:func:`corner_walk`) that reads the
+gluing off the position pairing of the rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadParameters, BadPattern, UnknownName
-from .genperm import GeneralizedPermutation, SymmetryGroup, DEFAULT_SYM
+from .genperm import DEFAULT_SYM, GeneralizedPermutation, SymmetryGroup, position_pairing
 
 Junction = tuple[str, int]
 
 
-def _glue_table(top: Sequence[int], bottom: Sequence[int]) -> list[int]:
-    """Germ gluing as an involution on cell-end germs.
+def corner_walk(pair: Sequence[int], r: int, start: int = 0) -> list[int]:
+    """Junctions of the cone point at junction ``start``, in rotational order.
 
-    Cells are indexed 0..p-1 (top row first), germs are 2*cell + end with
-    end 0 = left, 1 = right.  Same-side pairs glue by central symmetry
-    (left end to right end), opposite-side pairs by translation.
+    ``pair`` is the position pairing of the concatenated rows and ``r``
+    the length of the top row.  Junction j < r is the left end of top cell
+    j, junction r + j the left end of bottom cell j; the walk starts at
+    ``start`` entered from the cell to its left.
+    A walk state is a cell end just crossed: (c, 0) is the left end of
+    cell c, at junction c; (c, 1) its right end, at the next junction.
+    The germ gluing comes straight from the pairing: leaving through cell
+    d lands on its partner c, at the other end when both lie on one side
+    (central symmetry) and at the same end otherwise (translation).
     """
-    r = len(top)
-    cells = list(top) + list(bottom)
-    where: dict[int, list[int]] = {}
-    for c, letter in enumerate(cells):
-        where.setdefault(letter, []).append(c)
-    glue = [0] * (2 * len(cells))
-    for c1, c2 in where.values():
-        same = (c1 < r) == (c2 < r)
-        if same:
-            glue[2 * c1] = 2 * c2 + 1
-            glue[2 * c1 + 1] = 2 * c2
-            glue[2 * c2] = 2 * c1 + 1
-            glue[2 * c2 + 1] = 2 * c1
+    p = len(pair)
+    if start == 0:
+        c = r - 1
+    elif start == r:
+        c = p - 1
+    else:
+        c = start - 1
+    c0, e = c, 1
+    out = []
+    while True:
+        if e:
+            d = c + 1  # junction right of cell c, then leave through cell d
+            if d == r:
+                d = 0
+            elif d == p:
+                d = r
+        elif c == 0:
+            d = r - 1  # junction at cell c, then leave through the cell left of it
+        elif c == r:
+            d = p - 1
         else:
-            glue[2 * c1] = 2 * c2
-            glue[2 * c1 + 1] = 2 * c2 + 1
-            glue[2 * c2] = 2 * c1
-            glue[2 * c2 + 1] = 2 * c1 + 1
-    return glue
+            d = c - 1
+        out.append(d if e else c)
+        c = pair[d]
+        e ^= (d < r) != (c < r)
+        if e and c == c0:
+            return out
+
+
+def junction_cycles(pair: Sequence[int], r: int) -> list[list[int]]:
+    """Every junction class, each walked from its smallest junction."""
+    seen = [False] * len(pair)
+    cycles = []
+    for start in range(len(pair)):
+        if not seen[start]:
+            cycle = corner_walk(pair, r, start)
+            for j in cycle:
+                seen[j] = True
+            cycles.append(cycle)
+    return cycles
+
+
+def cycle_orders(pair: Sequence[int], r: int) -> tuple[int, ...]:
+    """Descending singularity orders of the rows ``pair`` encodes (see :func:`corner_walk`)."""
+    return tuple(sorted((len(c) - 2 for c in junction_cycles(pair, r)), reverse=True))
 
 
 def vertex_cycles(gp: GeneralizedPermutation) -> list[list[Junction]]:
     """Junction classes of the suspension, each in rotational order."""
-    r, l = gp.type
-    glue = _glue_table(gp.top, gp.bottom)
-
-    def junction_halves(j: Junction) -> tuple[int, int]:
-        # (right end of the cell to the left, left end of the cell at j)
-        side, i = j
-        if side == "T":
-            return 2 * ((i - 1) % r) + 1, 2 * i
-        return 2 * (r + (i - 1) % l) + 1, 2 * (r + i)
-
-    def junction_of(germ: int) -> Junction:
-        cell, end = divmod(germ, 2)
-        if cell < r:
-            return ("T", cell if end == 0 else (cell + 1) % r)
-        c = cell - r
-        return ("B", c if end == 0 else (c + 1) % l)
-
-    all_junctions: list[Junction] = [("T", i) for i in range(r)] + [("B", j) for j in range(l)]
-    seen: set[Junction] = set()
-    cycles: list[list[Junction]] = []
-    for start in all_junctions:
-        if start in seen:
-            continue
-        cycle: list[Junction] = []
-        j = start
-        entry = start_entry = junction_halves(j)[0]
-        while True:
-            cycle.append(j)
-            seen.add(j)
-            halves = junction_halves(j)
-            exit_germ = halves[1] if entry == halves[0] else halves[0]
-            entry = glue[exit_germ]
-            j = junction_of(entry)
-            if j == start and entry == start_entry:
-                break
-            assert len(cycle) <= len(all_junctions), "corner walk failed to close"
-        cycles.append(cycle)
-    return cycles
+    r = len(gp.top)
+    names = [("T", i) for i in range(r)] + [("B", j) for j in range(len(gp.bottom))]
+    return [[names[j] for j in cycle] for cycle in junction_cycles(gp.pairing(), r)]
 
 
 @dataclass(frozen=True)
@@ -127,83 +127,14 @@ def singularity_pattern(gp: GeneralizedPermutation) -> SingularityPattern:
 
 
 def pattern_orders(top: Sequence[int], bottom: Sequence[int]) -> tuple[int, ...]:
-    """Fast descending order tuple for raw rows (enumeration hot path).
-
-    Same walk as :func:`vertex_cycles` but only class sizes are tracked.
-    """
-    r = len(top)
-    l = len(bottom)
-    glue = _glue_table(top, bottom)
-    # encode junction as integer 0..r+l-1, halves precomputed
-    n = r + l
-    half0 = [0] * n
-    half1 = [0] * n
-    for i in range(r):
-        half0[i] = 2 * ((i - 1) % r) + 1
-        half1[i] = 2 * i
-    for j in range(l):
-        half0[r + j] = 2 * (r + (j - 1) % l) + 1
-        half1[r + j] = 2 * (r + j)
-    junction_of = [0] * (2 * n)
-    for i in range(r):
-        junction_of[2 * i] = i
-        junction_of[2 * i + 1] = (i + 1) % r
-    for j in range(l):
-        junction_of[2 * (r + j)] = r + j
-        junction_of[2 * (r + j) + 1] = r + (j + 1) % l
-    seen = [False] * n
-    orders = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        size = 0
-        j = start
-        entry = start_entry = half0[start]
-        while True:
-            seen[j] = True
-            size += 1
-            exit_germ = half1[j] if entry == half0[j] else half0[j]
-            entry = glue[exit_germ]
-            j = junction_of[entry]
-            if j == start and entry == start_entry:
-                break
-        orders.append(size - 2)
-    orders.sort(reverse=True)
-    return tuple(orders)
+    """Descending singularity orders for raw rows, without building a permutation."""
+    return cycle_orders(position_pairing(tuple(top) + tuple(bottom)), len(top))
 
 
 def single_vertex(top: Sequence[int], bottom: Sequence[int]) -> bool:
-    """True iff all junctions fall in one class (minimal-stratum test).
-
-    Early-exit version of :func:`pattern_orders` for the hot enumeration
-    path: the walk from junction 0 must visit every junction.
-    """
-    r = len(top)
-    l = len(bottom)
-    n = r + l
-    glue = _glue_table(top, bottom)
-    j = 0
-    entry = start_entry = 2 * ((0 - 1) % r) + 1
-    size = 0
-    while True:
-        size += 1
-        if j < r:
-            h0 = 2 * ((j - 1) % r) + 1
-            h1 = 2 * j
-        else:
-            h0 = 2 * (r + (j - r - 1) % l) + 1
-            h1 = 2 * j
-        exit_germ = h1 if entry == h0 else h0
-        entry = glue[exit_germ]
-        cell, end = divmod(entry, 2)
-        if cell < r:
-            j = cell if end == 0 else (cell + 1) % r
-        else:
-            j = r + ((cell - r) if end == 0 else (cell - r + 1) % l)
-        if j == 0 and entry == start_entry:
-            return size == n
-        if size > n:
-            return False
+    """True iff all junctions fall in one class (minimal-stratum test)."""
+    n = len(top) + len(bottom)
+    return len(corner_walk(position_pairing(tuple(top) + tuple(bottom)), len(top))) == n
 
 
 def stratum_info(pattern: Sequence[int]) -> tuple[int, int]:
@@ -326,26 +257,40 @@ class ComponentTag:
 UNKNOWN_TAG = ComponentTag("unknown")
 
 
+@functools.lru_cache(maxsize=None)
+def _named_keys(r: int, l: int, sym: SymmetryGroup) -> tuple[tuple[tuple[tuple, ComponentTag], ...], ...]:
+    """Canonical keys of the named representatives a type-(r, l) class may match.
+
+    One tuple of (key, tag) candidates per family, in tagging order; a
+    family tags a class with its first matching candidate only.
+    """
+    families = []
+    if r == l and r >= 4:
+        families.append(tuple(
+            (hyperelliptic_rep("pi1", rr, r - 2 - rr).canonical_key(sym),
+             ComponentTag("hyperelliptic", family="pi1", r=rr, l=r - 2 - rr))
+            for rr in range(1, r - 2)
+        ))
+    if r % 2 == 0 and l % 2 == 0:
+        families.append((
+            (hyperelliptic_rep("pi2", r // 2, l // 2).canonical_key(sym),
+             ComponentTag("hyperelliptic", family="pi2", r=r // 2, l=l // 2)),
+        ))
+    for name in IRREDUCIBLE_REPS:
+        rep = irreducible_rep(name)
+        if rep.size == r + l:
+            families.append(((rep.canonical_key(sym), ComponentTag("irreducible", name=name)),))
+    return tuple(families)
+
+
 def match_component(gp: GeneralizedPermutation, sym: SymmetryGroup = DEFAULT_SYM) -> ComponentTag:
     """Tag gp when it is equivalent to a named representative."""
     key = gp.canonical_key(sym)
-    r, l = gp.type
     matches: list[ComponentTag] = []
-    if r == l and r >= 4:
-        for rr in range(1, r - 2):
-            ll = r - 2 - rr
-            if ll < 1:
-                continue
-            if hyperelliptic_rep("pi1", rr, ll).canonical_key(sym) == key:
-                matches.append(ComponentTag("hyperelliptic", family="pi1", r=rr, l=ll))
-                break
-    if r % 2 == 0 and l % 2 == 0:
-        if hyperelliptic_rep("pi2", r // 2, l // 2).canonical_key(sym) == key:
-            matches.append(ComponentTag("hyperelliptic", family="pi2", r=r // 2, l=l // 2))
-    for name in IRREDUCIBLE_REPS:
-        rep = irreducible_rep(name)
-        if rep.size == gp.size and rep.canonical_key(sym) == key:
-            matches.append(ComponentTag("irreducible", name=name))
+    for family in _named_keys(*gp.type, sym):
+        tag = next((tag for rep_key, tag in family if rep_key == key), None)
+        if tag is not None:
+            matches.append(tag)
     if not matches:
         return UNKNOWN_TAG
     if len(matches) > 1:

@@ -17,7 +17,7 @@ RUNTIME_BUDGETS = {
     "pi1a-family": 1.0,
     "q8-": 60.0,
     "qm15-": 5.0,
-    "q12-": 120.0,
+    "q12-": 60.0,
     "empty-strata": 10.0,
     "q22-": 10.0,
     "bridge-": 300.0,

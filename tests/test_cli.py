@@ -44,6 +44,18 @@ def test_enumerate_pattern(capsys):
     assert out.strip().endswith("7 classes")
 
 
+def test_enumerate_needs_type_or_pattern(capsys):
+    code, out, err = run(capsys, "enumerate")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--type" in err
+
+
+def test_enumerate_bad_type(capsys):
+    code, out, err = run(capsys, "enumerate", "--type", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "r,l" in err
+
+
 def test_enumerate_sym_sensitivity(capsys):
     # negative control: without row swap the same enumeration overcounts
     code, out, _ = run(capsys, "--sym", "relabel,rotate", "--json", "enumerate", "--type", "5,5", "--pattern", "8")

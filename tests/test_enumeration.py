@@ -1,0 +1,252 @@
+"""Orderly enumeration against independent oracles.
+
+* a brute-force reference: every relabeled word, filtered by cone points
+  read off the germ-gluing-table walk, keyed by the full ``canonical_key`` and
+  deduplicated in a set;
+* a Burnside (Cauchy-Frobenius) count of classes that counts the words
+  each symmetry fixes, with no canonical key at all;
+* the pairing corner walk against a germ-gluing-table walk, junction by
+  junction, through ``vertex_cycles``, ``pattern_orders`` and ``single_vertex``;
+* sha256 digests of class lists rendered before orderly generation.
+"""
+
+import hashlib
+import itertools
+from collections import Counter
+from functools import cache
+
+import pytest
+
+from onecyl import GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
+from onecyl.errors import LetterCountError
+from onecyl.genperm import canonical_key
+from onecyl.strata import pattern_orders, single_vertex, vertex_cycles
+
+ALL_SYMS = [
+    SymmetryGroup(rotate_rows=rot, swap_rows=swap, reverse_rows=rev)
+    for rot, swap, rev in itertools.product((False, True), repeat=3)
+]
+TYPES_UP_TO_10 = [(r, p - r) for p in range(2, 11, 2) for r in range(1, p)]
+
+# one multi-zero pattern per size with classes in some type (sum of k + 2 is p)
+MULTI_ZERO = {2: (-1, -1), 4: (-1, -1, -1, -1), 6: (2, -1, -1), 8: (-1, 5), 10: (2, 2, -1, -1)}
+
+
+@cache
+def _words(p: int) -> tuple[tuple[int, ...], ...]:
+    """Every word of length p, letters 1..p/2 twice each, first appearances increasing."""
+    out = []
+
+    def grow(word: tuple[int, ...], used: Counter):
+        if len(word) == p:
+            out.append(word)
+            return
+        fresh = len(used) + 1
+        for x in range(1, min(fresh, p // 2) + 1):
+            if used[x] < 2:
+                used[x] += 1
+                grow(word + (x,), used)
+                used[x] -= 1
+                if used[x] == 0:
+                    del used[x]
+
+    grow((), Counter())
+    return tuple(out)
+
+
+def reference_vertex_cycles(top, bottom):
+    """Junction classes by a germ-gluing table: the pre-pairing corner walk."""
+    r, l = len(top), len(bottom)
+    cells = list(top) + list(bottom)
+    where = {}
+    for c, letter in enumerate(cells):
+        where.setdefault(letter, []).append(c)
+    glue = [0] * (2 * len(cells))
+    for c1, c2 in where.values():
+        if (c1 < r) == (c2 < r):  # same side: central symmetry
+            glue[2 * c1], glue[2 * c1 + 1] = 2 * c2 + 1, 2 * c2
+            glue[2 * c2], glue[2 * c2 + 1] = 2 * c1 + 1, 2 * c1
+        else:  # opposite sides: translation
+            glue[2 * c1], glue[2 * c1 + 1] = 2 * c2, 2 * c2 + 1
+            glue[2 * c2], glue[2 * c2 + 1] = 2 * c1, 2 * c1 + 1
+
+    def halves(j):
+        # (right end of the cell to the left, left end of the cell at j)
+        side, i = j
+        if side == "T":
+            return 2 * ((i - 1) % r) + 1, 2 * i
+        return 2 * (r + (i - 1) % l) + 1, 2 * (r + i)
+
+    def junction_of(germ):
+        cell, end = divmod(germ, 2)
+        if cell < r:
+            return ("T", cell if end == 0 else (cell + 1) % r)
+        return ("B", cell - r if end == 0 else (cell - r + 1) % l)
+
+    seen = set()
+    cycles = []
+    for start in [("T", i) for i in range(r)] + [("B", j) for j in range(l)]:
+        if start in seen:
+            continue
+        cycle = []
+        j = start
+        entry = start_entry = halves(j)[0]
+        while True:
+            cycle.append(j)
+            seen.add(j)
+            h = halves(j)
+            entry = glue[h[1] if entry == h[0] else h[0]]
+            j = junction_of(entry)
+            if j == start and entry == start_entry:
+                break
+            assert len(cycle) <= r + l
+        cycles.append(cycle)
+    return cycles
+
+
+@cache
+def _junction_orders(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted((len(c) - 2 for c in reference_vertex_cycles(top, bottom)), reverse=True))
+
+
+def reference_enumerate_type(r, l, pattern, sym):
+    """Key every surviving word, then dedupe: the pre-orderly algorithm.
+
+    A one-zero pattern asks only for a single cone point, as the
+    enumeration's minimal-stratum filter does.
+    """
+    want = tuple(sorted(pattern, reverse=True)) if pattern is not None else None
+    seen = set()
+    out = []
+    for word in _words(r + l):
+        top, bottom = word[:r], word[r:]
+        if len(set(top)) == r or len(set(bottom)) == l:
+            continue
+        if want is not None:
+            orders = _junction_orders(top, bottom)
+            if len(want) == 1 and len(orders) != 1:
+                continue
+            if len(want) > 1 and orders != want:
+                continue
+        key = canonical_key(top, bottom, sym)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(GeneralizedPermutation.from_rows(*key))
+    out.sort(key=lambda g: (g.type, g.rows()))
+    return out
+
+
+@pytest.mark.parametrize("sym", ALL_SYMS, ids=lambda s: s.label())
+@pytest.mark.parametrize("kind", ["none", "minimal", "multi-zero"])
+def test_enumerate_type_matches_reference(sym, kind):
+    found = 0
+    for r, l in TYPES_UP_TO_10:
+        pattern = {"none": None, "minimal": (r + l - 2,), "multi-zero": MULTI_ZERO[r + l]}[kind]
+        got = enumerate_type(r, l, pattern=pattern, sym=sym)
+        want = reference_enumerate_type(r, l, pattern, sym)
+        assert [g.rows() for g in got] == [g.rows() for g in want], (r, l, pattern)
+        assert [g.render() for g in got] == [g.render() for g in want]
+        found += len(got)
+    assert found > 0
+
+
+def _same_type_group(r: int, l: int, swap: bool) -> list[tuple[int, ...]]:
+    """rotate x rotate, plus the row swap when r == l, as position maps."""
+    p = r + l
+    out = [
+        tuple((i + a) % r for i in range(r)) + tuple(r + (j + b) % l for j in range(l))
+        for a in range(r)
+        for b in range(l)
+    ]
+    if swap and r == l:
+        out += [tuple((i + r) % p for i in sigma) for sigma in out]
+    return out
+
+
+def _fixed_words(sigma: tuple[int, ...], r: int) -> int:
+    """Words of type (r, p - r), doubled letter in each row, fixed by sigma.
+
+    A word is fixed when its position pairing commutes with sigma, so
+    pairing i with j forces sigma^t(i) with sigma^t(j) for every t.
+    """
+    p = len(sigma)
+    pair = [-1] * p
+
+    def force(i: int, j: int, undo: list) -> bool:
+        for _ in range(p):
+            if pair[i] == j:
+                return True
+            if pair[i] != -1 or pair[j] != -1 or i == j:
+                return False
+            pair[i], pair[j] = j, i
+            undo.append((i, j))
+            i, j = sigma[i], sigma[j]
+        return True
+
+    def count() -> int:
+        i = next((x for x in range(p) if pair[x] == -1), None)
+        if i is None:
+            top = any(pair[x] < r for x in range(r))
+            bottom = any(pair[x] >= r for x in range(r, p))
+            return int(top and bottom)
+        total = 0
+        for j in range(i + 1, p):
+            if pair[j] != -1:
+                continue
+            undo: list = []
+            if force(i, j, undo):
+                total += count()
+            for a, b in undo:
+                pair[a] = pair[b] = -1
+        return total
+
+    return count()
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_burnside_class_counts(swap):
+    sym = SymmetryGroup(rotate_rows=True, swap_rows=swap)
+    for p in range(2, 13, 2):
+        for r in range(1, p):
+            group = _same_type_group(r, p - r, swap)
+            fixed = sum(_fixed_words(sigma, r) for sigma in group)
+            assert fixed % len(group) == 0
+            assert len(enumerate_type(r, p - r, sym=sym)) == fixed // len(group), (r, p - r)
+
+
+def test_pairing_walk_matches_vertex_cycles():
+    for p in range(2, 13, 2):
+        for word in _words(p):
+            for r in range(1, p):
+                top, bottom = word[:r], word[r:]
+                reference = reference_vertex_cycles(top, bottom)
+                orders = tuple(sorted((len(c) - 2 for c in reference), reverse=True))
+                assert vertex_cycles(GeneralizedPermutation.from_rows(top, bottom)) == reference
+                assert pattern_orders(top, bottom) == orders, (top, bottom)
+                assert single_vertex(top, bottom) == (len(orders) == 1), (top, bottom)
+
+
+def test_raw_row_walk_rejects_unpaired_letters():
+    with pytest.raises(LetterCountError):
+        pattern_orders((1, 2, 1), (3,))
+    with pytest.raises(LetterCountError):
+        single_vertex((1, 2, 1), (3,))
+
+
+# sha256 of "\n".join(class renders), computed before orderly generation landed
+FROZEN_CLASS_LISTS = {
+    (8,): (7, "fcad311238ee0e90319594ba7506fed800035068ae835469b1c4936533c12660"),
+    (-1, 5): (2, "85dca3b2a32d0ed85bcbcd6ea0e5e113bb380b67f41e1631c2d12993fe0856c0"),
+    (2, 2): (2, "37818c1d3a1e0b6316bdff1841a5ae51834d5f9307cb707df3169da2fb507282"),
+    (-1, 9): (129, "b1136858631fc34743200e8fa467fcc261c8ab7a009f31826d149e863be19de5"),
+    (12,): (725, "594cd941b7655452943f89ef1a7e9b50e12255838e7d9ce9f46b0f95e7953c35"),
+    (-1, 3, 6): (460, "dd87fefac91212fbcf04bb8f51d4f2fb09ecbccc6d1fb30c5e4561beb0825134"),
+}
+
+
+@pytest.mark.parametrize("pattern", list(FROZEN_CLASS_LISTS), ids=str)
+def test_frozen_class_lists(pattern):
+    classes = enumerate_stratum(pattern)
+    text = "\n".join(gp.render() for gp in classes)
+    assert (len(classes), hashlib.sha256(text.encode()).hexdigest()) == FROZEN_CLASS_LISTS[pattern]
