@@ -25,6 +25,7 @@ from .classify import (
     excisions,
 )
 from .conditions import condition_star, is_irreducible, weak_reducibility
+from .errors import NotFoundWithinBudget
 from .genperm import CALIBRATED_SYM, DEFAULT_SYM, GeneralizedPermutation
 from .strata import (
     hyperelliptic_rep,
@@ -590,7 +591,7 @@ def _oplus_components():
         for q8_class in _q8_report().classes:
             try:
                 b = bubble(q8_class, s)
-            except Exception:
+            except NotFoundWithinBudget:
                 continue
             landed.add(rep.groups[idx[b.canonical_key(CALIBRATED_SYM)]])
         got[s] = sorted(landed)

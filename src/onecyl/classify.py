@@ -532,7 +532,8 @@ def component_report(
     """Enumerate a stratum and merge classes along certified moves."""
     spattern = SingularityPattern.from_orders(pattern)
     classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
-    index: dict = {gp.canonical_key(sym): i for i, gp in enumerate(classes)}
+    # enumerated classes are canonical forms under sym: their rows are their keys
+    index: dict = {gp.rows(): i for i, gp in enumerate(classes)}
     merger = _Merger()
     edges: list[MergeEdge] = []
     for i in range(len(classes)):

@@ -50,16 +50,21 @@ def _parse_lambda(gp: GeneralizedPermutation, text: str | None, seed: int) -> tu
     if "=" in text:
         lam = [0] * gp.num_letters
         by_name = {name: i for i, name in enumerate(gp.names)}
-        for item in text.split(","):
-            name, value = item.split("=")
-            lam[by_name[name.strip()]] = int(value)
+        try:
+            for item in text.split(","):
+                name, value = item.split("=")
+                lam[by_name[name.strip()]] = int(value)
+        except (KeyError, ValueError):
+            raise OneCylError(
+                "--lengths needs 'letter=value' pairs over the letters %s, got %r" % (" ".join(gp.names), text)
+            ) from None
         for i, v in enumerate(lam):
             if v == 0:
                 lam[i] = 1
         from .suspension import check_admissible
 
         return check_admissible(gp, lam)
-    values = [int(v) for v in text.replace(",", " ").split()]
+    values = _parse_ints(text, "--lengths")
     from .suspension import lam_from_positions
 
     return lam_from_positions(gp, values)
@@ -73,8 +78,16 @@ def _parse_type(text: str) -> tuple[int, int]:
     return r, l
 
 
+def _parse_ints(text: str, option: str) -> list[int]:
+    """Integers separated by commas or spaces."""
+    try:
+        return [int(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise OneCylError("%s needs integers, got %r" % (option, text)) from None
+
+
 def _parse_pattern(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.replace(",", " ").split())
+    return tuple(_parse_ints(text, "--pattern"))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -343,7 +356,10 @@ def _dispatch(args) -> int:
         if args.family == "irr":
             gp = irreducible_rep(args.params[0])
         else:
-            values = [int(v) for v in args.params]
+            values = _parse_ints(" ".join(args.params), "rep %s" % args.family)
+            names = "r l a" if args.family == "pi1a" else "r l"
+            if len(values) != len(names.split()):
+                raise OneCylError("rep %s needs %s, got %r" % (args.family, names, " ".join(args.params)))
             gp = hyperelliptic_rep(args.family, *values)
         tag = match_component(gp, sym)
         pat = singularity_pattern(gp)

@@ -634,37 +634,72 @@ class SquareTiledCover:
         return out
 
     def canonical_key(self) -> tuple:
-        """Minimal (right, up, deck) over relabelings by traversal order."""
+        """Minimal (right, up, deck) over relabelings by traversal order.
+
+        Each start square labels the cover breadth-first, trying the
+        generators right, up, right^-1, up^-1 in turn; on a disconnected
+        cover the walk jumps to the least unlabeled square. Row i of a
+        relabeled permutation is the label of the image of ``order[i]``.
+
+        The minimum is searched with pruning. When ``order[i]`` has been
+        processed its right neighbour carries a label, so entry i of the
+        start's right row is known: the start is dropped at its first
+        entry larger than the best right row so far, and stops comparing
+        once an entry is smaller. Only a start whose whole right row ties
+        the best builds its up row, and only a tie there too builds its
+        deck row. The result is the same triple as the full minimum.
+        """
         n = self.n
-        best = None
-        gens = (self.right, self.up, _inv(self.right), _inv(self.up))
+        right, up, deck = self.right, self.up, self.deck
+        gens = (right, up, _inv(right), _inv(up))
+        best_right: list[int] | None = None
+        best_order: list[int] = []
+        best_label: list[int] = []
+        best_up: list[int] | None = None  # built only when a right row ties
         for start in range(n):
             label = [-1] * n
-            order: list[int] = []
-
-            def visit(s: int) -> None:
-                label[s] = len(order)
-                order.append(s)
-
-            visit(start)
-            head = 0
-            while len(order) < n:
-                if head < len(order):
-                    cur = order[head]
-                    head += 1
-                    for g in gens:
-                        if label[g[cur]] < 0:
-                            visit(g[cur])
-                else:  # disconnected cover: jump to least unlabeled square
-                    visit(min(i for i in range(n) if label[i] < 0))
-            key = (
-                tuple(label[self.right[order[i]]] for i in range(n)),
-                tuple(label[self.up[order[i]]] for i in range(n)),
-                tuple(label[self.deck[order[i]]] for i in range(n)),
-            )
-            if best is None or key < best:
-                best = key
-        return best
+            label[start] = 0
+            order = [start]
+            row: list[int] = []
+            smaller = best_right is None
+            for i in range(n):
+                if i == len(order):  # disconnected cover: jump to least unlabeled square
+                    s = label.index(-1)
+                    label[s] = i
+                    order.append(s)
+                cur = order[i]
+                for g in gens:
+                    t = g[cur]
+                    if label[t] < 0:
+                        label[t] = len(order)
+                        order.append(t)
+                v = label[right[cur]]
+                if not smaller:
+                    b = best_right[i]
+                    if v > b:
+                        break
+                    smaller = v < b
+                row.append(v)
+            else:
+                if not smaller:  # the right rows tie: compare up, then deck
+                    if best_up is None:
+                        best_up = [best_label[up[q]] for q in best_order]
+                    up_row = [label[up[q]] for q in order]
+                    if up_row > best_up:
+                        continue
+                    if up_row == best_up:
+                        deck_row = [label[deck[q]] for q in order]
+                        if deck_row >= [best_label[deck[q]] for q in best_order]:
+                            continue
+                    best_up = up_row
+                else:
+                    best_up = None
+                best_right, best_order, best_label = row, order, label
+        return (
+            tuple(best_right),
+            tuple(best_label[up[q]] for q in best_order),
+            tuple(best_label[deck[q]] for q in best_order),
+        )
 
 
 def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCover:

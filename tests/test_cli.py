@@ -56,6 +56,36 @@ def test_enumerate_bad_type(capsys):
     assert err.startswith("error: ") and "r,l" in err
 
 
+def test_lengths_unknown_letter(capsys):
+    code, out, err = run(capsys, "decompose", "1 2 / 2 1", "--lengths", "x=1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "letter=value" in err
+
+
+def test_lengths_not_integers(capsys):
+    code, out, err = run(capsys, "decompose", "1 2 / 2 1", "--lengths", "1,a")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--lengths" in err
+
+
+def test_rep_missing_parameter(capsys):
+    code, out, err = run(capsys, "rep", "pi1", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "r l" in err
+
+
+def test_enumerate_pattern_not_integers(capsys):
+    code, out, err = run(capsys, "enumerate", "--pattern", "1,x")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--pattern" in err
+
+
+def test_classify_pattern_not_integers(capsys):
+    code, out, err = run(capsys, "classify", "--pattern", "1,x")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--pattern" in err
+
+
 def test_enumerate_sym_sensitivity(capsys):
     # negative control: without row swap the same enumeration overcounts
     code, out, _ = run(capsys, "--sym", "relabel,rotate", "--json", "enumerate", "--type", "5,5", "--pattern", "8")

@@ -7,7 +7,8 @@
   each symmetry fixes, with no canonical key at all;
 * the pairing corner walk against a germ-gluing-table walk, junction by
   junction, through ``vertex_cycles``, ``pattern_orders`` and ``single_vertex``;
-* sha256 digests of class lists rendered before orderly generation.
+* sha256 digests of class lists rendered before orderly generation;
+* every enumerated class is its own canonical form.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from functools import cache
 
 import pytest
 
-from onecyl import GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
+from onecyl import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
 from onecyl.errors import LetterCountError
 from onecyl.genperm import canonical_key
 from onecyl.strata import pattern_orders, single_vertex, vertex_cycles
@@ -250,3 +251,18 @@ def test_frozen_class_lists(pattern):
     classes = enumerate_stratum(pattern)
     text = "\n".join(gp.render() for gp in classes)
     assert (len(classes), hashlib.sha256(text.encode()).hexdigest()) == FROZEN_CLASS_LISTS[pattern]
+
+
+# component_report indexes classes by their rows, which is sound only
+# because every enumerated class is its own canonical form under sym
+@pytest.mark.parametrize(
+    "sym",
+    [CALIBRATED_SYM, SymmetryGroup(rotate_rows=True, swap_rows=True, reverse_rows=True)],
+    ids=["calibrated", "with-reverse"],
+)
+@pytest.mark.parametrize("pattern", [(8,), (-1, 9), (12,)], ids=str)
+def test_classes_are_canonical_forms(pattern, sym):
+    classes = enumerate_stratum(pattern, sym=sym)
+    assert classes
+    for gp in classes:
+        assert gp.canonical_key(sym) == gp.rows()
