@@ -28,7 +28,14 @@ import itertools
 from dataclasses import dataclass
 
 from .conditions import is_irreducible
-from .errors import NoSimpleCylinderForm, NotFoundWithinBudget, NotSimple, SizeLimit
+from .errors import (
+    BoundTooSmall,
+    NoSimpleCylinderForm,
+    NotFoundWithinBudget,
+    NotSimple,
+    NotSingleCylinder,
+    SizeLimit,
+)
 from .genperm import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, canonical_key
 from .strata import (
     ComponentTag,
@@ -40,9 +47,13 @@ from .strata import (
     smooth_marked_points,
 )
 from .suspension import (
+    _UnionFind,
     all_ones,
     build_cover,
+    decode_one_cylinder,
     germ_sector_angles,
+    minimal_admissible,
+    orbit_forms,
     sample_admissible,
     sl2z_orbit,
     vertical_permutation,
@@ -256,7 +267,8 @@ def excisions(gp: GeneralizedPermutation) -> list[Excision]:
     out = []
     for (a, b), rot in _head_rotations(gp):
         try:
-            s, comp = germ_sector_angles(rot, (("T", 0), ("B", 0)), (("T", 1), ("B", 1)))
+            r = len(rot.top)
+            s, comp = germ_sector_angles(rot, (0, r), (1, r + 1))
         except NotSimple:
             continue
         restricted = rot.restrict()
@@ -474,54 +486,27 @@ class ComponentReport:
 def _orbit_decode_partner(
     gp: GeneralizedPermutation,
     i: int,
-    classes: list[GeneralizedPermutation],
     index: dict,
-    merger: "_Merger",
+    merger: _UnionFind,
     sym: SymmetryGroup,
-    config: "MoveConfig",
+    cap: int,
 ) -> tuple[int, str] | None:
-    """Search the shear/quarter-turn orbit for another class's suspension."""
-    from .suspension import decode_one_cylinder, minimal_admissible
+    """Search the shear/quarter-turn orbit for another class's suspension.
 
-    start = build_cover(gp, minimal_admissible(gp))
-    seen = {start.canonical_key()}
-    frontier = [(start, "")]
-    while frontier and len(seen) <= config.orbit_decode_cap:
-        nxt = []
-        for cover, word in frontier:
-            for image, letter in ((cover.apply_T(), "T"), (cover.apply_S(), "S")):
-                key = image.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append((image, word + letter))
-                decoded = decode_one_cylinder(image)
-                if decoded is None:
-                    continue
-                j = index.get(decoded.canonical_key(sym))
-                if j is not None and merger.find(j) != merger.find(i):
-                    return j, word + letter
-        frontier = nxt
+    The walk stops before a level once more than ``cap`` forms are seen.
+    """
+    forms = orbit_forms(build_cover(gp, minimal_admissible(gp)))
+    level = 0
+    for seen, (depth, _, cover, word) in enumerate(forms):
+        if depth > level and seen > cap:
+            return None
+        level = depth
+        decoded = decode_one_cylinder(cover) if word else None  # the start is gp itself
+        if decoded is not None:
+            j = index.get(decoded.canonical_key(sym))
+            if j is not None and merger.find(j) != merger.find(i):
+                return j, word
     return None
-
-
-class _Merger:
-    """Union-find over class indices plus opaque move labels."""
-
-    def __init__(self):
-        self.parent: dict[object, object] = {}
-
-    def find(self, a: object) -> object:
-        self.parent.setdefault(a, a)
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: object, b: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def component_report(
@@ -534,14 +519,11 @@ def component_report(
     classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
     # enumerated classes are canonical forms under sym: their rows are their keys
     index: dict = {gp.rows(): i for i, gp in enumerate(classes)}
-    merger = _Merger()
+    # class indices, then one slot per excision angle (below the stratum size)
+    merger = _UnionFind(len(classes) + sum(k + 2 for k in spattern.orders))
     edges: list[MergeEdge] = []
-    for i in range(len(classes)):
-        merger.find(i)
 
     # vertical re-readings over sampled admissible vectors
-    from .errors import BoundTooSmall, NotSingleCylinder
-
     for i, gp in enumerate(classes):
         lams = []
         for seed in range(config.lambda_samples + 1):
@@ -585,27 +567,27 @@ def component_report(
             for exc in excisions(gp):
                 if not exc.restricted_irreducible:
                     continue
-                label = ("angle", exc.angle)
-                if merger.find(i) != merger.find(label):
-                    merger.union(i, label)
-                    edges.append(MergeEdge("excise", i, label, "s=%d" % exc.angle))
+                slot = len(classes) + exc.angle
+                if merger.find(i) != merger.find(slot):
+                    merger.union(i, slot)
+                    edges.append(MergeEdge("excise", i, ("angle", exc.angle), "s=%d" % exc.angle))
 
     # last resort for still-isolated classes: walk the orbit of a sampled
     # suspension and decode one-cylinder presentations back to classes
     if config.orbit_decode_cap:
-        sizes: dict[object, int] = {}
+        sizes: dict[int, int] = {}
         for i in range(len(classes)):
             root = merger.find(i)
             sizes[root] = sizes.get(root, 0) + 1
         singletons = [i for i in range(len(classes)) if sizes[merger.find(i)] == 1]
         for i in singletons:
-            hit = _orbit_decode_partner(classes[i], i, classes, index, merger, sym, config)
+            hit = _orbit_decode_partner(classes[i], i, index, merger, sym, config.orbit_decode_cap)
             if hit is not None:
                 j, word = hit
                 merger.union(j, i)
                 edges.append(MergeEdge("orbit", i, j, "decoded after word=%s" % word))
 
-    roots: dict[object, int] = {}
+    roots: dict[int, int] = {}
     groups = []
     for i in range(len(classes)):
         root = merger.find(i)

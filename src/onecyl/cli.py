@@ -29,6 +29,9 @@ from .suspension import (
 )
 
 
+MOVES = "vperm,orbit,excise,decode"
+
+
 def _parse_sym(text: str | None) -> SymmetryGroup:
     if text is None:
         return CALIBRATED_SYM
@@ -152,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("classify", help="component report for a stratum")
     p.add_argument("--pattern", required=True, help="orders, e.g. '8' or '--pattern=-1,5'")
-    p.add_argument("--moves", default="vperm,orbit", help="vperm,orbit,excise,decode")
+    p.add_argument("--moves", default="vperm,orbit", help="any of %s; vperm always runs" % MOVES)
 
     p = sub.add_parser("excise", help="remove a simple head cylinder")
     p.add_argument("perm")
@@ -318,6 +321,8 @@ def _dispatch(args) -> int:
 
     if args.command == "classify":
         moves = {m.strip() for m in args.moves.split(",")}
+        if not moves <= set(MOVES.split(",")):
+            raise OneCylError("--moves takes names from %s, got %r" % (MOVES, args.moves))
         pattern = _parse_pattern(args.pattern)
         config = MoveConfig(
             use_orbits="orbit" in moves,

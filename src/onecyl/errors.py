@@ -26,7 +26,7 @@ class BadPattern(OneCylError):
 
 
 class BadParameters(OneCylError):
-    """Invalid parameters for a representative family."""
+    """Invalid parameters for a representative family or an orbit walk."""
 
 
 class UnknownName(OneCylError):

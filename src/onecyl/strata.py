@@ -7,10 +7,12 @@ the cell junctions on the two circles; each junction carries one flat
 wedge of angle pi, so a class of m junctions is a singularity of order
 m - 2 (cone angle m*pi, a simple pole for m = 1).
 
-``vertex_cycles`` returns each class as a rotationally ordered list of
-junctions; the order is what angle computations in the suspension module
-consume.  Junctions are keyed ("T", i) / ("B", j) for the point at the
-left end of top cell i (0-based, wrapping) and likewise below.  Every
+Junctions carry one integer numbering, shared with the suspension
+module: cell c is position c of the rows, top row first, and junction c
+the point at its left end, so top junction j < r and bottom junction
+r + j.  :func:`junction_cycles` returns each class as a rotationally
+ordered list of junctions, the order that angle computations consume;
+``vertex_cycles`` renames them ("T", j) / ("B", j) for display.  Every
 junction query runs one corner walk (:func:`corner_walk`) that reads the
 gluing off the position pairing of the rows.
 """

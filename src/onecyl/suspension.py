@@ -12,6 +12,11 @@ Conventions:
 * the seam line x = 0 always carries the distinguished compact
   separatrix gamma (one crossing, from the bottom wrap junction to the
   top wrap junction);
+* cells and junctions share the integer numbering of
+  :func:`onecyl.strata.corner_walk`: cell c is position c of the rows,
+  top row first, and junction c its left end, so top junction j < r and
+  bottom junction r + j; a germ, the vertical ray into the cylinder at a
+  junction, carries its junction's number;
 * vertical lengths are crossing counts (the cylinder height is the unit);
 * going up through a top interval glued by translation re-enters the
   bottom going up; glued to another top interval it re-enters that
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    BadParameters,
     BoundTooSmall,
     Infeasible,
     NotSimple,
@@ -32,9 +38,9 @@ from .errors import (
     TraceBudgetExceeded,
 )
 from .genperm import GeneralizedPermutation
-from .strata import singularity_pattern, vertex_cycles
+from .strata import junction_cycles, singularity_pattern
 
-Germ = tuple[str, int]  # junction carrying the inward vertical ray
+Germ = int  # junction carrying the inward vertical ray, numbered as in corner_walk
 
 
 # -- admissible vectors -------------------------------------------------
@@ -122,65 +128,49 @@ def sample_admissible(gp: GeneralizedPermutation, seed: int = 0, bound: int = 20
 
 
 class _Geometry:
-    """Crossing maps of an integer suspension, shared by all traces."""
+    """Cell and junction arrays of an integer suspension, shared by all traces.
+
+    Cell c is position c of the rows, top row first, with partner
+    ``pair[c]``; junction c is its left end, at ``left[c]`` on side 0 (the
+    top circle) for c < r and on side 1 (the bottom circle) otherwise.
+    ``cell_at[s][x]`` is the cell over unit column x of side s and
+    ``junction_at[s][x]`` the junction at point x, or -1 for none.  A
+    vertical ray about to cross circle s travels up when s = 0 and down
+    when s = 1.
+    """
 
     def __init__(self, gp: GeneralizedPermutation, lam: Sequence[int]):
-        self.gp = gp
-        self.lam = check_admissible(gp, lam)
-        r, l = gp.type
-        self.w = w = sum(self.lam[x - 1] for x in gp.top)
-        # prefix coordinates; X[i] is the left end of cell i
-        self.left = {"T": [0] * r, "B": [0] * l}
-        self.size = {"T": r, "B": l}
-        for side, row in (("T", gp.top), ("B", gp.bottom)):
-            acc = 0
-            for i, letter in enumerate(row):
-                self.left[side][i] = acc
-                acc += self.lam[letter - 1]
-        # junction index by coordinate, and cell index per unit column
-        self.junction_at = {
-            side: {x: i for i, x in enumerate(self.left[side])} for side in ("T", "B")
-        }
-        self.cell_at = {}
-        for side in ("T", "B"):
-            arr = [0] * w
-            idx = 0
-            lefts = self.left[side]
-            n = len(lefts)
-            for c in range(w):
-                while idx + 1 < n and lefts[idx + 1] <= c:
-                    idx += 1
-                arr[c] = idx
-            self.cell_at[side] = arr
-        # partner of each cell: (side, index, same_side)
-        occ: dict[int, list[tuple[str, int]]] = {}
-        for side, row in (("T", gp.top), ("B", gp.bottom)):
-            for i, letter in enumerate(row):
-                occ.setdefault(letter, []).append((side, i))
-        self.partner: dict[tuple[str, int], tuple[str, int, bool]] = {}
-        for letter, cells in occ.items():
-            (s1, i1), (s2, i2) = cells
-            self.partner[(s1, i1)] = (s2, i2, s1 == s2)
-            self.partner[(s2, i2)] = (s1, i1, s1 == s2)
+        lam = check_admissible(gp, lam)
+        self.r = r = len(gp.top)
+        self.pair = gp.pairing()
+        self.length = [lam[x - 1] for x in gp.top + gp.bottom]
+        self.w = w = sum(self.length[:r])
+        self.left: list[int] = []
+        self.cell_at: tuple[list[int], list[int]] = ([], [])
+        self.junction_at = ([-1] * w, [-1] * w)
+        for c, n in enumerate(self.length):
+            s = int(c >= r)
+            x = len(self.cell_at[s])
+            self.left.append(x)
+            self.junction_at[s][x] = c
+            self.cell_at[s].extend([c] * n)
 
-    def cell_span(self, side: str, i: int) -> tuple[int, int]:
-        a = self.left[side][i]
-        row = self.gp.top if side == "T" else self.gp.bottom
-        return a, a + self.lam[row[i] - 1]
+    def glue(self, s: int, X: int) -> tuple[int, int]:
+        """Cross side s at doubled coordinate X: (next side, image of X).
 
-    def cross_point(self, side: str, x: int) -> tuple[str, int, bool]:
-        """Map an interior edge point through its cell identification.
-
-        Returns (new_side, new_x, flipped); ``flipped`` marks a central
-        symmetry (same-side gluing), which reverses the travel direction.
+        Doubled coordinates put point x at 2x and unit column x at 2x + 1;
+        X is a column or a point that is not a junction.  The crossing
+        passes through the cell over X to its partner.  A translation
+        (partner on the other side) keeps the travel direction, so the
+        next crossing is at side s again; a central symmetry (partner on
+        side s) reflects X within the partner and reverses the direction.
         """
-        cell = self.cell_at[side][x if x < self.w else 0]
-        a, b = self.cell_span(side, cell)
-        ps, pi, same = self.partner[(side, cell)]
-        c, d = self.cell_span(ps, pi)
-        if same:
-            return ps, d - (x - a), True
-        return ps, c + (x - a), False
+        c = self.cell_at[s][X >> 1]
+        d = self.pair[c]
+        X -= 2 * self.left[c]
+        if (d >= self.r) == s:
+            return s ^ 1, 2 * (self.left[d] + self.length[d]) - X
+        return s, 2 * self.left[d] + X
 
 
 # -- separatrix spectrum --------------------------------------------------
@@ -221,48 +211,37 @@ class SeparatrixSpectrum:
 
 def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, int, tuple[int, ...]]:
     """Follow the vertical ray from a junction until it hits a junction."""
-    side, idx = germ
-    x = geo.left[side][idx]
-    direction = -1 if side == "T" else 1  # +1 travels upward
+    s = int(germ < geo.r)  # a top ray travels down and first reaches the bottom
+    X = 2 * geo.left[germ]
     budget = 2 * geo.w + 2
-    crossings = 0
     lines = []
     while True:
-        lines.append(x)
-        crossings += 1
-        if crossings > budget:
+        lines.append(X >> 1)
+        if len(lines) > budget:
             raise TraceBudgetExceeded("separatrix trace exceeded %d crossings" % budget)
-        arrive = "T" if direction == 1 else "B"
-        hit = geo.junction_at[arrive].get(x)
-        if hit is not None:
-            return (arrive, hit), crossings, tuple(lines)
-        new_side, x, flipped = geo.cross_point(arrive, x)
-        if flipped:
-            direction = -direction
+        hit = geo.junction_at[s][X >> 1]
+        if hit >= 0:
+            return hit, len(lines), tuple(lines)
+        s, X = geo.glue(s, X)
 
 
 def separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> SeparatrixSpectrum:
     """All compact vertical separatrices, as a perfect matching on germs."""
-    geo = _Geometry(gp, lam)
-    return _spectrum(geo)
+    return _spectrum(_Geometry(gp, lam))
 
 
 def _spectrum(geo: _Geometry) -> SeparatrixSpectrum:
-    germs: list[Germ] = [("T", i) for i in range(geo.size["T"])] + [
-        ("B", j) for j in range(geo.size["B"])
-    ]
-    done: dict[Germ, Segment] = {}
+    done = [False] * len(geo.pair)
     segments: list[Segment] = []
-    for g in germs:
-        if g in done:
+    for g in range(len(geo.pair)):
+        if done[g]:
             continue
         end, crossings, lines = _trace_segment(geo, g)
         back, back_crossings, _ = _trace_segment(geo, end)
         assert back == g and back_crossings == crossings, "segment pairing broke"
-        is_gamma = {g, end} == {("T", 0), ("B", 0)}
-        seg = Segment(tuple(sorted((g, end))), crossings, lines, is_gamma)
-        done[g] = done[end] = seg
-        segments.append(seg)
+        is_gamma = {g, end} == {0, geo.r}
+        segments.append(Segment((min(g, end), max(g, end)), crossings, lines, is_gamma))
+        done[g] = done[end] = True
     assert sum(1 for s in segments if s.is_gamma) == 1
     assert segments and min(s.crossings for s in segments if s.is_gamma) == 1
     return SeparatrixSpectrum(tuple(segments))
@@ -315,58 +294,36 @@ class CylinderDecomposition:
         }
 
 
-def _column_step(geo: _Geometry, col: int, direction: int) -> tuple[int, int]:
-    """Image of a unit column under one vertical crossing."""
-    arrive = "T" if direction == 1 else "B"
-    cell = geo.cell_at[arrive][col]
-    a, b = geo.cell_span(arrive, cell)
-    ps, pi, same = geo.partner[(arrive, cell)]
-    c, d = geo.cell_span(ps, pi)
-    if same:
-        return d - (col - a) - 1, -direction
-    return c + (col - a), direction
+def _side_trace(geo: _Geometry, x0: int, sigma0: int) -> tuple[Side, list[tuple[int, int]]]:
+    """Boundary trace hugging singular lines at offset sigma*epsilon.
 
-
-def _side_trace(geo: _Geometry, x0: int, sigma0: int, direction0: int = 1) -> tuple[Side, list[tuple[int, int]]]:
-    """Boundary trace hugging singular lines at offset sigma*epsilon."""
-    state = (x0, sigma0, direction0)
+    The trace runs upward through the column z = 2*x + sigma (doubled)
+    beside line x; a central symmetry flips sigma with the direction.  At
+    a junction the hugged line passes the singular point, from the
+    incoming germ to the junction where the image line resumes.
+    """
+    w2 = 2 * geo.w
+    start = (0, (2 * x0 + sigma0) % w2, sigma0)
+    s, z, sigma = start
     passages: list[tuple[Germ, Germ]] = []
     visited: list[tuple[int, int]] = []
-    traversals = 0
-    x, sigma, direction = state
     while True:
+        x = ((z - sigma) % w2) >> 1
         visited.append((x, sigma))
-        traversals += 1
-        if traversals > 2 * geo.w + 2:
+        if len(visited) > 2 * geo.w + 2:
             raise TraceBudgetExceeded("side trace exceeded budget")
-        arrive = "T" if direction == 1 else "B"
-        jn = geo.junction_at[arrive].get(x)
-        if jn is None:
-            new_side, x, flipped = geo.cross_point(arrive, x)
-            if flipped:
-                direction = -direction
-                sigma = -sigma
-        else:
-            in_germ: Germ = (arrive, jn)
-            n = geo.size[arrive]
-            cell = jn if sigma == 1 else (jn - 1) % n
-            end = "L" if sigma == 1 else "R"
-            a, b = geo.cell_span(arrive, cell)
-            ps, pi, same = geo.partner[(arrive, cell)]
-            c, d = geo.cell_span(ps, pi)
-            if same:
-                new_x = (d if end == "L" else c) % geo.w
-                direction = -direction
-                sigma = -sigma
-            else:
-                new_x = (c if end == "L" else d) % geo.w
-            out_idx = geo.junction_at[ps].get(new_x)
-            assert out_idx is not None, "junction image is not a junction"
-            passages.append((in_germ, (ps, out_idx)))
-            x = new_x
-        if (x, sigma, direction) == state:
-            break
-    return Side(tuple(passages), traversals), visited
+        in_germ = geo.junction_at[s][x]
+        t, z = geo.glue(s, z)
+        if t != s:
+            sigma = -sigma
+        if in_germ >= 0:
+            # the partner cell, where the image line resumes, lies on circle 1 - t
+            out_germ = geo.junction_at[1 - t][((z - sigma) % w2) >> 1]
+            assert out_germ >= 0, "junction image is not a junction"
+            passages.append((in_germ, out_germ))
+        s = t
+        if (s, z, sigma) == start:
+            return Side(tuple(passages), len(visited)), visited
 
 
 class _UnionFind:
@@ -387,17 +344,18 @@ class _UnionFind:
 
 def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> CylinderDecomposition:
     """Vertical cylinders of the suspension, with boundary structure."""
-    geo = _Geometry(gp, lam)
+    return _decomposition(_Geometry(gp, lam))
+
+
+def _decomposition(geo: _Geometry) -> CylinderDecomposition:
     spectrum = _spectrum(geo)
     singular = spectrum.singular_lines()
     w = geo.w
     uf = _UnionFind(w)
     # same closed leaf => same cylinder
     for col in range(w):
-        c, d = _column_step(geo, col, 1)
-        uf.union(col, c)
-        c, d = _column_step(geo, col, -1)
-        uf.union(col, c)
+        uf.union(col, geo.glue(0, 2 * col + 1)[1] >> 1)
+        uf.union(col, geo.glue(1, 2 * col + 1)[1] >> 1)
     # no separatrix on the line between adjacent columns => same cylinder
     for x in range(1, w):
         if x not in singular:
@@ -407,13 +365,12 @@ def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> Cy
     for col in range(w):
         groups.setdefault(uf.find(col), []).append(col)
 
-    # leaf length through a column: orbit of (column, up) under crossings
+    # leaf length through a column: orbit of the column going up
     def circumference(col: int) -> int:
-        state = (col, 1)
+        state = cur = (0, 2 * col + 1)
         steps = 0
-        cur = state
         while True:
-            cur = _column_step(geo, cur[0], cur[1])
+            cur = geo.glue(*cur)
             steps += 1
             if cur == state:
                 return steps
@@ -452,13 +409,13 @@ def germ_sector_angles(
 ) -> tuple[int, int]:
     """Sector angles (s, complement) between two boundary germ pairs.
 
-    Each pair is the (incoming, outgoing) germ of one boundary circle at
-    the singularity; the pairs occupy adjacent wedges, and the remaining
-    wedges split into the two sectors.  Raises NotSimple when the germs
-    do not sit around a single singularity.
+    Each pair is the (incoming, outgoing) junction of one boundary circle
+    at the singularity; the pairs occupy adjacent wedges, and the
+    remaining wedges split into the two sectors.  Raises NotSimple when
+    the germs do not sit around a single singularity.
     """
-    cycles = vertex_cycles(gp)
-    position: dict[Germ, tuple[int, int]] = {}
+    cycles = junction_cycles(gp.pairing(), len(gp.top))
+    position = [(0, 0)] * gp.size
     for ci, cycle in enumerate(cycles):
         for pos, junction in enumerate(cycle):
             position[junction] = (ci, pos)
@@ -511,7 +468,7 @@ def vertical_permutation(
     vertical separatrix segments and their lengths the crossing counts.
     """
     geo = _Geometry(gp, lam)
-    decomp = cylinder_decomposition(gp, lam)
+    decomp = _decomposition(geo)
     if len(decomp.cylinders) != 1:
         raise NotSingleCylinder("vertical foliation has %d cylinders" % len(decomp.cylinders))
     singular = sorted(decomp.spectrum.singular_lines())
@@ -520,7 +477,7 @@ def vertical_permutation(
     side_top, _ = _side_trace(geo, 0, 1)
     side_bottom, _ = _side_trace(geo, right_of_zero % geo.w, -1)
 
-    seg_of: dict[Germ, int] = {}
+    seg_of = [0] * len(geo.pair)
     for i, seg in enumerate(decomp.spectrum.segments):
         for g in seg.germs:
             seg_of[g] = i
@@ -637,9 +594,12 @@ class SquareTiledCover:
         """Minimal (right, up, deck) over relabelings by traversal order.
 
         Each start square labels the cover breadth-first, trying the
-        generators right, up, right^-1, up^-1 in turn; on a disconnected
-        cover the walk jumps to the least unlabeled square. Row i of a
-        relabeled permutation is the label of the image of ``order[i]``.
+        generators right, up, right^-1, up^-1 in turn. On a disconnected
+        cover the walk jumps to the deck image of the start square, whose
+        component the deck map swaps with the start's; only a cover of
+        three or more components falls back to the least unlabeled square.
+        Row i of a relabeled permutation is the label of the image of
+        ``order[i]``.
 
         The minimum is searched with pruning. When ``order[i]`` has been
         processed its right neighbour carries a label, so entry i of the
@@ -663,8 +623,8 @@ class SquareTiledCover:
             row: list[int] = []
             smaller = best_right is None
             for i in range(n):
-                if i == len(order):  # disconnected cover: jump to least unlabeled square
-                    s = label.index(-1)
+                if i == len(order):  # disconnected cover: jump to the other sheet
+                    s = deck[start] if label[deck[start]] < 0 else label.index(-1)
                     label[s] = i
                     order.append(s)
                 cur = order[i]
@@ -720,10 +680,10 @@ def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCo
         right[w + c] = w + (c - 1) % w
         deck[c] = w + c
         deck[w + c] = c
-        c_up, d_up = _column_step(geo, c, 1)
-        up[c] = c_up if d_up == 1 else w + c_up
-        c_dn, d_dn = _column_step(geo, c, -1)
-        up[w + c] = w + c_dn if d_dn == -1 else c_dn
+        # square s*w + c crosses side s of column c: up on the upright sheet
+        for s in (0, 1):
+            t, z = geo.glue(s, 2 * c + 1)
+            up[s * w + c] = t * w + (z >> 1)
     cover = SquareTiledCover(tuple(right), tuple(up), tuple(deck), False)
     ncomp = cover.components()
     assert ncomp in (1, 2)
@@ -902,28 +862,45 @@ class OrbitResult:
         return len(self.keys)
 
 
-def sl2z_orbit(gp: GeneralizedPermutation, lam: Sequence[int], cap: int = 10000) -> OrbitResult:
-    """Closure of the canonical cover form under shear and quarter turn.
+def orbit_forms(start: SquareTiledCover):
+    """Breadth-first walk of the shear/quarter-turn orbit of a cover.
 
-    Breadth-first; stops with a truncation flag once ``cap`` forms are
-    collected (no failure: partial orbits are still useful as evidence).
+    Yields (depth, key, cover, word) once per form, the start first with
+    the empty word; ``word`` spells the path from the start, leftmost
+    letter applied first (T = unit shear, S = quarter turn).
     """
-    start = build_cover(gp, lam)
-    words: dict[tuple, str] = {start.canonical_key(): ""}
+    key = start.canonical_key()
+    yield 0, key, start, ""
+    seen = {key}
     frontier = [(start, "")]
-    truncated = False
+    depth = 0
     while frontier:
+        depth += 1
         nxt = []
         for cover, word in frontier:
             for image, letter in ((cover.apply_T(), "T"), (cover.apply_S(), "S")):
                 key = image.canonical_key()
-                if key not in words:
-                    if len(words) >= cap:
-                        truncated = True
-                        continue
-                    words[key] = word + letter
+                if key not in seen:
+                    seen.add(key)
                     nxt.append((image, word + letter))
+                    yield depth, key, image, word + letter
         frontier = nxt
-        if truncated:
+
+
+def sl2z_orbit(gp: GeneralizedPermutation, lam: Sequence[int], cap: int = 10000) -> OrbitResult:
+    """Closure of the canonical cover form under shear and quarter turn.
+
+    Keeps the first ``cap`` forms in breadth-first order and sets the
+    truncation flag when the orbit has more (no failure: partial orbits
+    are still useful as evidence).
+    """
+    if cap < 1:
+        raise BadParameters("orbit cap must be at least 1, got %d" % cap)
+    words: dict[tuple, str] = {}
+    truncated = False
+    for _, key, _, word in orbit_forms(build_cover(gp, lam)):
+        if len(words) == cap:
+            truncated = True
             break
+        words[key] = word
     return OrbitResult(frozenset(words), words, truncated)

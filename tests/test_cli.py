@@ -86,6 +86,20 @@ def test_classify_pattern_not_integers(capsys):
     assert err.startswith("error: ") and "--pattern" in err
 
 
+def test_orbit_cap_below_one(capsys):
+    for cap in ("0", "-3"):
+        code, out, err = run(capsys, "orbit", "1 1 / 2 2", "--cap", cap)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "cap" in err
+
+
+def test_classify_unknown_moves(capsys):
+    for moves in ("vprem,orbit", ""):
+        code, out, err = run(capsys, "classify", "--pattern", "8", "--moves", moves)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "vperm,orbit,excise,decode" in err
+
+
 def test_enumerate_sym_sensitivity(capsys):
     # negative control: without row swap the same enumeration overcounts
     code, out, _ = run(capsys, "--sym", "relabel,rotate", "--json", "enumerate", "--type", "5,5", "--pattern", "8")

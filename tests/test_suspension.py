@@ -1,8 +1,9 @@
 import itertools
 import random
+from typing import Sequence
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onecyl import (
@@ -24,10 +25,23 @@ from onecyl import (
     vertical_permutation,
 )
 from onecyl.acceptance import A1_TABLE
-from onecyl.errors import BoundTooSmall, Infeasible, NotSimple, NotSingleCylinder
+from onecyl.errors import (
+    BadParameters,
+    BoundTooSmall,
+    Infeasible,
+    NotSimple,
+    NotSingleCylinder,
+    TraceBudgetExceeded,
+)
 from onecyl.suspension import (
+    Cylinder,
+    CylinderDecomposition,
+    Segment,
+    SeparatrixSpectrum,
+    Side,
     SquareTiledCover,
     _inv,
+    _UnionFind,
     check_admissible,
     decode_one_cylinder,
     germ_sector_angles,
@@ -288,6 +302,19 @@ def test_orbit_cap_truncates():
     assert result.truncated and len(result) >= 3
 
 
+def test_capped_orbit_is_a_breadth_first_prefix():
+    gp = GP(A1_TABLE[1])
+    full = list(sl2z_orbit(gp, all_ones(gp)).words.items())
+    assert len(full) == 30
+    for k in range(1, len(full) + 1):
+        capped = sl2z_orbit(gp, all_ones(gp), cap=k)
+        assert list(capped.words.items()) == full[:k]
+        assert capped.truncated == (k < len(full))
+    for cap in (0, -3):
+        with pytest.raises(BadParameters):
+            sl2z_orbit(gp, all_ones(gp), cap=cap)
+
+
 def test_s_squared_fixes_canonical_form():
     gp = GP("1 1 2 / 3 2 3")
     cover = build_cover(gp, (2, 1, 2))
@@ -375,14 +402,6 @@ def random_cover(rng, max_letters=6, bound=4):
             continue
 
 
-def random_abelian_cover(rng):
-    k = rng.randint(2, 5)
-    bottom = list(range(1, k + 1))
-    rng.shuffle(bottom)
-    gp = GeneralizedPermutation.from_rows(list(range(1, k + 1)), bottom)
-    return build_cover(gp, sample_admissible(gp, seed=rng.randint(0, 999), bound=3))
-
-
 @pytest.mark.parametrize("text, size", [(A1_TABLE[0], 10), (A1_TABLE[1], 30)])
 def test_cover_key_matches_reference_on_q8_orbits(text, size):
     gp = GP(text)
@@ -394,26 +413,90 @@ def test_cover_key_matches_reference_on_q8_orbits(text, size):
 
 def test_cover_key_matches_reference_on_sampled_covers():
     rng = random.Random(31)
+    disconnected = 0
     for _ in range(40):
         cover = random_cover(rng)
         for image in (cover, cover.apply_T(), cover.apply_S().apply_T().apply_T()):
-            assert image.canonical_key() == reference_cover_key(image)
+            if image.connected:
+                assert image.canonical_key() == reference_cover_key(image)
+            else:  # the reference jumps by square label; see the brute-force tests
+                disconnected += 1
+                p = list(range(image.n))
+                rng.shuffle(p)
+                assert relabeled(image, p).canonical_key() == image.canonical_key()
+    assert 0 < disconnected < 60
+
+
+def brute_force_key(cover: SquareTiledCover) -> tuple:
+    """Least (right, up, deck) over every relabeling of the squares."""
+    n = cover.n
+    best = None
+    for p in itertools.permutations(range(n)):
+        pi = _inv(p)
+        right = tuple([p[cover.right[q]] for q in pi])
+        if best is not None and right > best[0]:
+            continue
+        key = (right, tuple([p[cover.up[q]] for q in pi]), tuple([p[cover.deck[q]] for q in pi]))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def brute_force_orbit_size(cover: SquareTiledCover) -> int:
+    seen = {brute_force_key(cover)}
+    frontier = [cover]
+    while frontier:
+        images = [image for c in frontier for image in (c.apply_T(), c.apply_S())]
+        frontier = []
+        for image in images:
+            key = brute_force_key(image)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(image)
+    return len(seen)
+
+
+#: abelian (two-sheet) covers of at most 8 squares
+SMALL_ABELIAN = [("1 2 / 2 1", (1, 1)), ("1 2 / 2 1", (1, 2)), ("1 2 3 / 3 2 1", (1, 1, 1)),
+                 ("1 2 3 / 2 3 1", (1, 1, 1)), ("1 2 3 4 / 2 4 1 3", (1, 1, 1, 1))]
 
 
 def test_cover_key_matches_reference_on_disconnected_covers():
-    rng = random.Random(37)
-    for _ in range(20):
-        abelian = random_abelian_cover(rng)
-        assert abelian.components() == 2
-        for cover in (abelian, disjoint_union(abelian, random_cover(rng, 4, 2))):
+    # the reference here is the brute-force minimum: equal keys exactly
+    # when the minima agree, on every form of each orbit and a random
+    # relabeling of it
+    rng = random.Random(43)
+    covers = []
+    for text, lam in SMALL_ABELIAN:
+        for _, cover in orbit_covers(GP(text), lam):
             p = list(range(cover.n))
             rng.shuffle(p)
-            shuffled = relabeled(cover, p)
-            shuffled.check()
-            # the jump to the least unlabeled square reads square labels,
-            # so here the key depends on the labeling: compare each form
-            for form in (cover, shuffled):
-                assert form.canonical_key() == reference_cover_key(form)
+            covers += [cover, relabeled(cover, p)]
+    pairs = {(cover.canonical_key(), brute_force_key(cover)) for cover in covers}
+    # 23 forms; the orbits of 1 2 / 2 1 at (1, 2) and 1 2 3 / 2 3 1 coincide
+    assert len(pairs) == len({k for k, _ in pairs}) == len({b for _, b in pairs}) == 19
+
+
+@pytest.mark.parametrize("text, size", [("1 2 3 / 3 2 1", 3), ("1 2 3 4 / 2 4 1 3", 9)])
+def test_abelian_orbit_sizes_match_brute_force(text, size):
+    gp = GP(text)
+    cover = build_cover(gp, all_ones(gp))
+    assert len(sl2z_orbit(gp, all_ones(gp))) == size == brute_force_orbit_size(cover)
+
+
+def test_three_component_cover_key_is_a_relabeling():
+    # the least-unlabeled fallback: the key still spells the same cover
+    rng = random.Random(47)
+    union = disjoint_union(build_cover(GP("1 2 / 2 1"), (1, 1)), build_cover(GP("1 1 / 2 2"), (1, 1)))
+    assert union.components() == 3
+    for _ in range(4):
+        p = list(range(union.n))
+        rng.shuffle(p)
+        form = relabeled(union, p)
+        form.check()
+        key_cover = SquareTiledCover(*form.canonical_key(), False)
+        key_cover.check()
+        assert brute_force_key(key_cover) == brute_force_key(union)
 
 
 def test_cover_key_matches_reference_on_pillowcase():
@@ -426,7 +509,6 @@ def test_cover_key_matches_reference_on_pillowcase():
 def test_cover_key_ignores_square_labels(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     cover = random_cover(rng)
-    assume(cover.connected)  # a disconnected cover's key reads labels at the jumps
     p = data.draw(st.permutations(range(cover.n)), label="relabel")
     assert relabeled(cover, p).canonical_key() == cover.canonical_key()
 
@@ -450,4 +532,371 @@ def test_decode_round_trip():
 def test_germ_sector_angles_rejects_split_vertices():
     gp = GP("1 1 2 / 3 2 3")  # three singularities
     with pytest.raises(NotSimple):
-        germ_sector_angles(gp, (("T", 0), ("B", 0)), (("T", 1), ("B", 1)))
+        germ_sector_angles(gp, (0, 3), (1, 4))
+
+
+# -- integer geometry against the string-keyed reference -----------------------
+#
+# The geometry as it was before the integer rewrite, kept verbatim as the
+# oracle: cells and junctions keyed ("T", i) / ("B", j), a tuple-keyed
+# partner table and one gluing formula per trace.
+
+Germ = tuple[str, int]  # junction carrying the inward vertical ray
+
+
+class _Geometry:
+    """Crossing maps of an integer suspension, shared by all traces."""
+
+    def __init__(self, gp: GeneralizedPermutation, lam: Sequence[int]):
+        self.gp = gp
+        self.lam = check_admissible(gp, lam)
+        r, l = gp.type
+        self.w = w = sum(self.lam[x - 1] for x in gp.top)
+        # prefix coordinates; X[i] is the left end of cell i
+        self.left = {"T": [0] * r, "B": [0] * l}
+        self.size = {"T": r, "B": l}
+        for side, row in (("T", gp.top), ("B", gp.bottom)):
+            acc = 0
+            for i, letter in enumerate(row):
+                self.left[side][i] = acc
+                acc += self.lam[letter - 1]
+        # junction index by coordinate, and cell index per unit column
+        self.junction_at = {
+            side: {x: i for i, x in enumerate(self.left[side])} for side in ("T", "B")
+        }
+        self.cell_at = {}
+        for side in ("T", "B"):
+            arr = [0] * w
+            idx = 0
+            lefts = self.left[side]
+            n = len(lefts)
+            for c in range(w):
+                while idx + 1 < n and lefts[idx + 1] <= c:
+                    idx += 1
+                arr[c] = idx
+            self.cell_at[side] = arr
+        # partner of each cell: (side, index, same_side)
+        occ: dict[int, list[tuple[str, int]]] = {}
+        for side, row in (("T", gp.top), ("B", gp.bottom)):
+            for i, letter in enumerate(row):
+                occ.setdefault(letter, []).append((side, i))
+        self.partner: dict[tuple[str, int], tuple[str, int, bool]] = {}
+        for letter, cells in occ.items():
+            (s1, i1), (s2, i2) = cells
+            self.partner[(s1, i1)] = (s2, i2, s1 == s2)
+            self.partner[(s2, i2)] = (s1, i1, s1 == s2)
+
+    def cell_span(self, side: str, i: int) -> tuple[int, int]:
+        a = self.left[side][i]
+        row = self.gp.top if side == "T" else self.gp.bottom
+        return a, a + self.lam[row[i] - 1]
+
+    def cross_point(self, side: str, x: int) -> tuple[str, int, bool]:
+        """Map an interior edge point through its cell identification.
+
+        Returns (new_side, new_x, flipped); ``flipped`` marks a central
+        symmetry (same-side gluing), which reverses the travel direction.
+        """
+        cell = self.cell_at[side][x if x < self.w else 0]
+        a, b = self.cell_span(side, cell)
+        ps, pi, same = self.partner[(side, cell)]
+        c, d = self.cell_span(ps, pi)
+        if same:
+            return ps, d - (x - a), True
+        return ps, c + (x - a), False
+
+
+def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, int, tuple[int, ...]]:
+    """Follow the vertical ray from a junction until it hits a junction."""
+    side, idx = germ
+    x = geo.left[side][idx]
+    direction = -1 if side == "T" else 1  # +1 travels upward
+    budget = 2 * geo.w + 2
+    crossings = 0
+    lines = []
+    while True:
+        lines.append(x)
+        crossings += 1
+        if crossings > budget:
+            raise TraceBudgetExceeded("separatrix trace exceeded %d crossings" % budget)
+        arrive = "T" if direction == 1 else "B"
+        hit = geo.junction_at[arrive].get(x)
+        if hit is not None:
+            return (arrive, hit), crossings, tuple(lines)
+        new_side, x, flipped = geo.cross_point(arrive, x)
+        if flipped:
+            direction = -direction
+
+
+def reference_separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> SeparatrixSpectrum:
+    """All compact vertical separatrices, as a perfect matching on germs."""
+    geo = _Geometry(gp, lam)
+    return _spectrum(geo)
+
+
+def _spectrum(geo: _Geometry) -> SeparatrixSpectrum:
+    germs: list[Germ] = [("T", i) for i in range(geo.size["T"])] + [
+        ("B", j) for j in range(geo.size["B"])
+    ]
+    done: dict[Germ, Segment] = {}
+    segments: list[Segment] = []
+    for g in germs:
+        if g in done:
+            continue
+        end, crossings, lines = _trace_segment(geo, g)
+        back, back_crossings, _ = _trace_segment(geo, end)
+        assert back == g and back_crossings == crossings, "segment pairing broke"
+        is_gamma = {g, end} == {("T", 0), ("B", 0)}
+        seg = Segment(tuple(sorted((g, end))), crossings, lines, is_gamma)
+        done[g] = done[end] = seg
+        segments.append(seg)
+    assert sum(1 for s in segments if s.is_gamma) == 1
+    assert segments and min(s.crossings for s in segments if s.is_gamma) == 1
+    return SeparatrixSpectrum(tuple(segments))
+
+
+def _column_step(geo: _Geometry, col: int, direction: int) -> tuple[int, int]:
+    """Image of a unit column under one vertical crossing."""
+    arrive = "T" if direction == 1 else "B"
+    cell = geo.cell_at[arrive][col]
+    a, b = geo.cell_span(arrive, cell)
+    ps, pi, same = geo.partner[(arrive, cell)]
+    c, d = geo.cell_span(ps, pi)
+    if same:
+        return d - (col - a) - 1, -direction
+    return c + (col - a), direction
+
+
+def _side_trace(geo: _Geometry, x0: int, sigma0: int, direction0: int = 1) -> tuple[Side, list[tuple[int, int]]]:
+    """Boundary trace hugging singular lines at offset sigma*epsilon."""
+    state = (x0, sigma0, direction0)
+    passages: list[tuple[Germ, Germ]] = []
+    visited: list[tuple[int, int]] = []
+    traversals = 0
+    x, sigma, direction = state
+    while True:
+        visited.append((x, sigma))
+        traversals += 1
+        if traversals > 2 * geo.w + 2:
+            raise TraceBudgetExceeded("side trace exceeded budget")
+        arrive = "T" if direction == 1 else "B"
+        jn = geo.junction_at[arrive].get(x)
+        if jn is None:
+            new_side, x, flipped = geo.cross_point(arrive, x)
+            if flipped:
+                direction = -direction
+                sigma = -sigma
+        else:
+            in_germ: Germ = (arrive, jn)
+            n = geo.size[arrive]
+            cell = jn if sigma == 1 else (jn - 1) % n
+            end = "L" if sigma == 1 else "R"
+            a, b = geo.cell_span(arrive, cell)
+            ps, pi, same = geo.partner[(arrive, cell)]
+            c, d = geo.cell_span(ps, pi)
+            if same:
+                new_x = (d if end == "L" else c) % geo.w
+                direction = -direction
+                sigma = -sigma
+            else:
+                new_x = (c if end == "L" else d) % geo.w
+            out_idx = geo.junction_at[ps].get(new_x)
+            assert out_idx is not None, "junction image is not a junction"
+            passages.append((in_germ, (ps, out_idx)))
+            x = new_x
+        if (x, sigma, direction) == state:
+            break
+    return Side(tuple(passages), traversals), visited
+
+
+def reference_cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> CylinderDecomposition:
+    """Vertical cylinders of the suspension, with boundary structure."""
+    geo = _Geometry(gp, lam)
+    spectrum = _spectrum(geo)
+    singular = spectrum.singular_lines()
+    w = geo.w
+    uf = _UnionFind(w)
+    # same closed leaf => same cylinder
+    for col in range(w):
+        c, d = _column_step(geo, col, 1)
+        uf.union(col, c)
+        c, d = _column_step(geo, col, -1)
+        uf.union(col, c)
+    # no separatrix on the line between adjacent columns => same cylinder
+    for x in range(1, w):
+        if x not in singular:
+            uf.union(x - 1, x)
+    assert 0 in singular
+    groups: dict[int, list[int]] = {}
+    for col in range(w):
+        groups.setdefault(uf.find(col), []).append(col)
+
+    # leaf length through a column: orbit of (column, up) under crossings
+    def circumference(col: int) -> int:
+        state = (col, 1)
+        steps = 0
+        cur = state
+        while True:
+            cur = _column_step(geo, cur[0], cur[1])
+            steps += 1
+            if cur == state:
+                return steps
+            assert steps <= 2 * w + 2, "leaf failed to close"
+
+    # boundary sides, assigned to the adjacent cylinder
+    sides_of: dict[int, list[Side]] = {root: [] for root in groups}
+    seen: set[tuple[int, int]] = set()
+    for x in sorted(singular):
+        for sigma in (1, -1):
+            if (x, sigma) in seen:
+                continue
+            side, visited = _side_trace(geo, x, sigma)
+            seen.update(visited)
+            col = x if sigma == 1 else (x - 1) % w
+            sides_of[uf.find(col)].append(side)
+
+    cylinders = []
+    for root, cols in sorted(groups.items(), key=lambda kv: min(kv[1])):
+        m = circumference(min(cols))
+        assert len(cols) % m == 0, "cylinder width is not integral"
+        sides = sides_of[root]
+        assert len(sides) == 2, "cylinder with %d boundary sides" % len(sides)
+        simple = all(len(s.passages) == 1 for s in sides)
+        cylinders.append(
+            Cylinder(tuple(sorted(cols)), len(cols) // m, m, simple, (sides[0], sides[1]))
+        )
+    assert sum(c.width * c.circumference for c in cylinders) == w
+    return CylinderDecomposition(tuple(cylinders), spectrum, w)
+
+
+def reference_vertical_permutation(
+    gp: GeneralizedPermutation, lam: Sequence[int]
+) -> tuple[GeneralizedPermutation, tuple[int, ...]]:
+    """Re-encode a single-vertical-cylinder suspension along the vertical.
+
+    The two boundary circles, read parallel to each other at a common
+    regular arc, become the rows of the new permutation; letters are the
+    vertical separatrix segments and their lengths the crossing counts.
+    """
+    geo = _Geometry(gp, lam)
+    decomp = reference_cylinder_decomposition(gp, lam)
+    if len(decomp.cylinders) != 1:
+        raise NotSingleCylinder("vertical foliation has %d cylinders" % len(decomp.cylinders))
+    singular = sorted(decomp.spectrum.singular_lines())
+    # read both sides upward at the arc of regular columns right of x=0
+    right_of_zero = singular[1] if len(singular) > 1 else geo.w
+    side_top, _ = _side_trace(geo, 0, 1)
+    side_bottom, _ = _side_trace(geo, right_of_zero % geo.w, -1)
+
+    seg_of: dict[Germ, int] = {}
+    for i, seg in enumerate(decomp.spectrum.segments):
+        for g in seg.germs:
+            seg_of[g] = i
+    rows: list[list[int]] = []
+    for side in (side_top, side_bottom):
+        rows.append([seg_of[out] + 1 for (_, out) in side.passages])
+    counts: dict[int, int] = {}
+    for row in rows:
+        for letter in row:
+            counts[letter] = counts.get(letter, 0) + 1
+    assert all(v == 2 for v in counts.values()), "segments must each appear twice"
+    new_gp = GeneralizedPermutation.from_rows(rows[0], rows[1])
+    # renumbering by first appearance: rebuild the length map accordingly
+    mapping: dict[int, int] = {}
+    for letter in rows[0] + rows[1]:
+        if letter not in mapping:
+            mapping[letter] = len(mapping) + 1
+    new_lam = [0] * new_gp.num_letters
+    for old, new in mapping.items():
+        new_lam[new - 1] = decomp.spectrum.segments[old - 1].crossings
+    new_lam_t = check_admissible(new_gp, new_lam)
+    assert singularity_pattern(new_gp).orders == singularity_pattern(gp).orders
+    return new_gp, new_lam_t
+
+
+def reference_build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCover:
+    """Square-tiled orientation double cover of the suspension.
+
+    Same-side identifications connect the two sheets (the pulled-back
+    one-form changes sign across a central symmetry), opposite-side ones
+    stay on a sheet.
+    """
+    geo = _Geometry(gp, lam)
+    w = geo.w
+    n = 2 * w
+    right = [0] * n
+    up = [0] * n
+    deck = [0] * n
+    for c in range(w):
+        right[c] = (c + 1) % w
+        right[w + c] = w + (c - 1) % w
+        deck[c] = w + c
+        deck[w + c] = c
+        c_up, d_up = _column_step(geo, c, 1)
+        up[c] = c_up if d_up == 1 else w + c_up
+        c_dn, d_dn = _column_step(geo, c, -1)
+        up[w + c] = w + c_dn if d_dn == -1 else c_dn
+    cover = SquareTiledCover(tuple(right), tuple(up), tuple(deck), False)
+    ncomp = cover.components()
+    assert ncomp in (1, 2)
+    connected = ncomp == 1
+    assert connected == (not gp.is_abelian())
+    cover = SquareTiledCover(cover.right, cover.up, cover.deck, connected)
+    cover.check()
+    if connected:
+        base = singularity_pattern(gp)
+        odd = sum(1 for k in base.orders if k % 2)
+        assert 2 - 2 * cover.genus() == 2 * (2 - 2 * base.genus) - odd
+    return cover
+
+
+def reference_pairs(count: int = 200):
+    """Seeded (gp, lam) pairs whose lengths are not all ones."""
+    rng = random.Random(53)
+    while count:
+        gp = random_gp(rng, 6)
+        try:
+            lam = sample_admissible(gp, seed=rng.randint(1, 999), bound=5)
+        except BoundTooSmall:
+            continue
+        if set(lam) != {1}:
+            count -= 1
+            yield gp, lam
+
+
+def test_geometry_matches_string_keyed_reference():
+    single = 0
+    for gp, lam in reference_pairs():
+        r = len(gp.top)
+        junction = {("T", i): i for i in range(r)}
+        junction.update({("B", j): r + j for j in range(len(gp.bottom))})
+
+        def side(ref: Side) -> Side:
+            return Side(tuple((junction[a], junction[b]) for a, b in ref.passages), ref.traversals)
+
+        ref = reference_separatrix_spectrum(gp, lam)
+        spectrum = SeparatrixSpectrum(tuple(
+            Segment(tuple(sorted(map(junction.get, s.germs))), s.crossings, s.lines, s.is_gamma)
+            for s in ref.segments
+        ))
+        assert separatrix_spectrum(gp, lam) == spectrum
+        ref_dec = reference_cylinder_decomposition(gp, lam)
+        dec = cylinder_decomposition(gp, lam)
+        assert dec == CylinderDecomposition(tuple(
+            Cylinder(c.columns, c.width, c.circumference, c.simple, (side(c.sides[0]), side(c.sides[1])))
+            for c in ref_dec.cylinders
+        ), spectrum, ref_dec.total_width)
+        if len(dec.cylinders) == 1:
+            single += 1
+            vg, vlam = vertical_permutation(gp, lam)
+            ref_vg, ref_vlam = reference_vertical_permutation(gp, lam)
+            assert (vg.rows(), vlam) == (ref_vg.rows(), ref_vlam)
+        else:
+            for vperm in (vertical_permutation, reference_vertical_permutation):
+                with pytest.raises(NotSingleCylinder):
+                    vperm(gp, lam)
+        cover, ref_cover = build_cover(gp, lam), reference_build_cover(gp, lam)
+        assert (cover.right, cover.up, cover.deck, cover.connected) == (
+            ref_cover.right, ref_cover.up, ref_cover.deck, ref_cover.connected)
+    assert 20 <= single <= 180
+
