@@ -10,6 +10,7 @@ failures are data.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -70,7 +71,46 @@ class CheckResult:
         }
 
 
-_REGISTRY: list[tuple[str, str, Callable[[], tuple[object, object]]]] = []
+class _Memo:
+    """Expensive artifacts shared by the checks of one run, each built once.
+
+    ``run_checks`` makes a fresh memo per run, so concurrent runs share
+    nothing.
+    """
+
+    @functools.cached_property
+    def q8(self):
+        return component_report((8,), MoveConfig())
+
+    @functools.cached_property
+    def qm15(self):
+        return component_report((-1, 5), MoveConfig())
+
+    @functools.cached_property
+    def q12(self):
+        cfg = MoveConfig(
+            lambda_samples=6,
+            lambda_bound=8,
+            use_orbits=False,
+            use_excisions=True,
+            substratum_connected=True,
+            orbit_decode_cap=3000,
+            citations=("Zorich: the two components of Q(12) are distinct",),
+        )
+        return component_report((12,), cfg)
+
+    @functools.cached_property
+    def corpus66(self) -> list[GeneralizedPermutation]:
+        classes: list[GeneralizedPermutation] = []
+        for r in range(1, 7):
+            for l in range(1, 7):
+                if (r + l) % 2 or (CALIBRATED_SYM.swap_rows and r < l):
+                    continue
+                classes.extend(enumerate_type(r, l))
+        return classes
+
+
+_REGISTRY: list[tuple[str, str, Callable[[_Memo], tuple[object, object]]]] = []
 
 
 def _check(check_id: str, provenance: str):
@@ -84,13 +124,13 @@ def _check(check_id: str, provenance: str):
 def run_checks(only: str | None = None) -> list[CheckResult]:
     """Run the ledger; comparison mismatches and crashes are both data."""
     results = []
-    shared_cache.clear()
+    memo = _Memo()
     for check_id, provenance, fn in _REGISTRY:
         if only and only not in check_id:
             continue
         t0 = time.time()
         try:
-            expected, actual = fn()
+            expected, actual = fn(memo)
             status = "pass" if expected == actual else "fail"
         except Exception as exc:  # a crashed check must not stop the ledger
             expected, actual, status = "<no crash>", repr(exc), "fail"
@@ -98,36 +138,11 @@ def run_checks(only: str | None = None) -> list[CheckResult]:
     return results
 
 
-#: expensive shared artifacts, built once per run
-shared_cache: dict = {}
-
-
-def _q8_report():
-    if "q8" not in shared_cache:
-        shared_cache["q8"] = component_report((8,), MoveConfig())
-    return shared_cache["q8"]
-
-
-def _q12_report():
-    if "q12" not in shared_cache:
-        cfg = MoveConfig(
-            lambda_samples=6,
-            lambda_bound=8,
-            use_orbits=False,
-            use_excisions=True,
-            substratum_connected=True,
-            orbit_decode_cap=3000,
-            citations=("Zorich: the two components of Q(12) are distinct",),
-        )
-        shared_cache["q12"] = component_report((12,), cfg)
-    return shared_cache["q12"]
-
-
 # -- 1: hyperelliptic family singularity table ---------------------------
 
 
 @_check("pi1-table", "PAPER")
-def _pi1_table():
+def _pi1_table(memo):
     bad = []
     for r in range(1, 10):
         for l in range(1, 10):
@@ -149,7 +164,7 @@ def _pi1_table():
 
 
 @_check("fig-suspension", "PAPER")
-def _fig_suspension():
+def _fig_suspension(memo):
     pat = singularity_pattern(GP("1 1 2 / 3 2 3"))
     return ((2, -1, -1), 1, 3), (pat.orders, pat.genus, pat.dimension)
 
@@ -158,7 +173,7 @@ def _fig_suspension():
 
 
 @_check("pi1a-family", "PAPER")
-def _pi1a_family():
+def _pi1a_family(memo):
     # Two corrections against the printed claim, both forced by the walk:
     # the third entry is 4(g-k)-6, not -3 (the printed value breaks the
     # order-sum parity and contradicts collapsing the threaded connection
@@ -193,7 +208,7 @@ def _pi1a_family():
 
 
 @_check("red-examples", "PAPER")
-def _red_examples():
+def _red_examples(memo):
     from .conditions import red_condition
 
     d = red_condition(GP("1 2 2 3 3 1 / 0 0"))
@@ -211,10 +226,10 @@ def _red_examples():
 
 
 @_check("q8-counts", "PAPER")
-def _q8_counts():
+def _q8_counts(memo):
     a1 = enumerate_type(5, 5, pattern=(8,))
     a2 = enumerate_type(6, 4, pattern=(8,))
-    total = _q8_report().classes
+    total = memo.q8.classes
     return (4, 3, 7), (len(a1), len(a2), len(total))
 
 
@@ -229,7 +244,7 @@ A2_LAMBDA = (1, 1, 1, 1, 1, 1, 2, 1, 2, 1)
 
 
 @_check("q8-vertical-moves", "PAPER")
-def _q8_vertical_moves():
+def _q8_vertical_moves(memo):
     from .suspension import lam_from_positions
 
     a1_keys = {gp.canonical_key(CALIBRATED_SYM) for gp in enumerate_type(5, 5, pattern=(8,))}
@@ -258,7 +273,7 @@ A1_TABLE = (
 
 
 @_check("q8-one-orbit", "PAPER")
-def _q8_one_orbit():
+def _q8_one_orbit(memo):
     # Stated in the source as an easy check; the shear/quarter-turn walk
     # refutes it: the four unit suspensions split into two disjoint
     # orbits (see q8-orbit-structure).  Kept verbatim and left failing.
@@ -269,7 +284,7 @@ def _q8_one_orbit():
 
 
 @_check("q8-orbit-structure", "DERIVED")
-def _q8_orbit_structure():
+def _q8_orbit_structure(memo):
     # frozen truth behind the q8-one-orbit failure: membership pattern
     # and orbit sizes of the four printed suspensions
     gps = [GP(t) for t in A1_TABLE]
@@ -289,22 +304,20 @@ def _q8_orbit_structure():
 
 
 @_check("q8-connected", "PAPER")
-def _q8_connected():
-    return 1, _q8_report().upper_bound
+def _q8_connected(memo):
+    return 1, memo.q8.upper_bound
 
 
 # -- 6: Q(-1,5) --------------------------------------------------------------
 
 
 @_check("qm15-classes", "PAPER")
-def _qm15_classes():
-    if "qm15" not in shared_cache:
-        shared_cache["qm15"] = component_report((-1, 5), MoveConfig())
-    return 2, len(shared_cache["qm15"].classes)
+def _qm15_classes(memo):
+    return 2, len(memo.qm15.classes)
 
 
 @_check("qm15-lambda2-move", "PAPER")
-def _qm15_move():
+def _qm15_move(memo):
     pi1 = GP("0 0 1 2 / 1 3 2 3")
     pi2 = GP("0 1 0 / 2 3 2 1 3")
     from .suspension import lam_from_positions
@@ -315,17 +328,15 @@ def _qm15_move():
 
 
 @_check("qm15-connected", "PAPER")
-def _qm15_connected():
-    if "qm15" not in shared_cache:
-        shared_cache["qm15"] = component_report((-1, 5), MoveConfig())
-    return 1, shared_cache["qm15"].upper_bound
+def _qm15_connected(memo):
+    return 1, memo.qm15.upper_bound
 
 
 # -- 7: Q(12) ----------------------------------------------------------------
 
 
 @_check("q12-rep-I-decomposition", "PAPER")
-def _q12_rep_one():
+def _q12_rep_one(memo):
     rep = irreducible_rep("12-I")
     dec = cylinder_decomposition(rep, all_ones(rep))
     angles = sorted(
@@ -335,7 +346,7 @@ def _q12_rep_one():
 
 
 @_check("q12-rep-II-angle", "PAPER")
-def _q12_rep_two():
+def _q12_rep_two(memo):
     # the source asserts two cylinders only for the first representative;
     # the second decomposes into three, with the stated 6*pi excision
     rep = irreducible_rep("12-II")
@@ -344,7 +355,7 @@ def _q12_rep_two():
 
 
 @_check("q12-quoted-angles", "PAPER")
-def _q12_quoted_angles():
+def _q12_quoted_angles(memo):
     quoted = {
         "3 4 5 6 5 1 2 / 3 7 2 6 1 4 7": 1,  # rotation of the sigma form
         "5 6 1 2 3 4 2 / 5 7 6 7 3 1 4": 4,  # rotation of the first rep
@@ -363,8 +374,8 @@ def _q12_quoted_angles():
 
 
 @_check("q12-two-components", "PAPER")
-def _q12_two_components():
-    rep = _q12_report()
+def _q12_two_components(memo):
+    rep = memo.q12
     has_citation = any("Zorich" in c for c in rep.citations)
     idx = {gp.canonical_key(CALIBRATED_SYM): i for i, gp in enumerate(rep.classes)}
     g1 = rep.groups[idx[irreducible_rep("12-I").canonical_key(CALIBRATED_SYM)]]
@@ -376,7 +387,7 @@ def _q12_two_components():
 
 
 @_check("qm19-angles", "PAPER")
-def _qm19_angles():
+def _qm19_angles(memo):
     quoted = {
         "3 4 0 0 1 2 / 3 5 2 1 4 5": 1,
         "2 3 4 0 0 1 / 2 4 5 1 3 5": 2,
@@ -394,7 +405,7 @@ def _qm19_angles():
 
 
 @_check("qm19-one-pole-family", "PAPER")
-def _qm19_one_pole_family():
+def _qm19_one_pole_family(memo):
     # the one-pole ladder with weights ((l-1)a, a, (l-1)a, a, ..., a)
     # splits vertically into g-1 cylinders, exactly one of them simple
     from .suspension import lam_from_positions
@@ -413,7 +424,7 @@ def _qm19_one_pole_family():
 
 
 @_check("qm19-excise", "PAPER")
-def _qm19_excise():
+def _qm19_excise(memo):
     restricted, s = excise_simple_cylinder(irreducible_rep("(-1,9)"))
     pattern = singularity_pattern(restricted).orders
     # collapsing the seam merges the 1 and 4 into the Q(-1,5) zero
@@ -424,13 +435,13 @@ def _qm19_excise():
 
 
 @_check("empty-strata", "PAPER")
-def _empty_strata():
+def _empty_strata(memo):
     sizes = [len(enumerate_stratum(p)) for p in ((0,), (-1, 1), (1, 3), (4,))]
     return [0, 0, 0, 0], sizes
 
 
 @_check("q22-hyperelliptic", "PAPER")
-def _q22_hyperelliptic():
+def _q22_hyperelliptic(memo):
     rep = component_report((2, 2), MoveConfig())
     tags = sorted(t.label() for t in rep.tags)
     return (["hyp:pi1(1,1)", "hyp:pi2(2,2)"], 1), (tags, rep.upper_bound)
@@ -439,22 +450,10 @@ def _q22_hyperelliptic():
 # -- 10: irreducibility bridge -------------------------------------------------
 
 
-def _bridge_corpus() -> list[GeneralizedPermutation]:
-    if "corpus66" not in shared_cache:
-        classes: list[GeneralizedPermutation] = []
-        for r in range(1, 7):
-            for l in range(1, 7):
-                if (r + l) % 2 or (CALIBRATED_SYM.swap_rows and r < l):
-                    continue
-                classes.extend(enumerate_type(r, l))
-        shared_cache["corpus66"] = classes
-    return shared_cache["corpus66"]
-
-
 @_check("bridge-weak-implies-irreducible", "PAPER")
-def _bridge_weirr():
+def _bridge_weirr(memo):
     bad = []
-    for gp in _bridge_corpus():
+    for gp in memo.corpus66:
         if not condition_star(gp):
             continue
         if weak_reducibility(gp) is None and not is_irreducible(gp).irreducible:
@@ -463,9 +462,9 @@ def _bridge_weirr():
 
 
 @_check("bridge-irreducible-geometry", "PAPER")
-def _bridge_geometry():
+def _bridge_geometry(memo):
     bad = []
-    for gp in _bridge_corpus():
+    for gp in memo.corpus66:
         verdict = is_irreducible(gp)
         if verdict.irreducible:
             if not any(
@@ -500,7 +499,7 @@ def _random_gp(rng: random.Random) -> GeneralizedPermutation:
 
 
 @_check("invariants-500", "DERIVED")
-def _invariants_500():
+def _invariants_500(memo):
     rng = random.Random(20120807)
     failures = []
     for case in range(500):
@@ -562,11 +561,11 @@ def _invariants_500():
 
 
 @_check("oplus-roundtrip", "PAPER")
-def _oplus_roundtrip():
+def _oplus_roundtrip(memo):
     from .classify import _collapses_to
 
     results = []
-    q8_rep = _q8_report().classes[0]
+    q8_rep = memo.q8.classes[0]
     bubbled = bubble(q8_rep, 2)
     restricted, s = excise_simple_cylinder(bubbled)
     results.append((s, _collapses_to(restricted, q8_rep.canonical_key(CALIBRATED_SYM), CALIBRATED_SYM)))
@@ -578,17 +577,17 @@ def _oplus_roundtrip():
 
 
 @_check("oplus-bubble-hits-components", "PAPER")
-def _oplus_components():
+def _oplus_components(memo):
     # bubbling the connected Q(8) with the quoted angles lands in the
     # matching component of Q(12)
-    rep = _q12_report()
+    rep = memo.q12
     idx = {gp.canonical_key(CALIBRATED_SYM): i for i, gp in enumerate(rep.classes)}
     group_I = rep.groups[idx[irreducible_rep("12-I").canonical_key(CALIBRATED_SYM)]]
     group_II = rep.groups[idx[irreducible_rep("12-II").canonical_key(CALIBRATED_SYM)]]
     got = {}
     for s in range(1, 7):
         landed = set()
-        for q8_class in _q8_report().classes:
+        for q8_class in memo.q8.classes:
             try:
                 b = bubble(q8_class, s)
             except NotFoundWithinBudget:
@@ -599,7 +598,7 @@ def _oplus_components():
     return want, got
 
 
-def _q16_labels(gp16: GeneralizedPermutation) -> set:
+def _q16_labels(memo: _Memo, gp16: GeneralizedPermutation) -> set:
     """Certified excision labels (angle, merge group of the collapse).
 
     A double handle sum excises back into the stratum below; the label
@@ -608,7 +607,7 @@ def _q16_labels(gp16: GeneralizedPermutation) -> set:
     """
     from .classify import _collapsible, collapse_letter
 
-    q12 = _q12_report()
+    q12 = memo.q12
     idx = {gp.canonical_key(CALIBRATED_SYM): i for i, gp in enumerate(q12.classes)}
     out = set()
     for exc in excisions(gp16):
@@ -627,18 +626,18 @@ def _q16_labels(gp16: GeneralizedPermutation) -> set:
 
 
 @_check("oplus-commute", "PAPER")
-def _oplus_commute():
+def _oplus_commute(memo):
     # C + 1 + 2 = C + 2 + 1 for the Q(8) class, certified inside Q(16)
-    q8_rep = _q8_report().classes[0]
+    q8_rep = memo.q8.classes[0]
     ab = bubble(bubble(q8_rep, 1), 2)
     ba = bubble(bubble(q8_rep, 2), 1)
-    return True, bool(_q16_labels(ab) & _q16_labels(ba))
+    return True, bool(_q16_labels(memo, ab) & _q16_labels(memo, ba))
 
 
 @_check("oplus-exchange", "PAPER")
-def _oplus_exchange():
+def _oplus_exchange(memo):
     # the handle angles trade two wedges: C + s1 + s2 = C + (s2-2) + (s1+2)
-    q8_rep = _q8_report().classes[0]
+    q8_rep = memo.q8.classes[0]
     ab = bubble(bubble(q8_rep, 2), 3)
     ba = bubble(bubble(q8_rep, 1), 4)
-    return True, bool(_q16_labels(ab) & _q16_labels(ba))
+    return True, bool(_q16_labels(memo, ab) & _q16_labels(memo, ba))

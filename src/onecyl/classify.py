@@ -5,8 +5,10 @@ pass over the relabeled words of length r + l splits each word at every
 admissible r, keeps the splits whose suspension lands in the stratum, and
 of those only the one that is lexicographically minimal among its images
 under the symmetries that keep its type, so each class is met exactly
-once and canonicalized once (Read 1978; McKay 1998).  Classes merge when
-a geometric move certifies they lie in one connected component:
+once and canonicalized once (Read 1978; McKay 1998).  The images are the
+orders of :func:`onecyl.genperm.position_orders`, compared by the same
+code as the canonical key.  Classes merge when a geometric move
+certifies they lie in one connected component:
 
 * re-reading a single-vertical-cylinder suspension along the vertical
   (a sampled-length move within the stratum);
@@ -23,7 +25,6 @@ separation from a failed merge; known separations travel as citations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -36,7 +37,14 @@ from .errors import (
     NotSingleCylinder,
     SizeLimit,
 )
-from .genperm import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, canonical_key
+from .genperm import (
+    CALIBRATED_SYM,
+    GeneralizedPermutation,
+    SymmetryGroup,
+    canonical_key,
+    code_below,
+    position_orders,
+)
 from .strata import (
     ComponentTag,
     SingularityPattern,
@@ -90,52 +98,6 @@ def _letter_sequences(p: int):
     yield from rec(tuple(range(p)), 1, p)
 
 
-@functools.lru_cache(maxsize=None)
-def _same_type_moves(r: int, l: int, sym: SymmetryGroup) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The non-identity symmetries that keep type (r, l), as (order, inverse).
-
-    A move reads position order[i] into cell i.  These are the row
-    rotations, the simultaneous reversal and, when r == l, the row swap:
-    the part of the sym group that maps type-(r, l) words to themselves.
-    """
-    top, bottom = tuple(range(r)), tuple(range(r, r + l))
-    arrangements = [(top, bottom)]
-    if sym.reverse_rows:
-        arrangements.append((top[::-1], bottom[::-1]))
-    if sym.swap_rows and r == l:
-        arrangements += [(y, x) for x, y in arrangements]
-    orders = dict.fromkeys(
-        x[a:] + x[:a] + y[b:] + y[:b]
-        for x, y in arrangements
-        for a in (range(r) if sym.rotate_rows else (0,))
-        for b in (range(l) if sym.rotate_rows else (0,))
-    )
-    orders.pop(top + bottom)
-    return tuple((order, tuple(sorted(range(r + l), key=order.__getitem__))) for order in orders)
-
-
-def _orbit_minimal(pair: list[int], moves) -> bool:
-    """True iff no move yields a lexicographically smaller relabeled word.
-
-    Relabeling by first appearance is done incrementally: cell i of a
-    word reads the index of its letter's first cell, or i for a new
-    letter.  Two words agree up to cell i exactly when their relabeled
-    prefixes agree, and then these codes order cell i as the relabeled
-    letters do, so each move stops at its first differing cell.
-    """
-    code = [j if j < i else i for i, j in enumerate(pair)]
-    for order, inverse in moves:
-        for i, pos in enumerate(order):
-            j = inverse[pair[pos]]
-            if j > i:
-                j = i
-            if j != code[i]:
-                if j < code[i]:
-                    return False
-                break
-    return True
-
-
 def _orderly_keys(
     p: int, top_lengths: list[int], want: tuple[int, ...] | None, sym: SymmetryGroup
 ) -> dict[int, list]:
@@ -148,7 +110,9 @@ def _orderly_keys(
     for exactly one full canonical key.
     """
     minimal = want is not None and len(want) == 1
-    moves = {r: _same_type_moves(r, p - r, sym) for r in top_lengths}
+    # group r of the orders table is the part of the sym group that keeps
+    # type (r, p - r); its first order is the identity
+    moves = {r: position_orders(r, p - r, sym)[r][1:] for r in top_lengths}
     keys: dict[int, list] = {r: [] for r in top_lengths}
     for word, pair, lo, hi in _letter_sequences(p):
         for r in top_lengths:
@@ -161,7 +125,8 @@ def _orderly_keys(
                     continue
             elif want is not None and cycle_orders(pair, r) != want:
                 continue
-            if _orbit_minimal(pair, moves[r]):
+            code = [j if j < i else i for i, j in enumerate(pair)]  # the identity's code
+            if not any(code_below(pair, order, inverse, code) for order, inverse in moves[r]):
                 keys[r].append(canonical_key(word[:r], word[r:], sym))
     return keys
 

@@ -51,19 +51,17 @@ def _parse_lambda(gp: GeneralizedPermutation, text: str | None, seed: int) -> tu
     if text is None:
         return sample_admissible(gp, seed=seed)
     if "=" in text:
-        lam = [0] * gp.num_letters
         by_name = {name: i for i, name in enumerate(gp.names)}
         try:
-            for item in text.split(","):
-                name, value = item.split("=")
-                lam[by_name[name.strip()]] = int(value)
+            items = [item.split("=") for item in text.split(",")]
+            given = {by_name[name.strip()]: int(value) for name, value in items}
         except (KeyError, ValueError):
             raise OneCylError(
                 "--lengths needs 'letter=value' pairs over the letters %s, got %r" % (" ".join(gp.names), text)
             ) from None
-        for i, v in enumerate(lam):
-            if v == 0:
-                lam[i] = 1
+        if len(given) < len(items):
+            raise OneCylError("--lengths gives a letter twice: %r" % text)
+        lam = [given.get(i, 1) for i in range(gp.num_letters)]  # letters left out have length 1
         from .suspension import check_admissible
 
         return check_admissible(gp, lam)
@@ -359,6 +357,8 @@ def _dispatch(args) -> int:
 
     if args.command == "rep":
         if args.family == "irr":
+            if len(args.params) != 1:
+                raise OneCylError("rep irr needs one name, got %r" % " ".join(args.params))
             gp = irreducible_rep(args.params[0])
         else:
             values = _parse_ints(" ".join(args.params), "rep %s" % args.family)
@@ -377,6 +377,8 @@ def _dispatch(args) -> int:
 
     if args.command == "reproduce-appendix":
         results = acceptance.run_checks(only=args.only)
+        if not results:
+            raise OneCylError("--only %r matches no check id" % args.only)
         failed = 0
         for res in results:
             status = res.status.upper()

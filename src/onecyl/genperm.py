@@ -10,10 +10,16 @@ of the r + l cell positions.
 Letters are stored internally as integers 1..k numbered by first
 appearance (top row scanned first); the original tokens are kept for
 rendering, so ``parse`` / ``render`` round-trip letter-for-letter.
+
+The symmetry group acts on cell positions, and :func:`position_orders`
+is the one table of that action.  Canonical keys and the orderly
+enumeration both compare words by the first-appearance code of their
+position pairing (:func:`code_below`), never by relabeled letter rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -60,15 +66,8 @@ CALIBRATED_SYM = SymmetryGroup(rotate_rows=True, swap_rows=True, reverse_rows=Fa
 def _relabel_key(top: Sequence[int], bottom: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Renumber letters by first appearance and return row tuples."""
     mapping: dict[int, int] = {}
-    out: list[list[int]] = [[], []]
-    for row, dest in ((top, out[0]), (bottom, out[1])):
-        for letter in row:
-            code = mapping.get(letter)
-            if code is None:
-                code = len(mapping) + 1
-                mapping[letter] = code
-            dest.append(code)
-    return tuple(out[0]), tuple(out[1])
+    word = [mapping.setdefault(letter, len(mapping) + 1) for letter in (*top, *bottom)]
+    return tuple(word[: len(top)]), tuple(word[len(top) :])
 
 
 def position_pairing(cells: Sequence[int]) -> list[int]:
@@ -81,9 +80,54 @@ def position_pairing(cells: Sequence[int]) -> list[int]:
             first[letter] = i
         else:
             out[i], out[j] = j, i
-    if first:
+    if first or 2 * len(set(cells)) != len(cells):
         raise LetterCountError("some letter does not occur exactly twice")
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def position_orders(r: int, l: int, sym: SymmetryGroup) -> dict[int, tuple]:
+    """The sym group acting on the cell positions of type-(r, l) words.
+
+    An order reads position order[i] into cell i and comes with its
+    inverse.  Orders are grouped by the top length they produce: r, and l
+    when row swap is on and r != l.  Group r starts with the identity.
+    """
+    top, bottom = tuple(range(r)), tuple(range(r, r + l))
+    arrangements = [(top, bottom)]
+    if sym.reverse_rows:
+        arrangements.append((top[::-1], bottom[::-1]))
+    if sym.swap_rows:
+        arrangements += [(y, x) for x, y in arrangements]
+    groups: dict[int, dict] = {}
+    for x, y in arrangements:
+        group = groups.setdefault(len(x), {})
+        for a in range(len(x)) if sym.rotate_rows else (0,):
+            for b in range(len(y)) if sym.rotate_rows else (0,):
+                group.setdefault(x[a:] + x[:a] + y[b:] + y[:b])
+    return {
+        n: tuple((order, tuple(sorted(range(r + l), key=order.__getitem__))) for order in group)
+        for n, group in groups.items()
+    }
+
+
+def code_below(pair: Sequence[int], order: Sequence[int], inverse: Sequence[int], code: Sequence[int]) -> bool:
+    """True iff the pairing read in ``order`` has a smaller code than ``code``.
+
+    A code relabels by first appearance incrementally: cell i reads the
+    position of its letter's first cell, or i for a new letter.  Two
+    words agree up to cell i exactly when their relabeled prefixes agree,
+    and then the codes order cell i as the relabeled letters do (a new
+    letter is above every earlier one, and old letters go by their first
+    cells), so the comparison stops at the first differing cell.
+    """
+    for i, pos in enumerate(order):
+        j = inverse[pair[pos]]
+        if j > i:
+            j = i
+        if j != code[i]:
+            return j < code[i]
+    return False
 
 
 def canonical_key(
@@ -92,24 +136,24 @@ def canonical_key(
     """Lexicographically minimal relabeled row pair over the sym orbit.
 
     This is the hashable core of :meth:`GeneralizedPermutation.canonical_form`,
-    usable directly on raw row tuples during large enumerations.
+    usable directly on raw row tuples during large enumerations.  Codes
+    order the words of one top length as their relabeled rows do, so the
+    key is the smaller of the least-code words of the (at most two)
+    top-length groups of :func:`position_orders`.  Every letter must occur
+    exactly twice.
     """
-    variants = [(tuple(top), tuple(bottom))]
-    if sym.reverse_rows:
-        variants.append((variants[0][0][::-1], variants[0][1][::-1]))
-    if sym.swap_rows:
-        variants.extend([(b, t) for (t, b) in variants])
+    word = tuple(top) + tuple(bottom)
+    pair = position_pairing(word)
     best = None
-    for vt, vb in variants:
-        r, l = len(vt), len(vb)
-        top_rots = range(r) if sym.rotate_rows else (0,)
-        bot_rots = range(l) if sym.rotate_rows else (0,)
-        for a in top_rots:
-            ta = vt[a:] + vt[:a]
-            for b in bot_rots:
-                key = _relabel_key(ta, vb[b:] + vb[:b])
-                if best is None or key < best:
-                    best = key
+    for n, orders in position_orders(len(top), len(bottom), sym).items():
+        code = None
+        for order, inverse in orders:
+            if code is None or code_below(pair, order, inverse, code):
+                code, least = [min(inverse[pair[pos]], i) for i, pos in enumerate(order)], order
+        cells = [word[pos] for pos in least]
+        key = _relabel_key(cells[:n], cells[n:])
+        if best is None or key < best:
+            best = key
     assert best is not None
     return best
 
@@ -160,16 +204,8 @@ class GeneralizedPermutation:
         if not top or not bottom:
             raise EmptyRow("both rows must contain at least one letter")
         t, b = _relabel_key(top, bottom)
-        k, rem = divmod(len(t) + len(b), 2)
-        counts = [0] * (k + 1)
-        for row in (t, b):
-            for x in row:
-                if rem or x > k:
-                    raise LetterCountError("some letter does not occur exactly twice")
-                counts[x] += 1
-        if any(c != 2 for c in counts[1:]):
-            raise LetterCountError("some letter does not occur exactly twice")
-        return GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, k + 1)))
+        position_pairing(t + b)  # every letter exactly twice
+        return GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, len(t + b) // 2 + 1)))
 
     # -- basic data ----------------------------------------------------
 
@@ -286,14 +322,9 @@ class GeneralizedPermutation:
             raise NotRestrictable("head letter is doubled within a row")
         if len(self.top) == 1 or len(self.bottom) == 1:
             raise NotRestrictable("restriction would empty a row")
-        top, bottom = self.top[1:], self.bottom[1:]
-        t, b = _relabel_key(top, bottom)
-        return GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, len(self.names))))
+        return GeneralizedPermutation.from_rows(self.top[1:], self.bottom[1:])
 
     def prepend_shared_head(self) -> "GeneralizedPermutation":
         """Insert a fresh letter at the head of both rows (inverse of restrict)."""
         fresh = len(self.names) + 1
-        top = (fresh,) + self.top
-        bottom = (fresh,) + self.bottom
-        t, b = _relabel_key(top, bottom)
-        return GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, fresh + 1)))
+        return GeneralizedPermutation.from_rows((fresh,) + self.top, (fresh,) + self.bottom)

@@ -69,3 +69,26 @@ def test_runtime_budgets(results):
     for prefix, budget in RUNTIME_BUDGETS.items():
         total = sum(res.seconds for cid, res in results.items() if cid.startswith(prefix))
         assert total < budget, "%s checks took %.1fs (budget %.0fs)" % (prefix, total, budget)
+
+
+def test_runs_do_not_share_artifacts(monkeypatch):
+    """A run started inside another, as a concurrent caller's would be,
+    leaves the first run's artifacts alone: one Q(-1,5) report serves
+    both qm15 checks."""
+    built = []
+    real_report, real_vperm = acceptance.component_report, acceptance.vertical_permutation
+
+    def report(pattern, *args):
+        built.append(pattern)
+        return real_report(pattern, *args)
+
+    def vperm(*args):
+        if len(built) == 1:  # between qm15-classes and qm15-connected
+            acceptance.run_checks(only="fig-suspension")
+        return real_vperm(*args)
+
+    monkeypatch.setattr(acceptance, "component_report", report)
+    monkeypatch.setattr(acceptance, "vertical_permutation", vperm)
+    results = acceptance.run_checks(only="qm15")
+    assert [res.status for res in results] == ["pass"] * 3
+    assert built == [(-1, 5)]

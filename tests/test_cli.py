@@ -68,6 +68,36 @@ def test_lengths_not_integers(capsys):
     assert err.startswith("error: ") and "--lengths" in err
 
 
+def test_lengths_explicit_zero(capsys):
+    code, out, err = run(capsys, "suspend", "1 2 / 2 1", "--lengths", "1=0,2=0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "positive" in err
+
+
+def test_lengths_repeated_letter(capsys):
+    code, out, err = run(capsys, "suspend", "1 2 / 2 1", "--lengths", "1=3,1=1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "twice" in err
+
+
+def test_lengths_left_out_letters_default_to_one(capsys):
+    code, out, _ = run(capsys, "--json", "suspend", "1 2 / 2 1", "--lengths", "2=4")
+    assert code == 0
+    assert json.loads(out)["lengths"] == {"1": 1, "2": 4}
+
+
+def test_rep_irr_extra_parameter(capsys):
+    code, out, err = run(capsys, "rep", "irr", "12-I", "extra")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "one name" in err
+
+
+def test_reproduce_appendix_filter_matches_nothing(capsys):
+    code, out, err = run(capsys, "reproduce-appendix", "--only", "nosuch")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nosuch" in err
+
+
 def test_rep_missing_parameter(capsys):
     code, out, err = run(capsys, "rep", "pi1", "3")
     assert code == 2 and out == ""

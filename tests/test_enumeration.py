@@ -1,8 +1,13 @@
 """Orderly enumeration against independent oracles.
 
+* the letter-row ``canonical_key`` that preceded the shared orders table,
+  kept verbatim as ``reference_canonical_key``, against the code-comparison
+  key on every split of every word with p <= 10 and on random longer words;
+* a hypothesis property: the key ignores each enabled symmetry generator
+  and relabeling;
 * a brute-force reference: every relabeled word, filtered by cone points
-  read off the germ-gluing-table walk, keyed by the full ``canonical_key`` and
-  deduplicated in a set;
+  read off the germ-gluing-table walk, keyed by ``reference_canonical_key``
+  and deduplicated in a set;
 * a Burnside (Cauchy-Frobenius) count of classes that counts the words
   each symmetry fixes, with no canonical key at all;
 * the pairing corner walk against a germ-gluing-table walk, junction by
@@ -13,10 +18,13 @@
 
 import hashlib
 import itertools
+import random
 from collections import Counter
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onecyl import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
 from onecyl.errors import LetterCountError
@@ -28,6 +36,43 @@ ALL_SYMS = [
     for rot, swap, rev in itertools.product((False, True), repeat=3)
 ]
 TYPES_UP_TO_10 = [(r, p - r) for p in range(2, 11, 2) for r in range(1, p)]
+
+
+def _relabel_key(top, bottom):
+    """Renumber letters by first appearance and return row tuples."""
+    mapping: dict[int, int] = {}
+    out: list[list[int]] = [[], []]
+    for row, dest in ((top, out[0]), (bottom, out[1])):
+        for letter in row:
+            code = mapping.get(letter)
+            if code is None:
+                code = len(mapping) + 1
+                mapping[letter] = code
+            dest.append(code)
+    return tuple(out[0]), tuple(out[1])
+
+
+def reference_canonical_key(top, bottom, sym):
+    """The letter-row key: relabel every rotated, reversed and swapped variant."""
+    variants = [(tuple(top), tuple(bottom))]
+    if sym.reverse_rows:
+        variants.append((variants[0][0][::-1], variants[0][1][::-1]))
+    if sym.swap_rows:
+        variants.extend([(b, t) for (t, b) in variants])
+    best = None
+    for vt, vb in variants:
+        r, l = len(vt), len(vb)
+        top_rots = range(r) if sym.rotate_rows else (0,)
+        bot_rots = range(l) if sym.rotate_rows else (0,)
+        for a in top_rots:
+            ta = vt[a:] + vt[:a]
+            for b in bot_rots:
+                key = _relabel_key(ta, vb[b:] + vb[:b])
+                if best is None or key < best:
+                    best = key
+    assert best is not None
+    return best
+
 
 # one multi-zero pattern per size with classes in some type (sum of k + 2 is p)
 MULTI_ZERO = {2: (-1, -1), 4: (-1, -1, -1, -1), 6: (2, -1, -1), 8: (-1, 5), 10: (2, 2, -1, -1)}
@@ -129,13 +174,57 @@ def reference_enumerate_type(r, l, pattern, sym):
                 continue
             if len(want) > 1 and orders != want:
                 continue
-        key = canonical_key(top, bottom, sym)
+        key = reference_canonical_key(top, bottom, sym)
         if key in seen:
             continue
         seen.add(key)
         out.append(GeneralizedPermutation.from_rows(*key))
     out.sort(key=lambda g: (g.type, g.rows()))
     return out
+
+
+@pytest.mark.parametrize("p", range(2, 11, 2))
+def test_canonical_key_matches_reference_on_every_split(p):
+    for word in _words(p):
+        for r in range(1, p):
+            for sym in ALL_SYMS:
+                top, bottom = word[:r], word[r:]
+                want = reference_canonical_key(top, bottom, sym)
+                assert canonical_key(top, bottom, sym) == want, (top, bottom, sym)
+
+
+def test_canonical_key_matches_reference_on_random_long_words():
+    rng = random.Random(20261018)
+    for p in range(12, 17, 2):
+        for _ in range(40):
+            cells = [x for x in range(1, p // 2 + 1) for _ in range(2)]
+            rng.shuffle(cells)
+            r = rng.randint(1, p - 1)
+            for sym in ALL_SYMS:
+                top, bottom = cells[:r], cells[r:]
+                want = reference_canonical_key(top, bottom, sym)
+                assert canonical_key(top, bottom, sym) == want, (top, bottom, sym)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_key_ignores_each_generator(data):
+    k = data.draw(st.integers(1, 7), label="letters")
+    cells = data.draw(st.permutations([x for x in range(1, k + 1) for _ in range(2)]), label="word")
+    r = data.draw(st.integers(1, 2 * k - 1), label="r")
+    names = data.draw(st.permutations(range(10, 10 + k)), label="relabel")
+    top, bottom = tuple(cells[:r]), tuple(cells[r:])
+    for sym in ALL_SYMS:
+        key = canonical_key(top, bottom, sym)
+        images = [(tuple(names[x - 1] for x in top), tuple(names[x - 1] for x in bottom))]
+        if sym.rotate_rows:
+            images += [(top[1:] + top[:1], bottom), (top, bottom[1:] + bottom[:1])]
+        if sym.reverse_rows:
+            images.append((top[::-1], bottom[::-1]))
+        if sym.swap_rows:
+            images.append((bottom, top))
+        for image in images:
+            assert canonical_key(*image, sym) == key, (top, bottom, image, sym)
 
 
 @pytest.mark.parametrize("sym", ALL_SYMS, ids=lambda s: s.label())

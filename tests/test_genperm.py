@@ -10,6 +10,7 @@ from onecyl import (
     singularity_pattern,
 )
 from onecyl.errors import EmptyRow, LetterCountError, MalformedText, NotRestrictable
+from onecyl.genperm import canonical_key
 
 GP = GeneralizedPermutation.parse
 
@@ -48,6 +49,14 @@ def test_parse_errors():
         GP("1 / 1 / 1")
     with pytest.raises(EmptyRow):
         GeneralizedPermutation.from_tokens(["1"], [])
+
+
+def test_integer_rows_need_each_letter_exactly_twice():
+    for top, bottom in [((1, 1, 1, 1), (2, 2)), ((1, 2, 1), (3,)), ((1, 2, 2), (1, 3))]:
+        with pytest.raises(LetterCountError):
+            GeneralizedPermutation.from_rows(top, bottom)
+        with pytest.raises(LetterCountError):
+            canonical_key(top, bottom, CALIBRATED_SYM)
 
 
 def test_render_round_trip():
