@@ -18,6 +18,7 @@ from typing import Callable
 
 from .classify import (
     MoveConfig,
+    _collapse_keys,
     bubble,
     component_report,
     enumerate_stratum,
@@ -562,17 +563,15 @@ def _invariants_500(memo):
 
 @_check("oplus-roundtrip", "PAPER")
 def _oplus_roundtrip(memo):
-    from .classify import _collapses_to
-
     results = []
     q8_rep = memo.q8.classes[0]
     bubbled = bubble(q8_rep, 2)
     restricted, s = excise_simple_cylinder(bubbled)
-    results.append((s, _collapses_to(restricted, q8_rep.canonical_key(CALIBRATED_SYM), CALIBRATED_SYM)))
+    results.append((s, q8_rep.canonical_key(CALIBRATED_SYM) in _collapse_keys(restricted, CALIBRATED_SYM)))
     qm15_rep = GP("0 0 1 2 / 1 3 2 3")
     bubbled = bubble(qm15_rep, 3)
     restricted, s = excise_simple_cylinder(bubbled)
-    results.append((s, _collapses_to(restricted, qm15_rep.canonical_key(CALIBRATED_SYM), CALIBRATED_SYM)))
+    results.append((s, qm15_rep.canonical_key(CALIBRATED_SYM) in _collapse_keys(restricted, CALIBRATED_SYM)))
     return [(2, True), (3, True)], results
 
 
@@ -605,21 +604,14 @@ def _q16_labels(memo: _Memo, gp16: GeneralizedPermutation) -> set:
     pins its component through the smaller report, so two double sums
     sharing a label lie in one component.
     """
-    from .classify import _collapsible, collapse_letter
-
     q12 = memo.q12
     idx = {gp.canonical_key(CALIBRATED_SYM): i for i, gp in enumerate(q12.classes)}
     out = set()
     for exc in excisions(gp16):
         if not exc.restricted_irreducible:
             continue
-        for letter in range(1, exc.restricted.num_letters + 1):
-            if not _collapsible(exc.restricted, letter):
-                continue
-            shrunk = collapse_letter(exc.restricted, letter)
-            if shrunk is None:
-                continue
-            j = idx.get(shrunk.canonical_key(CALIBRATED_SYM))
+        for key in _collapse_keys(exc.restricted, CALIBRATED_SYM):
+            j = idx.get(key)
             if j is not None:
                 out.add((exc.angle, q12.groups[j]))
     return out

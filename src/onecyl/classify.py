@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .conditions import is_irreducible
 from .errors import (
+    BadPattern,
     BoundTooSmall,
     NoSimpleCylinderForm,
     NotFoundWithinBudget,
@@ -182,6 +183,8 @@ def enumerate_stratum(
     the result lists them type by type.  An empty result means the stratum
     contains no one-cylinder surface, hence is empty.
     """
+    if not pattern:
+        raise BadPattern("a stratum needs at least one singularity order")
     want = tuple(sorted(pattern, reverse=True))
     total = sum(k + 2 for k in want)
     if total % 2:
@@ -323,15 +326,13 @@ def _collapsible(gp: GeneralizedPermutation, letter: int) -> bool:
     return any(x != letter and row.count(x) == 2 for x in set(row))
 
 
-def _collapses_to(gp: GeneralizedPermutation, target_key, sym: SymmetryGroup) -> bool:
-    """True when shrinking some certified letter lands on the target class."""
+def _collapse_keys(gp: GeneralizedPermutation, sym: SymmetryGroup):
+    """Canonical keys of the certified one-letter collapses, letter by letter."""
     for letter in range(1, gp.num_letters + 1):
-        if not _collapsible(gp, letter):
-            continue
-        shrunk = collapse_letter(gp, letter)
-        if shrunk is not None and shrunk.canonical_key(sym) == target_key:
-            return True
-    return False
+        if _collapsible(gp, letter):
+            shrunk = collapse_letter(gp, letter)
+            if shrunk is not None:
+                yield shrunk.canonical_key(sym)
 
 
 def bubble(
@@ -372,7 +373,7 @@ def bubble(
                 restricted, angle = excise_simple_cylinder(candidate)
             except NoSimpleCylinderForm:
                 continue
-            if angle == s and _collapses_to(restricted, target, sym):
+            if angle == s and target in _collapse_keys(restricted, sym):
                 return candidate
     raise NotFoundWithinBudget(
         "no bubbled form with angle %d within budget (tried %d)" % (s, tried)

@@ -12,7 +12,7 @@ module: cell c is position c of the rows, top row first, and junction c
 the point at its left end, so top junction j < r and bottom junction
 r + j.  :func:`junction_cycles` returns each class as a rotationally
 ordered list of junctions, the order that angle computations consume;
-``vertex_cycles`` renames them ("T", j) / ("B", j) for display.  Every
+only ``vertex_cycles`` renames them ("T", j) / ("B", j), for display.  Every
 junction query runs one corner walk (:func:`corner_walk`) that reads the
 gluing off the position pairing of the rows.
 """
@@ -124,8 +124,7 @@ class SingularityPattern:
 
 def singularity_pattern(gp: GeneralizedPermutation) -> SingularityPattern:
     """Orders of the suspension cone points by the junction corner walk."""
-    orders = [len(c) - 2 for c in vertex_cycles(gp)]
-    return SingularityPattern.from_orders(orders)
+    return SingularityPattern.from_orders(cycle_orders(gp.pairing(), len(gp.top)))
 
 
 def pattern_orders(top: Sequence[int], bottom: Sequence[int]) -> tuple[int, ...]:
@@ -154,11 +153,12 @@ def smooth_marked_points(gp: GeneralizedPermutation) -> GeneralizedPermutation:
     marked point.  Repeats until no order-zero class remains.
     """
     while True:
-        flat = next((c for c in vertex_cycles(gp) if len(c) == 2), None)
+        r = len(gp.top)
+        flat = next((c for c in junction_cycles(gp.pairing(), r) if len(c) == 2), None)
         if flat is None:
             return gp
-        side, i = flat[0]
-        row = gp.top if side == "T" else gp.bottom
+        j = flat[0]
+        row, i = (gp.top, j) if j < r else (gp.bottom, j - r)
         a = row[(i - 1) % len(row)]
         b = row[i]
         assert a != b, "adjacent equal letters form a pole, not a marked point"

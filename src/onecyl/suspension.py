@@ -21,6 +21,18 @@ Conventions:
 * going up through a top interval glued by translation re-enters the
   bottom going up; glued to another top interval it re-enters that
   interval going down with reflected offset, and symmetrically below.
+
+The orientation double cover is a square-tiled surface of n = 2w unit
+squares: square c < w lies over base column c on the upright sheet,
+square w + c over the same column on the half-turned sheet.  ``right``,
+``up`` and ``deck`` are permutations of the squares, so every reader of
+the cover works on flat integer arrays:
+
+* a vertex of the cover is named by a square whose lower-left corner sits
+  at it; the corner turn (down, left, up, right) moves between the
+  squares sharing that corner, and its cycles are the vertices, a cycle of
+  length m having cone angle 2*pi*m;
+* the top edge of square q is edge q and its bottom edge edge n + q.
 """
 
 from __future__ import annotations
@@ -477,28 +489,16 @@ def vertical_permutation(
     side_top, _ = _side_trace(geo, 0, 1)
     side_bottom, _ = _side_trace(geo, right_of_zero % geo.w, -1)
 
+    segments = decomp.spectrum.segments
     seg_of = [0] * len(geo.pair)
-    for i, seg in enumerate(decomp.spectrum.segments):
+    for i, seg in enumerate(segments):
         for g in seg.germs:
             seg_of[g] = i
-    rows: list[list[int]] = []
-    for side in (side_top, side_bottom):
-        rows.append([seg_of[out] + 1 for (_, out) in side.passages])
-    counts: dict[int, int] = {}
-    for row in rows:
-        for letter in row:
-            counts[letter] = counts.get(letter, 0) + 1
-    assert all(v == 2 for v in counts.values()), "segments must each appear twice"
-    new_gp = GeneralizedPermutation.from_rows(rows[0], rows[1])
-    # renumbering by first appearance: rebuild the length map accordingly
-    mapping: dict[int, int] = {}
-    for letter in rows[0] + rows[1]:
-        if letter not in mapping:
-            mapping[letter] = len(mapping) + 1
-    new_lam = [0] * new_gp.num_letters
-    for old, new in mapping.items():
-        new_lam[new - 1] = decomp.spectrum.segments[old - 1].crossings
-    new_lam_t = check_admissible(new_gp, new_lam)
+    top, bottom = ([seg_of[out] for (_, out) in side.passages] for side in (side_top, side_bottom))
+    # from_rows checks that every segment occurs twice and renumbers by
+    # first appearance, the order of dict.fromkeys
+    new_gp = GeneralizedPermutation.from_rows(top, bottom)
+    new_lam_t = check_admissible(new_gp, [segments[i].crossings for i in dict.fromkeys(top + bottom)])
     assert singularity_pattern(new_gp).orders == singularity_pattern(gp).orders
     return new_gp, new_lam_t
 
@@ -553,23 +553,31 @@ class SquareTiledCover:
             uf.union(i, self.up[i])
         return len({uf.find(i) for i in range(self.n)})
 
-    def vertex_profile(self) -> tuple[int, ...]:
-        """Cycle lengths of the corner turn (commutator of right and up)."""
+    def _vertices(self) -> tuple[list[int], list[int]]:
+        """Vertex of each square's lower-left corner, and each vertex's corner-turn cycle length.
+
+        The corner turn, the commutator of right and up, goes down, left,
+        up and right around the lower-left corner; its cycles are the
+        vertices, numbered in order of their least square.
+        """
         ri, ui = _inv(self.right), _inv(self.up)
         turn = _mul(_mul(self.right, self.up), _mul(ri, ui))
-        seen = [False] * self.n
-        out = []
+        vertex = [-1] * self.n
+        lengths: list[int] = []
         for i in range(self.n):
-            if seen[i]:
+            if vertex[i] >= 0:
                 continue
-            m = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
+            v, m, j = len(lengths), 0, i
+            while vertex[j] < 0:
+                vertex[j] = v
                 j = turn[j]
                 m += 1
-            out.append(m)
-        return tuple(sorted(out, reverse=True))
+            lengths.append(m)
+        return vertex, lengths
+
+    def vertex_profile(self) -> tuple[int, ...]:
+        """Cycle lengths of the corner turn, in descending order."""
+        return tuple(sorted(self._vertices()[1], reverse=True))
 
     def genus(self) -> int:
         assert self.connected
@@ -684,39 +692,15 @@ def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCo
         for s in (0, 1):
             t, z = geo.glue(s, 2 * c + 1)
             up[s * w + c] = t * w + (z >> 1)
-    cover = SquareTiledCover(tuple(right), tuple(up), tuple(deck), False)
-    ncomp = cover.components()
-    assert ncomp in (1, 2)
-    connected = ncomp == 1
-    assert connected == (not gp.is_abelian())
-    cover = SquareTiledCover(cover.right, cover.up, cover.deck, connected)
+    connected = not gp.is_abelian()
+    cover = SquareTiledCover(tuple(right), tuple(up), tuple(deck), connected)
+    assert cover.components() == (1 if connected else 2)
     cover.check()
     if connected:
         base = singularity_pattern(gp)
         odd = sum(1 for k in base.orders if k % 2)
         assert 2 - 2 * cover.genus() == 2 * (2 - 2 * base.genus) - odd
     return cover
-
-
-def _cover_vertices(cover: SquareTiledCover) -> tuple[list[int], dict[int, int]]:
-    """Corner count per vertex of the square complex.
-
-    Vertices are represented by the square whose lower-left corner sits
-    there (after folding the other three corner types in); a vertex is
-    regular exactly when four quadrant corners meet (angle 2*pi).
-    Returns (corner counts, root per square-representative).
-    """
-    n = cover.n
-    r, u = cover.right, cover.up
-    uf = _UnionFind(n)
-    for q in range(n):
-        uf.union(u[r[q]], r[u[q]])  # the two routes to the NE corner agree
-    counts = [0] * n
-    for q in range(n):
-        for rep in (q, r[q], u[q], u[r[q]]):
-            counts[uf.find(rep)] += 1
-    roots = {q: uf.find(q) for q in range(n)}
-    return counts, roots
 
 
 def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | None:
@@ -733,15 +717,11 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
         return None
     n = cover.n
     r, u, deck = cover.right, cover.up, cover.deck
-    counts, roots = _cover_vertices(cover)
-    # deck maps the lower-left corner of q to the upper-right of deck(q)
-    deck_vertex = {roots[q]: roots[u[r[deck[q]]]] for q in range(n)}
-
-    def vertex_singular(rep: int) -> bool:
-        # singular downstairs: cone angle above 2*pi, or a branch point
-        # (a pole's lift is a deck-fixed regular-looking vertex)
-        root = roots[rep]
-        return counts[root] != 4 or deck_vertex[root] == root
+    vertex, lengths = cover._vertices()
+    # singular downstairs at the lower-left corner of q: cone angle above
+    # 2*pi, or a branch point (a pole's lift is a deck-fixed regular-looking
+    # vertex); deck maps the lower-left corner of q to the upper-right of deck(q)
+    singular = [lengths[vertex[q]] != 1 or vertex[u[r[deck[q]]]] == vertex[q] for q in range(n)]
 
     # rows: cycles of right
     row_of = [-1] * n
@@ -759,10 +739,10 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
 
     def gap_above_singular(row: list[int]) -> bool:
         # the gap carries the NW/NE corners of the row, i.e. SW of the ups
-        return any(vertex_singular(u[q]) for q in row)
+        return any(singular[u[q]] for q in row)
 
     def gap_below_singular(row: list[int]) -> bool:
-        return any(vertex_singular(q) for q in row)
+        return any(singular[q] for q in row)
 
     uf = _UnionFind(len(rows))
     for idx, row in enumerate(rows):
@@ -783,67 +763,45 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
     assert len(tops) == 1 and len(bottoms) == 1, "cylinder with torn boundary"
     top_row, bottom_row = rows[tops[0]], rows[bottoms[0]]
 
-    # unit edges: ("t", q) above top-row squares, ("b", q) below bottom-row
-    in_k = {q for i in rows_k for q in rows[i]}
-    partner: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def set_pair(e1, e2):
-        partner[e1] = e2
-        partner[e2] = e1
-
+    # unit edges: edge q above top-row square q, edge n + q below bottom-row square q
+    in_k = [False] * n
+    for i in rows_k:
+        for q in rows[i]:
+            in_k[q] = True
+    partner = [-1] * (2 * n)
     for q in top_row:
-        up_q = u[q]
-        if up_q in in_k:
-            set_pair(("t", q), ("b", up_q))
-        else:
-            set_pair(("t", q), ("t", deck[up_q]))
+        p = u[q]
+        partner[q] = n + p if in_k[p] else deck[p]
     u_inv = _inv(u)
     for q in bottom_row:
-        dn = u_inv[q]
-        if dn in in_k:
-            set_pair(("b", q), ("t", dn))
-        else:
-            set_pair(("b", q), ("b", deck[dn]))
+        p = u_inv[q]
+        partner[n + q] = p if in_k[p] else n + deck[p]
 
-    # intervals: maximal runs of unit edges between singular junctions
-    def circle_intervals(row: list[int], side: str) -> list[list[tuple[str, int]]]:
-        def left_junction_singular(q: int) -> bool:
-            return vertex_singular(u[q] if side == "t" else q)
+    # intervals: maximal runs of unit edges between singular junctions,
+    # numbered along each circle from its first singular junction
+    run_of = [-1] * (2 * n)
+    heads: list[int] = []  # first edge of each run
 
-        starts = [i for i, q in enumerate(row) if left_junction_singular(q)]
-        assert starts, "boundary circle without singular point"
-        runs: list[list[tuple[str, int]]] = []
-        for si, start in enumerate(starts):
-            stop = starts[(si + 1) % len(starts)]
-            run = []
-            i = start
-            while True:
-                run.append((side, row[i]))
-                i = (i + 1) % len(row)
-                if i == stop:
-                    break
-            runs.append(run)
-        return runs
+    def read_circle(edges: list[int], corners: list[int]) -> None:
+        # corners[i] is the square whose lower-left corner is left of edges[i]
+        m = len(edges)
+        first = next((i for i in range(m) if singular[corners[i]]), None)
+        assert first is not None, "boundary circle without singular point"
+        for i in range(first, first + m):
+            if singular[corners[i % m]]:
+                heads.append(edges[i % m])
+            run_of[edges[i % m]] = len(heads) - 1
 
-    top_runs = circle_intervals(top_row, "t")
-    bottom_runs = circle_intervals(bottom_row, "b")
-    run_of: dict[tuple[str, int], int] = {}
-    for idx, run in enumerate(top_runs + bottom_runs):
-        for e in run:
-            run_of[e] = idx
-    letters: dict[frozenset, int] = {}
-    for idx, run in enumerate(top_runs + bottom_runs):
-        mate = run_of[partner[run[0]]]
-        mates = {run_of[partner[e]] for e in run}
-        assert mates == {mate}, "interval does not glue to one interval"
-        key = frozenset((idx, mate))
-        letters.setdefault(key, len(letters) + 1)
-    top_word = [letters[frozenset((i, run_of[partner[run[0]]]))] for i, run in enumerate(top_runs)]
-    bottom_word = [
-        letters[frozenset((len(top_runs) + i, run_of[partner[run[0]]]))]
-        for i, run in enumerate(bottom_runs)
-    ]
-    return GeneralizedPermutation.from_rows(top_word, bottom_word)
+    read_circle(top_row, [u[q] for q in top_row])
+    split = len(heads)
+    read_circle([n + q for q in bottom_row], bottom_row)
+    mate = [run_of[partner[e]] for e in heads]
+    assert all(
+        run < 0 or run_of[partner[e]] == mate[run] >= 0 for e, run in enumerate(run_of)
+    ), "interval does not glue to one interval"
+    # from_rows renumbers the letters by first appearance
+    letters = [min(run, m) + 1 for run, m in enumerate(mate)]
+    return GeneralizedPermutation.from_rows(letters[:split], letters[split:])
 
 
 @dataclass(frozen=True)

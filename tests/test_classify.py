@@ -17,8 +17,8 @@ from onecyl import (
     singularity_pattern,
     smooth_marked_points,
 )
-from onecyl.classify import _collapses_to, collapse_letter, insert_split_letter
-from onecyl.errors import NoSimpleCylinderForm, NotFoundWithinBudget, SizeLimit
+from onecyl.classify import _collapse_keys, collapse_letter, insert_split_letter
+from onecyl.errors import BadPattern, NoSimpleCylinderForm, NotFoundWithinBudget, SizeLimit
 
 GP = GeneralizedPermutation.parse
 
@@ -41,6 +41,11 @@ def test_enumerate_guards():
         enumerate_type(10, 10, size_limit=16)
     with pytest.raises(SizeLimit):
         enumerate_stratum((16,), size_limit=16)
+
+
+def test_enumerate_rejects_an_empty_pattern():
+    with pytest.raises(BadPattern):
+        enumerate_stratum(())
 
 
 def test_empty_strata():
@@ -140,14 +145,14 @@ def test_bubble_roundtrips():
     assert singularity_pattern(bubbled).orders == (12,)
     restricted, s = excise_simple_cylinder(bubbled)
     assert s == 2
-    assert _collapses_to(restricted, q8_rep.canonical_key(CALIBRATED_SYM), CALIBRATED_SYM)
+    assert q8_rep.canonical_key(CALIBRATED_SYM) in _collapse_keys(restricted, CALIBRATED_SYM)
 
     qm15 = GP("0 0 1 2 / 1 3 2 3")
     bubbled = bubble(qm15, 3)
     assert singularity_pattern(bubbled).orders == (9, -1)
     restricted, s = excise_simple_cylinder(bubbled)
     assert s == 3
-    assert _collapses_to(restricted, qm15.canonical_key(CALIBRATED_SYM), CALIBRATED_SYM)
+    assert qm15.canonical_key(CALIBRATED_SYM) in _collapse_keys(restricted, CALIBRATED_SYM)
 
 
 def test_bubble_out_of_range():

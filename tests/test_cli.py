@@ -116,6 +116,12 @@ def test_classify_pattern_not_integers(capsys):
     assert err.startswith("error: ") and "--pattern" in err
 
 
+def test_classify_empty_pattern(capsys):
+    code, out, err = run(capsys, "classify", "--pattern=")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_orbit_cap_below_one(capsys):
     for cap in ("0", "-3"):
         code, out, err = run(capsys, "orbit", "1 1 / 2 2", "--cap", cap)

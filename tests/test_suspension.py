@@ -3,7 +3,7 @@ import random
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onecyl import (
@@ -22,6 +22,7 @@ from onecyl import (
     simple_cylinder_angle,
     singularity_pattern,
     sl2z_orbit,
+    smooth_marked_points,
     vertical_permutation,
 )
 from onecyl.acceptance import A1_TABLE
@@ -46,6 +47,7 @@ from onecyl.suspension import (
     decode_one_cylinder,
     germ_sector_angles,
     lam_from_positions,
+    orbit_forms,
 )
 
 GP = GeneralizedPermutation.parse
@@ -529,6 +531,46 @@ def test_decode_round_trip():
     assert checked >= 10
 
 
+@st.composite
+def admissible_pairs(draw, max_letters: int = 6, bound: int = 5):
+    """A random (gp, lam) with positive integer admissible lengths."""
+    k = draw(st.integers(2, max_letters), label="letters")
+    cells = draw(st.permutations([x for x in range(1, k + 1) for _ in range(2)]), label="cells")
+    splits = [GeneralizedPermutation.from_rows(cells[:r], cells[r:]) for r in range(1, 2 * k)]
+    feasible = [gp for gp in splits if admissible_feasible(gp)]
+    assume(feasible)
+    gp = draw(st.sampled_from(feasible), label="split")
+    try:
+        lam = sample_admissible(gp, seed=draw(st.integers(0, 999), label="seed"), bound=bound)
+    except BoundTooSmall:
+        assume(False)
+    return gp, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_pairs())
+def test_vperm_keeps_the_singularity_pattern(pair):
+    gp, lam = pair
+    try:
+        vg, vlam = vertical_permutation(gp, lam)
+    except NotSingleCylinder:
+        return  # no vertical one-cylinder reading to compare
+    assert singularity_pattern(vg) == singularity_pattern(gp)
+    check_admissible(vg, vlam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_pairs())
+def test_decode_reads_back_the_smoothed_class(pair):
+    # marked points (order 0) included: the cover reading erases them
+    gp, lam = pair
+    decoded = decode_one_cylinder(build_cover(gp, lam))
+    if gp.is_abelian():
+        assert decoded is None  # the cover falls apart into two sheets
+    else:
+        assert decoded.equivalent(smooth_marked_points(gp), CALIBRATED_SYM)
+
+
 def test_germ_sector_angles_rejects_split_vertices():
     gp = GP("1 1 2 / 3 2 3")  # three singularities
     with pytest.raises(NotSimple):
@@ -900,3 +942,194 @@ def test_geometry_matches_string_keyed_reference():
             ref_cover.right, ref_cover.up, ref_cover.deck, ref_cover.connected)
     assert 20 <= single <= 180
 
+
+
+# -- integer cover reader against the tuple-keyed reference --------------------
+#
+# The decoder as it was before the integer rewrite, kept verbatim as the
+# oracle: vertices from a union-find over square corners, boundary edges
+# keyed ("t", q) / ("b", q) and letters from a frozenset table.
+
+
+def reference_cover_vertices(cover: SquareTiledCover) -> tuple[list[int], dict[int, int]]:
+    """Corner count per vertex of the square complex.
+
+    Vertices are represented by the square whose lower-left corner sits
+    there (after folding the other three corner types in); a vertex is
+    regular exactly when four quadrant corners meet (angle 2*pi).
+    Returns (corner counts, root per square-representative).
+    """
+    n = cover.n
+    r, u = cover.right, cover.up
+    uf = _UnionFind(n)
+    for q in range(n):
+        uf.union(u[r[q]], r[u[q]])  # the two routes to the NE corner agree
+    counts = [0] * n
+    for q in range(n):
+        for rep in (q, r[q], u[q], u[r[q]]):
+            counts[uf.find(rep)] += 1
+    roots = {q: uf.find(q) for q in range(n)}
+    return counts, roots
+
+
+def reference_decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | None:
+    """Read a one-cylinder base presentation off a square-tiled cover.
+
+    Returns the generalized permutation of the quotient surface when the
+    horizontal foliation of the base is a single cylinder presented by a
+    deck-swapped pair of cover cylinders; None when the shape does not
+    decode (several base cylinders, or a deck-invariant cover cylinder).
+    Boundary intervals are maximal runs of unit edges between cover
+    singularities, so the reading carries no marked points.
+    """
+    if not cover.connected:
+        return None
+    n = cover.n
+    r, u, deck = cover.right, cover.up, cover.deck
+    counts, roots = reference_cover_vertices(cover)
+    # deck maps the lower-left corner of q to the upper-right of deck(q)
+    deck_vertex = {roots[q]: roots[u[r[deck[q]]]] for q in range(n)}
+
+    def vertex_singular(rep: int) -> bool:
+        # singular downstairs: cone angle above 2*pi, or a branch point
+        # (a pole's lift is a deck-fixed regular-looking vertex)
+        root = roots[rep]
+        return counts[root] != 4 or deck_vertex[root] == root
+
+    # rows: cycles of right
+    row_of = [-1] * n
+    rows: list[list[int]] = []
+    for q in range(n):
+        if row_of[q] >= 0:
+            continue
+        row = []
+        cur = q
+        while row_of[cur] < 0:
+            row_of[cur] = len(rows)
+            row.append(cur)
+            cur = r[cur]
+        rows.append(row)
+
+    def gap_above_singular(row: list[int]) -> bool:
+        # the gap carries the NW/NE corners of the row, i.e. SW of the ups
+        return any(vertex_singular(u[q]) for q in row)
+
+    def gap_below_singular(row: list[int]) -> bool:
+        return any(vertex_singular(q) for q in row)
+
+    uf = _UnionFind(len(rows))
+    for idx, row in enumerate(rows):
+        if not gap_above_singular(row):
+            uf.union(idx, row_of[u[row[0]]])
+    cylinders: dict[int, list[int]] = {}
+    for idx in range(len(rows)):
+        cylinders.setdefault(uf.find(idx), []).append(idx)
+    if len(cylinders) != 2:
+        return None
+    ka, kb = sorted(cylinders)
+    probe = rows[cylinders[ka][0]][0]
+    if uf.find(row_of[deck[probe]]) != kb:
+        return None  # deck-invariant cover cylinder: not handled
+    rows_k = cylinders[ka]
+    tops = [i for i in rows_k if gap_above_singular(rows[i])]
+    bottoms = [i for i in rows_k if gap_below_singular(rows[i])]
+    assert len(tops) == 1 and len(bottoms) == 1, "cylinder with torn boundary"
+    top_row, bottom_row = rows[tops[0]], rows[bottoms[0]]
+
+    # unit edges: ("t", q) above top-row squares, ("b", q) below bottom-row
+    in_k = {q for i in rows_k for q in rows[i]}
+    partner: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def set_pair(e1, e2):
+        partner[e1] = e2
+        partner[e2] = e1
+
+    for q in top_row:
+        up_q = u[q]
+        if up_q in in_k:
+            set_pair(("t", q), ("b", up_q))
+        else:
+            set_pair(("t", q), ("t", deck[up_q]))
+    u_inv = _inv(u)
+    for q in bottom_row:
+        dn = u_inv[q]
+        if dn in in_k:
+            set_pair(("b", q), ("t", dn))
+        else:
+            set_pair(("b", q), ("b", deck[dn]))
+
+    # intervals: maximal runs of unit edges between singular junctions
+    def circle_intervals(row: list[int], side: str) -> list[list[tuple[str, int]]]:
+        def left_junction_singular(q: int) -> bool:
+            return vertex_singular(u[q] if side == "t" else q)
+
+        starts = [i for i, q in enumerate(row) if left_junction_singular(q)]
+        assert starts, "boundary circle without singular point"
+        runs: list[list[tuple[str, int]]] = []
+        for si, start in enumerate(starts):
+            stop = starts[(si + 1) % len(starts)]
+            run = []
+            i = start
+            while True:
+                run.append((side, row[i]))
+                i = (i + 1) % len(row)
+                if i == stop:
+                    break
+            runs.append(run)
+        return runs
+
+    top_runs = circle_intervals(top_row, "t")
+    bottom_runs = circle_intervals(bottom_row, "b")
+    run_of: dict[tuple[str, int], int] = {}
+    for idx, run in enumerate(top_runs + bottom_runs):
+        for e in run:
+            run_of[e] = idx
+    letters: dict[frozenset, int] = {}
+    for idx, run in enumerate(top_runs + bottom_runs):
+        mate = run_of[partner[run[0]]]
+        mates = {run_of[partner[e]] for e in run}
+        assert mates == {mate}, "interval does not glue to one interval"
+        key = frozenset((idx, mate))
+        letters.setdefault(key, len(letters) + 1)
+    top_word = [letters[frozenset((i, run_of[partner[run[0]]]))] for i, run in enumerate(top_runs)]
+    bottom_word = [
+        letters[frozenset((len(top_runs) + i, run_of[partner[run[0]]]))]
+        for i, run in enumerate(bottom_runs)
+    ]
+    return GeneralizedPermutation.from_rows(top_word, bottom_word)
+
+
+def seeded_orbit_forms(count: int = 100, cap: int = 50):
+    """Up to ``cap`` forms of the orbit of each of ``count`` seeded connected covers."""
+    rng = random.Random(59)
+    while count:
+        cover = random_cover(rng)
+        if not cover.connected:
+            continue
+        count -= 1
+        for _, _, form, _ in itertools.islice(orbit_forms(cover), cap):
+            yield form
+
+
+def test_decode_matches_tuple_keyed_reference():
+    outcomes = {True: 0, False: 0}
+    for form in seeded_orbit_forms():
+        got, want = decode_one_cylinder(form), reference_decode_one_cylinder(form)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.rows() == want.rows()
+        outcomes[got is None] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100
+
+
+def test_corner_turn_vertices_match_union_find():
+    rng = random.Random(61)
+    covers = list(seeded_orbit_forms(count=20, cap=10)) + [random_cover(rng) for _ in range(20)]
+    assert not all(cover.connected for cover in covers)
+    for cover in covers:
+        counts, roots = reference_cover_vertices(cover)
+        vertex, lengths = cover._vertices()
+        # the two labellings induce the same partition of the squares
+        assert len({(roots[q], vertex[q]) for q in range(cover.n)}) == len(lengths) == len(set(roots.values()))
+        assert all(counts[roots[q]] == 4 * lengths[vertex[q]] for q in range(cover.n))
+        assert cover.vertex_profile() == tuple(sorted(lengths, reverse=True))
