@@ -37,6 +37,7 @@ from .strata import (
 )
 from .suspension import (
     SquareTiledCover,
+    admissible_feasible,
     all_ones,
     build_cover,
     cylinder_decomposition,
@@ -99,6 +100,11 @@ class _Memo:
             citations=("Zorich: the two components of Q(12) are distinct",),
         )
         return component_report((12,), cfg)
+
+    @functools.cached_property
+    def q12_index(self) -> dict:
+        # enumerated classes are canonical forms under sym: their rows are their keys
+        return {gp.rows(): i for i, gp in enumerate(self.q12.classes)}
 
     @functools.cached_property
     def corpus66(self) -> list[GeneralizedPermutation]:
@@ -378,7 +384,7 @@ def _q12_quoted_angles(memo):
 def _q12_two_components(memo):
     rep = memo.q12
     has_citation = any("Zorich" in c for c in rep.citations)
-    idx = {gp.canonical_key(CALIBRATED_SYM): i for i, gp in enumerate(rep.classes)}
+    idx = memo.q12_index
     g1 = rep.groups[idx[irreducible_rep("12-I").canonical_key(CALIBRATED_SYM)]]
     g2 = rep.groups[idx[irreducible_rep("12-II").canonical_key(CALIBRATED_SYM)]]
     return (2, True, True, 1), (rep.upper_bound, has_citation, g1 != g2, rep.lower_bound)
@@ -495,7 +501,7 @@ def _random_gp(rng: random.Random) -> GeneralizedPermutation:
         if not top or not bottom:
             continue
         gp = GeneralizedPermutation.from_rows(top, bottom)
-        if bool(gp.top_doubled()) == bool(gp.bottom_doubled()):
+        if admissible_feasible(gp):
             return gp
 
 
@@ -580,7 +586,7 @@ def _oplus_components(memo):
     # bubbling the connected Q(8) with the quoted angles lands in the
     # matching component of Q(12)
     rep = memo.q12
-    idx = {gp.canonical_key(CALIBRATED_SYM): i for i, gp in enumerate(rep.classes)}
+    idx = memo.q12_index
     group_I = rep.groups[idx[irreducible_rep("12-I").canonical_key(CALIBRATED_SYM)]]
     group_II = rep.groups[idx[irreducible_rep("12-II").canonical_key(CALIBRATED_SYM)]]
     got = {}
@@ -604,8 +610,7 @@ def _q16_labels(memo: _Memo, gp16: GeneralizedPermutation) -> set:
     pins its component through the smaller report, so two double sums
     sharing a label lie in one component.
     """
-    q12 = memo.q12
-    idx = {gp.canonical_key(CALIBRATED_SYM): i for i, gp in enumerate(q12.classes)}
+    q12, idx = memo.q12, memo.q12_index
     out = set()
     for exc in excisions(gp16):
         if not exc.restricted_irreducible:

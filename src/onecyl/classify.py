@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .conditions import is_irreducible
 from .errors import (
+    BadParameters,
     BadPattern,
     BoundTooSmall,
     NoSimpleCylinderForm,
@@ -160,6 +161,8 @@ def enumerate_type(
         raise SizeLimit("rows may not be empty")
     if r + l > size_limit:
         raise SizeLimit("type (%d,%d) exceeds the size guard %d" % (r, l, size_limit))
+    if pattern is not None and not pattern:
+        raise BadPattern("a stratum needs at least one singularity order")
     want = tuple(sorted(pattern, reverse=True)) if pattern is not None else None
     return _classes(_orderly_keys(r + l, [r], want, sym)[r])
 
@@ -210,21 +213,6 @@ class Excision:
     restricted_irreducible: bool
 
 
-def _head_rotations(gp: GeneralizedPermutation):
-    r, l = gp.type
-    if r < 2 or l < 2:
-        return
-    for a in range(r):
-        for b in range(l):
-            rot = gp.rotated(a, b)
-            head = rot.top[0]
-            if rot.bottom[0] != head:
-                continue
-            if rot.top.count(head) != 1 or rot.bottom.count(head) != 1:
-                continue
-            yield (a, b), rot
-
-
 def excisions(gp: GeneralizedPermutation) -> list[Excision]:
     """Every simple-cylinder excision over all head rotations.
 
@@ -232,16 +220,23 @@ def excisions(gp: GeneralizedPermutation) -> list[Excision]:
     admissible vector, with boundary passages (T0 -> B0) and (T1 -> B1);
     its sector angle is purely combinatorial.
     """
+    r, l = gp.type
+    if r < 2 or l < 2:
+        return []
     out = []
-    for (a, b), rot in _head_rotations(gp):
+    pair = gp.pairing()
+    # rotating top cell a and its bottom mate to the heads shares a letter
+    for a in range(r):
+        b = pair[a] - r
+        if b < 0:
+            continue
+        rot = gp.rotated(a, b)
         try:
-            r = len(rot.top)
             s, comp = germ_sector_angles(rot, (0, r), (1, r + 1))
         except NotSimple:
             continue
         restricted = rot.restrict()
-        verdict = is_irreducible(restricted)
-        out.append(Excision((a, b), restricted, s, comp, verdict.irreducible))
+        out.append(Excision((a, b), restricted, s, comp, is_irreducible(restricted).irreducible))
     return out
 
 
@@ -319,11 +314,10 @@ def _collapsible(gp: GeneralizedPermutation, letter: int) -> bool:
     share a circle with another doubled letter: both cases free the
     length from the balance equation for almost every vector.
     """
-    in_top = gp.top.count(letter)
-    if in_top == 1:
-        return True
-    row = gp.top if in_top == 2 else gp.bottom
-    return any(x != letter and row.count(x) == 2 for x in set(row))
+    for doubled in (gp.top_doubled(), gp.bottom_doubled()):
+        if letter in doubled:
+            return len(doubled) > 1
+    return True
 
 
 def _collapse_keys(gp: GeneralizedPermutation, sym: SymmetryGroup):
@@ -349,6 +343,8 @@ def bubble(
     is accepted when its own certified excision has angle s and shrinking
     a short connection in the restriction lands back on the input class.
     """
+    if budget < 1:
+        raise BadParameters("bubble budget must be at least 1, got %d" % budget)
     base = singularity_pattern(gp_hat).orders
     k0 = base[0]
     if not 1 <= s <= (k0 + 4) // 2:
@@ -361,11 +357,11 @@ def bubble(
         if singularity_pattern(variant).orders != split_pat:
             continue
         for ab in itertools.product(range(variant.type[0]), range(variant.type[1])):
-            tried += 1
-            if tried > budget:
+            if tried == budget:
                 raise NotFoundWithinBudget(
                     "no bubbled form with angle %d within budget (tried %d)" % (s, tried)
                 )
+            tried += 1
             candidate = variant.rotated(*ab).prepend_shared_head()
             if singularity_pattern(candidate).orders != bubbled:
                 continue

@@ -304,9 +304,9 @@ def _dispatch(args) -> int:
     if args.command == "enumerate":
         if args.rl:
             r, l = _parse_type(args.rl)
-            pattern = _parse_pattern(args.pattern) if args.pattern else None
+            pattern = _parse_pattern(args.pattern) if args.pattern is not None else None
             classes = enumerate_type(r, l, pattern=pattern, sym=sym, size_limit=args.limit)
-        elif args.pattern:
+        elif args.pattern is not None:
             classes = enumerate_stratum(_parse_pattern(args.pattern), sym=sym, size_limit=args.limit)
         else:
             raise OneCylError("enumerate needs --type r,l or --pattern orders")

@@ -13,16 +13,18 @@ companions of the seam separatrix on every suspension:
   a doubled letter occupies two positions, so the position-wise reading
   of "only one element" is never satisfiable).
 
-Irreducible means weakly irreducible and Red holds.  Witnesses are
-re-checkable through the ``check_*`` functions, which are deliberately
-separate from the searches.
+Irreducible means weakly irreducible and Red holds.  Every test reads
+the position pairing of the rows.  The searches and the ``check_*``
+re-checks share one pairing kernel per condition; the ``check_*``
+functions add the range validation of a given witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .genperm import GeneralizedPermutation
+from .genperm import GeneralizedPermutation, position_pairing
 
 
 @dataclass(frozen=True)
@@ -69,49 +71,76 @@ def _oriented(gp: GeneralizedPermutation, swapped: bool) -> tuple[tuple[int, ...
     return (gp.bottom, gp.top) if swapped else (gp.top, gp.bottom)
 
 
+def _weak_holds(pair: Sequence[int], r: int, i0: int, j0: int, bullet: int) -> bool:
+    """The weak-split definition on a pairing; i0 and j0 are prefix lengths."""
+    p = len(pair)
+    if bullet == 1:
+        # the top prefix pairs onto the bottom prefix, or suffix onto suffix
+        return (i0 == j0 - r and all(r <= pair[i] < j0 for i in range(i0))) or (
+            r - i0 == p - j0 and all(j0 <= pair[i] < p for i in range(i0, r))
+        )
+    if bullet != 2:
+        return False
+    # a doubled letter straddles its row's cut, a split letter pairs
+    # prefix with prefix or suffix with suffix
+    for x, y in enumerate(pair):
+        if x < y:
+            if y < r or x >= r:
+                if not x < (i0 if y < r else j0) <= y:
+                    return False
+            elif (x < i0) != (y < j0):
+                return False
+    return True
+
+
 def check_weak_split(gp: GeneralizedPermutation, w: WeakSplit) -> bool:
     """Re-validate a WeakSplit against the definition."""
     r, l = gp.type
-    p = r + l
-    if not (1 <= w.i0 < r and r + 1 <= w.j0 < p):
+    if not (1 <= w.i0 < r and r + 1 <= w.j0 < r + l):
         return False
-    pair = gp.pairing()
-    i0 = w.i0  # 1-based counts double as 0-based prefix lengths
-    j0 = w.j0
-    if w.bullet == 1:
-        return set(pair[0:i0]) == set(range(r, j0)) or set(pair[i0:r]) == set(range(j0, p))
-    if w.bullet != 2:
-        return False
-    for pos in range(r):
-        mate = pair[pos]
-        if mate < r:
-            a, b = (pos, mate) if pos < mate else (mate, pos)
-            if not (a < i0 <= b):
-                return False
-        elif pos < i0 and mate >= j0:
-            return False
-    for pos in range(r, p):
-        mate = pair[pos]
-        if mate >= r:
-            a, b = (pos, mate) if pos < mate else (mate, pos)
-            if not (a < j0 <= b):
-                return False
-        elif pos < j0 and mate >= i0:
-            return False
-    return True
+    return _weak_holds(gp.pairing(), r, w.i0, w.j0, w.bullet)
 
 
 def weak_reducibility(gp: GeneralizedPermutation) -> WeakSplit | None:
     """First weak-reducibility witness in lexicographic order, else None."""
     r, l = gp.type
-    p = r + l
+    pair = gp.pairing()
     for i0 in range(1, r):
-        for j0 in range(r + 1, p):
+        for j0 in range(r + 1, r + l):
             for bullet in (1, 2):
-                w = WeakSplit(i0, j0, bullet)
-                if check_weak_split(gp, w):
-                    return w
+                if _weak_holds(pair, r, i0, j0, bullet):
+                    return WeakSplit(i0, j0, bullet)
     return None
+
+
+# Cell regions of a Red decomposition, numbered as their names sort: A1 A2
+# A3 are the cut row's blocks, B1 B2 B3 the pivot row's sublists, Z its pivots.
+_A1, _A2, _A3, _B1, _B2, _B3, _Z = range(7)
+_RED_PAIRS = {
+    (_A1, _A3), (_A2, _A2),  # doubled in the cut row
+    (_B1, _B3), (_B2, _B2), (_Z, _Z),  # doubled in the pivot row
+    (_A1, _B1), (_A2, _B2), (_A3, _B3),  # split letters
+}
+
+
+def _red_holds(pair: Sequence[int], r: int, q1: int, q2: int, c1: int, c2: int) -> bool:
+    """The Red-violation test on the pairing of a cut row (the first r
+    cells) and a pivot row with its pivots at cells q1 < q2."""
+    region = [_A1] * c1 + [_A2] * (c2 - c1) + [_A3] * (r - c2)
+    region += [_B1] * q1 + [_Z] + [_B2] * (q2 - q1 - 1) + [_Z] + [_B3] * (len(pair) - r - q2 - 1)
+    straddle = False
+    for x, y in enumerate(pair):
+        if x < y:
+            # away from the pivots regions grow along the word, so an
+            # allowed spot comes sorted
+            spot = (region[x], region[y])
+            if spot not in _RED_PAIRS:
+                return False
+            straddle = straddle or spot in ((_A1, _A3), (_B1, _B3))
+    # Without an outer straddler the offset of the forced trajectory is
+    # pinned to zero and the "length-two separatrix" degenerates onto the
+    # seam, so the decomposition certifies nothing.
+    return straddle
 
 
 def check_red_decomposition(gp: GeneralizedPermutation, d: RedDecomposition) -> bool:
@@ -134,56 +163,26 @@ def check_red_decomposition(gp: GeneralizedPermutation, d: RedDecomposition) -> 
         return False
     if bottom[q1] != d.zero_letter or bottom[q2] != d.zero_letter:
         return False
-
-    def top_region(i: int) -> str:
-        return "A1" if i < c1 else ("A2" if i < c2 else "A3")
-
-    def bottom_region(j: int) -> str:
-        if j == q1 or j == q2:
-            return "Z"
-        return "B1" if j < q1 else ("B2" if j < q2 else "B3")
-
-    spots: dict[int, list[str]] = {}
-    for i, letter in enumerate(top):
-        spots.setdefault(letter, []).append(top_region(i))
-    for j, letter in enumerate(bottom):
-        spots.setdefault(letter, []).append(bottom_region(j))
-    allowed = {
-        ("A1", "A3"), ("A2", "A2"),          # doubled in the cut row
-        ("B1", "B3"), ("B2", "B2"), ("Z", "Z"),  # doubled in the pivot row
-        ("A1", "B1"), ("A2", "B2"), ("A3", "B3"),  # split letters
-    }
-    straddle = 0
-    for regions in spots.values():
-        a, b = sorted(regions)
-        if (a, b) not in allowed:
-            return False
-        if (a, b) in (("A1", "A3"), ("B1", "B3")):
-            straddle += 1
-    # Without an outer straddler the offset of the forced trajectory is
-    # pinned to zero and the "length-two separatrix" degenerates onto the
-    # seam, so the decomposition certifies nothing.
-    return straddle > 0
+    return _red_holds(position_pairing(top + bottom), r, q1, q2, c1, c2)
 
 
 def red_condition(gp: GeneralizedPermutation) -> RedDecomposition | None:
     """First Red-violating decomposition (up to row exchange), else None.
 
-    Candidates are tried tightest middle block first, so the returned
-    witness carries no slack in its cuts.
+    Pivots are tried by letter, and candidates tightest middle block
+    first, so the returned witness carries no slack in its cuts.
     """
     for swapped in (False, True):
         top, bottom = _oriented(gp, swapped)
         r = len(top)
-        doubled = sorted({letter for letter in set(bottom) if bottom.count(letter) == 2})
-        for z in doubled:
-            q1 = bottom.index(z)
-            q2 = bottom.index(z, q1 + 1)
+        pair = position_pairing(top + bottom)
+        # the doubled letters of the pivot row, each at its first cell
+        pivots = sorted((bottom[x - r], x - r, pair[x] - r) for x in range(r, len(pair)) if x < pair[x])
+        for z, q1, q2 in pivots:
             for width in range(r + 1):
                 for c1 in range(r - width + 1):
-                    d = RedDecomposition(swapped, z, (q1, q2), (c1, c1 + width))
-                    if check_red_decomposition(gp, d):
-                        return d
+                    if _red_holds(pair, r, q1, q2, c1, c1 + width):
+                        return RedDecomposition(swapped, z, (q1, q2), (c1, c1 + width))
     return None
 
 

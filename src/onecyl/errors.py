@@ -26,7 +26,7 @@ class BadPattern(OneCylError):
 
 
 class BadParameters(OneCylError):
-    """Invalid parameters for a representative family or an orbit walk."""
+    """Invalid parameters for a representative family, an orbit walk or a search."""
 
 
 class UnknownName(OneCylError):

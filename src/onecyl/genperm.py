@@ -232,24 +232,16 @@ class GeneralizedPermutation:
         """
         return tuple(position_pairing(self.top + self.bottom))
 
-    def letter_positions(self) -> dict[int, tuple[int, ...]]:
-        where: dict[int, list[int]] = {}
-        for pos, letter in enumerate(self.top + self.bottom):
-            where.setdefault(letter, []).append(pos)
-        return {k: tuple(v) for k, v in where.items()}
-
     def top_doubled(self) -> tuple[int, ...]:
         """Letters whose two cells both lie on the top row."""
         r = len(self.top)
-        return tuple(
-            sorted(k for k, (a, b) in self.letter_positions().items() if a < r and b < r)
-        )
+        pair = self.pairing()
+        return tuple(sorted(self.top[i] for i in range(r) if i < pair[i] < r))
 
     def bottom_doubled(self) -> tuple[int, ...]:
         r = len(self.top)
-        return tuple(
-            sorted(k for k, (a, b) in self.letter_positions().items() if a >= r and b >= r)
-        )
+        pair = self.pairing()
+        return tuple(sorted(self.bottom[j - r] for j in range(r, len(pair)) if j < pair[j]))
 
     def is_abelian(self) -> bool:
         """True iff no letter repeats within one row (a true permutation)."""
@@ -318,8 +310,6 @@ class GeneralizedPermutation:
         head = self.top[0]
         if self.bottom[0] != head:
             raise NotRestrictable("rows start with different letters")
-        if self.top.count(head) != 1 or self.bottom.count(head) != 1:
-            raise NotRestrictable("head letter is doubled within a row")
         if len(self.top) == 1 or len(self.bottom) == 1:
             raise NotRestrictable("restriction would empty a row")
         return GeneralizedPermutation.from_rows(self.top[1:], self.bottom[1:])

@@ -46,6 +46,8 @@ def test_enumerate_guards():
 def test_enumerate_rejects_an_empty_pattern():
     with pytest.raises(BadPattern):
         enumerate_stratum(())
+    with pytest.raises(BadPattern):
+        enumerate_type(5, 5, pattern=())
 
 
 def test_empty_strata():

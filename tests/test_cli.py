@@ -122,6 +122,26 @@ def test_classify_empty_pattern(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_enumerate_empty_pattern(capsys):
+    for argv in (["--type", "5,5", "--pattern="], ["--pattern="]):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "singularity order" in err
+
+
+def test_bubble_budget_reports_candidates_tried(capsys):
+    code, out, err = run(capsys, "--budget", "5", "bubble", "1 2 1 2 3 / 3 4 5 4 5", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "(tried 5)" in err
+
+
+def test_bubble_budget_below_one(capsys):
+    for budget in ("0", "-5"):
+        code, out, err = run(capsys, "--budget", budget, "bubble", "1 2 1 2 3 / 3 4 5 4 5", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "budget" in err and "tried" not in err
+
+
 def test_orbit_cap_below_one(capsys):
     for cap in ("0", "-3"):
         code, out, err = run(capsys, "orbit", "1 1 / 2 2", "--cap", cap)

@@ -8,7 +8,10 @@ from onecyl import (
     red_condition,
     weak_reducibility,
 )
-from onecyl.conditions import check_red_decomposition, check_weak_split
+from onecyl.classify import Excision, _letter_sequences, excisions
+from onecyl.conditions import RedDecomposition, WeakSplit, check_red_decomposition, check_weak_split
+from onecyl.errors import NotSimple
+from onecyl.suspension import germ_sector_angles
 
 GP = GeneralizedPermutation.parse
 
@@ -97,3 +100,233 @@ def test_weak_irreducibility_implies_irreducibility_under_star():
     for gp in corpus(seed=43, n=120):
         if condition_star(gp) and weak_reducibility(gp) is None:
             assert is_irreducible(gp).irreducible, gp.render()
+
+
+# -- oracle: the letter-row implementations the pairing kernels replaced ------
+#
+# Kept verbatim (renamed, and the reference excisions read the reference
+# conditions): they read letters with dicts, sets, .count() and .index(),
+# so they share no code with the position-pairing kernels under test.
+
+
+def ref_oriented(gp: GeneralizedPermutation, swapped: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (gp.bottom, gp.top) if swapped else (gp.top, gp.bottom)
+
+
+def ref_check_weak_split(gp: GeneralizedPermutation, w: WeakSplit) -> bool:
+    """Re-validate a WeakSplit against the definition."""
+    r, l = gp.type
+    p = r + l
+    if not (1 <= w.i0 < r and r + 1 <= w.j0 < p):
+        return False
+    pair = gp.pairing()
+    i0 = w.i0  # 1-based counts double as 0-based prefix lengths
+    j0 = w.j0
+    if w.bullet == 1:
+        return set(pair[0:i0]) == set(range(r, j0)) or set(pair[i0:r]) == set(range(j0, p))
+    if w.bullet != 2:
+        return False
+    for pos in range(r):
+        mate = pair[pos]
+        if mate < r:
+            a, b = (pos, mate) if pos < mate else (mate, pos)
+            if not (a < i0 <= b):
+                return False
+        elif pos < i0 and mate >= j0:
+            return False
+    for pos in range(r, p):
+        mate = pair[pos]
+        if mate >= r:
+            a, b = (pos, mate) if pos < mate else (mate, pos)
+            if not (a < j0 <= b):
+                return False
+        elif pos < j0 and mate >= i0:
+            return False
+    return True
+
+
+def ref_weak_reducibility(gp: GeneralizedPermutation) -> WeakSplit | None:
+    """First weak-reducibility witness in lexicographic order, else None."""
+    r, l = gp.type
+    p = r + l
+    for i0 in range(1, r):
+        for j0 in range(r + 1, p):
+            for bullet in (1, 2):
+                w = WeakSplit(i0, j0, bullet)
+                if ref_check_weak_split(gp, w):
+                    return w
+    return None
+
+
+def ref_check_red_decomposition(gp: GeneralizedPermutation, d: RedDecomposition) -> bool:
+    """Re-validate a Red violation.
+
+    Block placement follows the length-balancing identity behind the
+    condition: with the doubled letter's cells as pivots, every letter
+    doubled in the cut row straddles the outer blocks or sits inside the
+    middle one, every letter doubled in the pivot row (other than the
+    pivot) straddles its outer sublists or sits between the pivots, and
+    split letters pair outer-with-outer or middle-with-middle.  This
+    refines the four textbook membership bullets (which alone admit
+    decompositions without the forced length-two separatrix).
+    """
+    top, bottom = ref_oriented(gp, d.swapped)
+    r, l = len(top), len(bottom)
+    q1, q2 = d.zero_cells
+    c1, c2 = d.cuts
+    if not (0 <= q1 < q2 < l and 0 <= c1 <= c2 <= r):
+        return False
+    if bottom[q1] != d.zero_letter or bottom[q2] != d.zero_letter:
+        return False
+
+    def top_region(i: int) -> str:
+        return "A1" if i < c1 else ("A2" if i < c2 else "A3")
+
+    def bottom_region(j: int) -> str:
+        if j == q1 or j == q2:
+            return "Z"
+        return "B1" if j < q1 else ("B2" if j < q2 else "B3")
+
+    spots: dict[int, list[str]] = {}
+    for i, letter in enumerate(top):
+        spots.setdefault(letter, []).append(top_region(i))
+    for j, letter in enumerate(bottom):
+        spots.setdefault(letter, []).append(bottom_region(j))
+    allowed = {
+        ("A1", "A3"), ("A2", "A2"),          # doubled in the cut row
+        ("B1", "B3"), ("B2", "B2"), ("Z", "Z"),  # doubled in the pivot row
+        ("A1", "B1"), ("A2", "B2"), ("A3", "B3"),  # split letters
+    }
+    straddle = 0
+    for regions in spots.values():
+        a, b = sorted(regions)
+        if (a, b) not in allowed:
+            return False
+        if (a, b) in (("A1", "A3"), ("B1", "B3")):
+            straddle += 1
+    # Without an outer straddler the offset of the forced trajectory is
+    # pinned to zero and the "length-two separatrix" degenerates onto the
+    # seam, so the decomposition certifies nothing.
+    return straddle > 0
+
+
+def ref_red_condition(gp: GeneralizedPermutation) -> RedDecomposition | None:
+    """First Red-violating decomposition (up to row exchange), else None.
+
+    Candidates are tried tightest middle block first, so the returned
+    witness carries no slack in its cuts.
+    """
+    for swapped in (False, True):
+        top, bottom = ref_oriented(gp, swapped)
+        r = len(top)
+        doubled = sorted({letter for letter in set(bottom) if bottom.count(letter) == 2})
+        for z in doubled:
+            q1 = bottom.index(z)
+            q2 = bottom.index(z, q1 + 1)
+            for width in range(r + 1):
+                for c1 in range(r - width + 1):
+                    d = RedDecomposition(swapped, z, (q1, q2), (c1, c1 + width))
+                    if ref_check_red_decomposition(gp, d):
+                        return d
+    return None
+
+
+def ref_head_rotations(gp: GeneralizedPermutation):
+    r, l = gp.type
+    if r < 2 or l < 2:
+        return
+    for a in range(r):
+        for b in range(l):
+            rot = gp.rotated(a, b)
+            head = rot.top[0]
+            if rot.bottom[0] != head:
+                continue
+            if rot.top.count(head) != 1 or rot.bottom.count(head) != 1:
+                continue
+            yield (a, b), rot
+
+
+def ref_excisions(gp: GeneralizedPermutation) -> list[Excision]:
+    """Every simple-cylinder excision over all head rotations.
+
+    The strip over a shared head letter is a simple cylinder for every
+    admissible vector, with boundary passages (T0 -> B0) and (T1 -> B1);
+    its sector angle is purely combinatorial.
+    """
+    out = []
+    for (a, b), rot in ref_head_rotations(gp):
+        try:
+            r = len(rot.top)
+            s, comp = germ_sector_angles(rot, (0, r), (1, r + 1))
+        except NotSimple:
+            continue
+        restricted = rot.restrict()
+        irreducible = ref_weak_reducibility(restricted) is None and ref_red_condition(restricted) is None
+        out.append(Excision((a, b), restricted, s, comp, irreducible))
+    return out
+
+
+def split_words(max_cells=10):
+    """Every split of every first-appearance word of at most max_cells cells."""
+    for p in range(2, max_cells + 1, 2):
+        for word, *_ in _letter_sequences(p):
+            for r in range(1, p):
+                yield GeneralizedPermutation.from_rows(word[:r], word[r:])
+
+
+def shuffled_perms(seed=7, n=2000, max_letters=8):
+    """Seeded random permutations of up to 16 cells, rotated or row-swapped,
+    so their letter ids are not in first-appearance order."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        k = rng.randint(2, max_letters)
+        cells = [x for x in range(1, k + 1) for _ in range(2)]
+        rng.shuffle(cells)
+        r = rng.randint(1, 2 * k - 1)
+        gp = GeneralizedPermutation.from_rows(cells[:r], cells[r:])
+        gp = gp.rotated(rng.randrange(r), rng.randrange(2 * k - r))
+        if rng.random() < 0.5:
+            gp = gp.swap_rows()
+        if gp.rows() != GeneralizedPermutation.from_rows(*gp.rows()).rows():
+            out.append(gp)
+    return out
+
+
+def test_searches_and_excisions_match_the_letter_row_oracle():
+    for gp in [*split_words(), *shuffled_perms()]:
+        assert weak_reducibility(gp) == ref_weak_reducibility(gp), gp.render()
+        assert red_condition(gp) == ref_red_condition(gp), gp.render()
+        assert excisions(gp) == ref_excisions(gp), gp.render()
+
+
+def red_witnesses(gp, rng):
+    """Red witnesses in and out of range: every one for at most 6 cells,
+    otherwise 40 random ones; q1 < q2, but c1 > c2 is allowed."""
+    for swapped in (False, True):
+        top, bottom = (gp.bottom, gp.top) if swapped else gp.rows()
+        r, l = len(top), len(bottom)
+        if r + l <= 6:
+            spots = [(q1, q2, c1, c2) for q1 in range(-1, l + 1) for q2 in range(q1 + 1, l + 2)
+                     for c1 in range(-1, r + 2) for c2 in range(-1, r + 2)]
+        else:
+            spots = []
+            for _ in range(20):
+                q1 = rng.randint(-1, l)
+                spots.append((q1, rng.randint(q1 + 1, l + 1), rng.randint(-1, r + 1), rng.randint(-1, r + 1)))
+        for q1, q2, c1, c2 in spots:
+            for z in {bottom[q1] if 0 <= q1 < l else 1, rng.randint(1, gp.num_letters)}:
+                yield RedDecomposition(swapped, z, (q1, q2), (c1, c2))
+
+
+def test_checks_match_the_oracle_on_arbitrary_witnesses():
+    rng = random.Random(11)
+    for gp in [*split_words(8), *shuffled_perms(seed=9, n=300)]:
+        r, l = gp.type
+        for i0 in range(r + 1):
+            for j0 in range(r, r + l + 1):
+                for bullet in range(4):
+                    w = WeakSplit(i0, j0, bullet)
+                    assert check_weak_split(gp, w) == ref_check_weak_split(gp, w), (gp.render(), w)
+        for d in red_witnesses(gp, rng):
+            assert check_red_decomposition(gp, d) == ref_check_red_decomposition(gp, d), (gp.render(), d)
