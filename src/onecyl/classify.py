@@ -414,12 +414,6 @@ class ComponentReport:
     upper_bound: int
     citations: tuple[str, ...]
 
-    def merge_groups(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, g in enumerate(self.groups):
-            out.setdefault(g, []).append(i)
-        return out
-
     def as_json(self) -> dict:
         return {
             "schema": "1",

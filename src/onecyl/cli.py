@@ -18,7 +18,7 @@ from .classify import (
 )
 from .errors import OneCylError
 from .genperm import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup
-from .strata import hyperelliptic_rep, irreducible_rep, match_component, singularity_pattern
+from .strata import SingularityPattern, hyperelliptic_rep, irreducible_rep, match_component, singularity_pattern
 from .suspension import (
     cylinder_decomposition,
     sample_admissible,
@@ -88,7 +88,8 @@ def _parse_ints(text: str, option: str) -> list[int]:
 
 
 def _parse_pattern(text: str) -> tuple[int, ...]:
-    return tuple(_parse_ints(text, "--pattern"))
+    """Singularity orders of a stratum, descending; BadPattern when they name none."""
+    return SingularityPattern.from_orders(_parse_ints(text, "--pattern")).orders
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -179,9 +180,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     sym = _parse_sym(args.sym)
+    if "perm" in args:
+        gp = GeneralizedPermutation.parse(args.perm)
+    if "lengths" in args:
+        lam = _parse_lambda(gp, args.lengths, args.seed)
 
     if args.command == "parse":
-        gp = GeneralizedPermutation.parse(args.perm)
         r, l = gp.type
         _emit(
             args,
@@ -192,13 +196,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "stratum":
-        gp = GeneralizedPermutation.parse(args.perm)
         pat = singularity_pattern(gp)
         _emit(args, pat.as_json(), "%s g=%d dim=%d" % (pat.render(), pat.genus, pat.dimension))
         return 0
 
     if args.command == "check":
-        gp = GeneralizedPermutation.parse(args.perm)
         if args.which == "weak":
             w = weak_reducibility(gp)
             verdict = "weakly-reducible" if w else "weakly-irreducible"
@@ -226,8 +228,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "suspend":
-        gp = GeneralizedPermutation.parse(args.perm)
-        lam = _parse_lambda(gp, args.lengths, args.seed)
         w = sum(lam[x - 1] for x in gp.top)
         _emit(
             args,
@@ -237,8 +237,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "spectrum":
-        gp = GeneralizedPermutation.parse(args.perm)
-        lam = _parse_lambda(gp, args.lengths, args.seed)
         spec = separatrix_spectrum(gp, lam)
         _emit(
             args,
@@ -248,8 +246,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "decompose":
-        gp = GeneralizedPermutation.parse(args.perm)
-        lam = _parse_lambda(gp, args.lengths, args.seed)
         dec = cylinder_decomposition(gp, lam)
         _emit(
             args,
@@ -262,8 +258,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "angle":
-        gp = GeneralizedPermutation.parse(args.perm)
-        lam = _parse_lambda(gp, args.lengths, args.seed)
         dec = cylinder_decomposition(gp, lam)
         found = []
         for cyl in dec.cylinders:
@@ -280,8 +274,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "vperm":
-        gp = GeneralizedPermutation.parse(args.perm)
-        lam = _parse_lambda(gp, args.lengths, args.seed)
         vg, vlam = vertical_permutation(gp, lam)
         _emit(
             args,
@@ -291,8 +283,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "orbit":
-        gp = GeneralizedPermutation.parse(args.perm)
-        lam = _parse_lambda(gp, args.lengths, args.seed)
         result = sl2z_orbit(gp, lam, cap=args.cap)
         _emit(
             args,
@@ -339,7 +329,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "excise":
-        gp = GeneralizedPermutation.parse(args.perm)
         restricted, s = excise_simple_cylinder(gp)
         _emit(
             args,
@@ -350,7 +339,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bubble":
-        gp = GeneralizedPermutation.parse(args.perm)
         result = bubble(gp, args.s, budget=args.budget, sym=sym)
         _emit(args, {"perm": result.render()}, result.render())
         return 0

@@ -18,6 +18,11 @@ Conventions:
   bottom junction r + j; a germ, the vertical ray into the cylinder at a
   junction, carries its junction's number;
 * vertical lengths are crossing counts (the cylinder height is the unit);
+* arc i is the run of unit columns from the i-th singular line (a line
+  a compact separatrix runs along; in increasing order, the seam first)
+  to the next one.  Separatrices run along both its edges, so an arc
+  spans the width of its vertical cylinder, and a closed leaf of that
+  cylinder crosses each of the cylinder's arcs exactly once;
 * going up through a top interval glued by translation re-enters the
   bottom going up; glued to another top interval it re-enters that
   interval going down with reflected offset, and symmetrically below.
@@ -38,6 +43,7 @@ the cover works on flat integer arrays:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -359,59 +365,62 @@ def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> Cy
     return _decomposition(_Geometry(gp, lam))
 
 
+def _cylinders(geo: _Geometry, singular: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Owning cylinder of each arc, and the arcs of each cylinder, ascending.
+
+    ``singular`` lists the singular lines in increasing order, the seam
+    first.  One leaf walk per cylinder, up the first column of its least
+    arc, claims the arc of every column the leaf crosses; the arcs' number
+    is the circumference and their length the width.  Cylinders are
+    numbered in order of their least arc.
+    """
+    assert singular[0] == 0
+    bounds = singular + [geo.w]
+    owner = [-1] * len(singular)
+    arcs_of: list[list[int]] = []
+    for i in range(len(singular)):
+        if owner[i] >= 0:
+            continue
+        arcs: list[int] = []
+        start = state = (0, 2 * singular[i] + 1)
+        while True:
+            a = bisect_right(singular, state[1] >> 1) - 1
+            assert owner[a] < 0, "leaf crosses an arc twice"
+            owner[a] = len(arcs_of)
+            arcs.append(a)
+            state = geo.glue(*state)
+            if state == start:
+                break
+        assert len({bounds[a + 1] - bounds[a] for a in arcs}) == 1, "cylinder arcs differ in width"
+        arcs_of.append(sorted(arcs))
+    return owner, arcs_of
+
+
 def _decomposition(geo: _Geometry) -> CylinderDecomposition:
     spectrum = _spectrum(geo)
-    singular = spectrum.singular_lines()
-    w = geo.w
-    uf = _UnionFind(w)
-    # same closed leaf => same cylinder
-    for col in range(w):
-        uf.union(col, geo.glue(0, 2 * col + 1)[1] >> 1)
-        uf.union(col, geo.glue(1, 2 * col + 1)[1] >> 1)
-    # no separatrix on the line between adjacent columns => same cylinder
-    for x in range(1, w):
-        if x not in singular:
-            uf.union(x - 1, x)
-    assert 0 in singular
-    groups: dict[int, list[int]] = {}
-    for col in range(w):
-        groups.setdefault(uf.find(col), []).append(col)
+    singular = sorted(spectrum.singular_lines())
+    owner, arcs_of = _cylinders(geo, singular)
 
-    # leaf length through a column: orbit of the column going up
-    def circumference(col: int) -> int:
-        state = cur = (0, 2 * col + 1)
-        steps = 0
-        while True:
-            cur = geo.glue(*cur)
-            steps += 1
-            if cur == state:
-                return steps
-            assert steps <= 2 * w + 2, "leaf failed to close"
-
-    # boundary sides, assigned to the adjacent cylinder
-    sides_of: dict[int, list[Side]] = {root: [] for root in groups}
+    # boundary sides, assigned to the arc beside the traced line
+    sides_of: list[list[Side]] = [[] for _ in arcs_of]
     seen: set[tuple[int, int]] = set()
-    for x in sorted(singular):
+    for i, x in enumerate(singular):
         for sigma in (1, -1):
             if (x, sigma) in seen:
                 continue
             side, visited = _side_trace(geo, x, sigma)
             seen.update(visited)
-            col = x if sigma == 1 else (x - 1) % w
-            sides_of[uf.find(col)].append(side)
+            sides_of[owner[i if sigma == 1 else i - 1]].append(side)
 
+    bounds = singular + [geo.w]
     cylinders = []
-    for root, cols in sorted(groups.items(), key=lambda kv: min(kv[1])):
-        m = circumference(min(cols))
-        assert len(cols) % m == 0, "cylinder width is not integral"
-        sides = sides_of[root]
+    for arcs, sides in zip(arcs_of, sides_of):
         assert len(sides) == 2, "cylinder with %d boundary sides" % len(sides)
         simple = all(len(s.passages) == 1 for s in sides)
-        cylinders.append(
-            Cylinder(tuple(sorted(cols)), len(cols) // m, m, simple, (sides[0], sides[1]))
-        )
-    assert sum(c.width * c.circumference for c in cylinders) == w
-    return CylinderDecomposition(tuple(cylinders), spectrum, w)
+        columns = tuple(x for a in arcs for x in range(bounds[a], bounds[a + 1]))
+        width = bounds[arcs[0] + 1] - bounds[arcs[0]]
+        cylinders.append(Cylinder(columns, width, len(arcs), simple, (sides[0], sides[1])))
+    return CylinderDecomposition(tuple(cylinders), spectrum, geo.w)
 
 
 def germ_sector_angles(
@@ -480,16 +489,19 @@ def vertical_permutation(
     vertical separatrix segments and their lengths the crossing counts.
     """
     geo = _Geometry(gp, lam)
-    decomp = _decomposition(geo)
-    if len(decomp.cylinders) != 1:
-        raise NotSingleCylinder("vertical foliation has %d cylinders" % len(decomp.cylinders))
-    singular = sorted(decomp.spectrum.singular_lines())
-    # read both sides upward at the arc of regular columns right of x=0
+    spectrum = _spectrum(geo)
+    singular = sorted(spectrum.singular_lines())
+    _, arcs_of = _cylinders(geo, singular)
+    if len(arcs_of) != 1:
+        raise NotSingleCylinder("vertical foliation has %d cylinders" % len(arcs_of))
+    # read both sides upward at arc 0, the regular columns right of x=0
     right_of_zero = singular[1] if len(singular) > 1 else geo.w
     side_top, _ = _side_trace(geo, 0, 1)
     side_bottom, _ = _side_trace(geo, right_of_zero % geo.w, -1)
+    # the two sides of the one cylinder hug every singular line on both sides
+    assert side_top.traversals + side_bottom.traversals == 2 * len(singular), "cylinder without two sides"
 
-    segments = decomp.spectrum.segments
+    segments = spectrum.segments
     seg_of = [0] * len(geo.pair)
     for i, seg in enumerate(segments):
         for g in seg.germs:

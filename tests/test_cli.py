@@ -129,6 +129,17 @@ def test_enumerate_empty_pattern(capsys):
         assert err.startswith("error: ") and "singularity order" in err
 
 
+def test_enumerate_rejects_patterns_that_are_not_strata(capsys):
+    # the same error and exit code as classify, not "0 classes"
+    for pattern, reason in (("5", "multiple of 4"), ("-2,6", "below -1")):
+        code, _, classify_err = run(capsys, "classify", "--pattern=" + pattern)
+        assert code == 2 and reason in classify_err
+        for argv in (["--pattern=" + pattern], ["--type", "3,3", "--pattern=" + pattern]):
+            code, out, err = run(capsys, "enumerate", *argv)
+            assert code == 2 and out == ""
+            assert err == classify_err
+
+
 def test_bubble_budget_reports_candidates_tried(capsys):
     code, out, err = run(capsys, "--budget", "5", "bubble", "1 2 1 2 3 / 3 4 5 4 5", "1")
     assert code == 2 and out == ""

@@ -943,6 +943,73 @@ def test_geometry_matches_string_keyed_reference():
     assert 20 <= single <= 180
 
 
+# -- arc cylinders against the column union-find reference ---------------------
+
+
+def integer_reference_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> CylinderDecomposition:
+    """``reference_cylinder_decomposition`` with its germs renumbered as junctions."""
+    r = len(gp.top)
+    junction = {("T", i): i for i in range(r)}
+    junction.update({("B", j): r + j for j in range(len(gp.bottom))})
+    ref = reference_cylinder_decomposition(gp, lam)
+
+    def side(ref_side: Side) -> Side:
+        return Side(tuple((junction[a], junction[b]) for a, b in ref_side.passages), ref_side.traversals)
+
+    spectrum = SeparatrixSpectrum(tuple(
+        Segment(tuple(sorted(map(junction.get, s.germs))), s.crossings, s.lines, s.is_gamma)
+        for s in ref.spectrum.segments
+    ))
+    cylinders = tuple(
+        Cylinder(c.columns, c.width, c.circumference, c.simple, (side(c.sides[0]), side(c.sides[1])))
+        for c in ref.cylinders
+    )
+    return CylinderDecomposition(cylinders, spectrum, ref.total_width)
+
+
+def vperm_outcome(vperm, gp: GeneralizedPermutation, lam: Sequence[int]):
+    """Rows and lengths of a vertical reading, or the NotSingleCylinder message."""
+    try:
+        vg, vlam = vperm(gp, lam)
+    except NotSingleCylinder as exc:
+        return str(exc)
+    return vg.rows(), vlam
+
+
+def assert_cylinders_match_reference(gp: GeneralizedPermutation, lam: Sequence[int]) -> bool:
+    """Check decomposition and vertical reading against the references; True if one cylinder."""
+    dec = cylinder_decomposition(gp, lam)
+    assert dec == integer_reference_decomposition(gp, lam)
+    assert vperm_outcome(vertical_permutation, gp, lam) == vperm_outcome(reference_vertical_permutation, gp, lam)
+    return len(dec.cylinders) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_pairs(max_letters=8, bound=20))
+def test_arc_cylinders_match_reference(pair):
+    assert_cylinders_match_reference(*pair)
+
+
+def test_arc_cylinders_match_reference_on_seeded_corpus():
+    rng = random.Random(67)
+    vectors = {"ones": 0, 2: 0, 20: 0}
+    single = 0
+    for _ in range(300):
+        gp = random_gp(rng, 8)
+        for kind in vectors:
+            try:
+                if kind == "ones":
+                    lam = check_admissible(gp, (1,) * gp.num_letters)
+                else:
+                    lam = sample_admissible(gp, seed=rng.randint(1, 999), bound=kind)
+            except (Infeasible, BoundTooSmall):
+                continue
+            vectors[kind] += 1
+            single += assert_cylinders_match_reference(gp, lam)
+    assert min(vectors.values()) >= 100
+    assert 0 < single < sum(vectors.values())
+
+
 
 # -- integer cover reader against the tuple-keyed reference --------------------
 #
