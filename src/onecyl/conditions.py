@@ -14,9 +14,12 @@ companions of the seam separatrix on every suspension:
   of "only one element" is never satisfiable).
 
 Irreducible means weakly irreducible and Red holds.  Every test reads
-the position pairing of the rows.  The searches and the ``check_*``
-re-checks share one pairing kernel per condition; the ``check_*``
-functions add the range validation of a given witness.
+the position pairing of the rows, and the searches solve for their cuts
+instead of testing each one: one pass over the pairs per top cut gives
+the bottom cuts of a weak split, and one pass per Red pivot bounds both
+cuts.  The searches and the ``check_*`` re-checks share one constraint
+kernel per condition; the ``check_*`` functions add the range
+validation of a given witness.
 """
 
 from __future__ import annotations
@@ -71,26 +74,35 @@ def _oriented(gp: GeneralizedPermutation, swapped: bool) -> tuple[tuple[int, ...
     return (gp.bottom, gp.top) if swapped else (gp.top, gp.bottom)
 
 
-def _weak_holds(pair: Sequence[int], r: int, i0: int, j0: int, bullet: int) -> bool:
-    """The weak-split definition on a pairing; i0 and j0 are prefix lengths."""
+def _weak_cuts(pair: Sequence[int], r: int, i0: int) -> tuple[list[int], int, int]:
+    """The bottom cuts j0 that complete the top cut i0 (prefix lengths).
+
+    Returns the at most two j0 of bullet 1 and the interval [lo, hi] of
+    the j0 of bullet 2 (empty when lo > hi), all within r < j0 < p.
+    """
     p = len(pair)
-    if bullet == 1:
-        # the top prefix pairs onto the bottom prefix, or suffix onto suffix
-        return (i0 == j0 - r and all(r <= pair[i] < j0 for i in range(i0))) or (
-            r - i0 == p - j0 and all(j0 <= pair[i] < p for i in range(i0, r))
-        )
-    if bullet != 2:
-        return False
-    # a doubled letter straddles its row's cut, a split letter pairs
-    # prefix with prefix or suffix with suffix
+    l = p - r
+    # bullet 1: the top prefix pairs onto the bottom prefix, or suffix onto suffix
+    ones = []
+    if i0 < l and all(r <= pair[x] < r + i0 for x in range(i0)):
+        ones.append(r + i0)
+    if r < l + i0 and all(pair[x] >= l + i0 for x in range(i0, r)):
+        ones.append(l + i0)
+    # bullet 2: a doubled letter straddles its row's cut, a split letter
+    # pairs prefix with prefix or suffix with suffix
+    lo, hi = r + 1, p - 1
     for x, y in enumerate(pair):
         if x < y:
-            if y < r or x >= r:
-                if not x < (i0 if y < r else j0) <= y:
-                    return False
-            elif (x < i0) != (y < j0):
-                return False
-    return True
+            if y < r:
+                if not x < i0 <= y:
+                    return ones, lo, -1
+            elif x >= r:
+                lo, hi = max(lo, x + 1), min(hi, y)
+            elif x < i0:
+                lo = max(lo, y + 1)
+            else:
+                hi = min(hi, y)
+    return ones, lo, hi
 
 
 def check_weak_split(gp: GeneralizedPermutation, w: WeakSplit) -> bool:
@@ -98,45 +110,69 @@ def check_weak_split(gp: GeneralizedPermutation, w: WeakSplit) -> bool:
     r, l = gp.type
     if not (1 <= w.i0 < r and r + 1 <= w.j0 < r + l):
         return False
-    return _weak_holds(gp.pairing(), r, w.i0, w.j0, w.bullet)
+    ones, lo, hi = _weak_cuts(gp.pairing(), r, w.i0)
+    return w.j0 in ones if w.bullet == 1 else w.bullet == 2 and lo <= w.j0 <= hi
 
 
 def weak_reducibility(gp: GeneralizedPermutation) -> WeakSplit | None:
     """First weak-reducibility witness in lexicographic order, else None."""
-    r, l = gp.type
+    r = gp.type[0]
     pair = gp.pairing()
     for i0 in range(1, r):
-        for j0 in range(r + 1, r + l):
-            for bullet in (1, 2):
-                if _weak_holds(pair, r, i0, j0, bullet):
-                    return WeakSplit(i0, j0, bullet)
+        ones, lo, hi = _weak_cuts(pair, r, i0)
+        found = [(j0, 1) for j0 in ones] + ([(lo, 2)] if lo <= hi else [])
+        if found:
+            return WeakSplit(i0, *min(found))
     return None
 
 
-# Cell regions of a Red decomposition, numbered as their names sort: A1 A2
-# A3 are the cut row's blocks, B1 B2 B3 the pivot row's sublists, Z its pivots.
-_A1, _A2, _A3, _B1, _B2, _B3, _Z = range(7)
-_RED_PAIRS = {
-    (_A1, _A3), (_A2, _A2),  # doubled in the cut row
-    (_B1, _B3), (_B2, _B2), (_Z, _Z),  # doubled in the pivot row
-    (_A1, _B1), (_A2, _B2), (_A3, _B3),  # split letters
-}
+# bounds c1_lo <= c1 <= c1_hi and c2_lo <= c2 <= c2_hi, the cut row's
+# doubled letters, and whether a pivot-row letter straddles the pivots
+_RedCuts = tuple[int, int, int, int, list[tuple[int, int]], bool]
 
 
-def _red_holds(pair: Sequence[int], r: int, q1: int, q2: int, c1: int, c2: int) -> bool:
-    """The Red-violation test on the pairing of a cut row (the first r
-    cells) and a pivot row with its pivots at cells q1 < q2."""
-    region = [_A1] * c1 + [_A2] * (c2 - c1) + [_A3] * (r - c2)
-    region += [_B1] * q1 + [_Z] + [_B2] * (q2 - q1 - 1) + [_Z] + [_B3] * (len(pair) - r - q2 - 1)
+def _red_cuts(pair: Sequence[int], r: int, q1: int, q2: int) -> _RedCuts | None:
+    """What the pivots at cells q1 < q2 of the pivot row ask of the cuts.
+
+    The cut row is the first r cells of the pairing.  The pivot row's
+    letters do not depend on the cuts, and a split letter's sublist (B1
+    B2 B3: before, between, after the pivots) pins its cut-row cell to
+    the block ``[:c1]``, ``[c1:c2]`` or ``[c2:]``.  None when no cuts work.
+    """
+    c1_lo, c1_hi, c2_lo, c2_hi = 0, r, 0, r
+    doubled = []
     straddle = False
     for x, y in enumerate(pair):
         if x < y:
-            # away from the pivots regions grow along the word, so an
-            # allowed spot comes sorted
-            spot = (region[x], region[y])
-            if spot not in _RED_PAIRS:
-                return False
-            straddle = straddle or spot in ((_A1, _A3), (_B1, _B3))
+            if y < r:
+                doubled.append((x, y))
+            elif x >= r:
+                # the pivots pair with each other, so no other letter meets them
+                if x - r < q1 < q2 < y - r:
+                    straddle = True
+                elif not (q1 <= x - r and y - r <= q2):
+                    return None
+            elif y - r < q1:
+                c1_lo = max(c1_lo, x + 1)
+            elif y - r < q2:
+                c1_hi, c2_lo = min(c1_hi, x), max(c2_lo, x + 1)
+            else:
+                c2_hi = min(c2_hi, x)
+    if c1_lo > c1_hi or c2_lo > c2_hi or not (straddle or doubled):
+        return None
+    return c1_lo, c1_hi, c2_lo, c2_hi, doubled, straddle
+
+
+def _red_fits(cuts: _RedCuts, c1: int, c2: int) -> bool:
+    """The Red-violation test of cuts c1 <= c2 against _red_cuts' constraints."""
+    c1_lo, c1_hi, c2_lo, c2_hi, doubled, straddle = cuts
+    if not (c1_lo <= c1 <= c1_hi and c2_lo <= c2 <= c2_hi):
+        return False
+    for x, y in doubled:
+        if x < c1 and c2 <= y:
+            straddle = True
+        elif not (c1 <= x and y < c2):
+            return False
     # Without an outer straddler the offset of the forced trajectory is
     # pinned to zero and the "length-two separatrix" degenerates onto the
     # seam, so the decomposition certifies nothing.
@@ -163,7 +199,8 @@ def check_red_decomposition(gp: GeneralizedPermutation, d: RedDecomposition) -> 
         return False
     if bottom[q1] != d.zero_letter or bottom[q2] != d.zero_letter:
         return False
-    return _red_holds(position_pairing(top + bottom), r, q1, q2, c1, c2)
+    cuts = _red_cuts(position_pairing(top + bottom), r, q1, q2)
+    return cuts is not None and _red_fits(cuts, c1, c2)
 
 
 def red_condition(gp: GeneralizedPermutation) -> RedDecomposition | None:
@@ -179,9 +216,14 @@ def red_condition(gp: GeneralizedPermutation) -> RedDecomposition | None:
         # the doubled letters of the pivot row, each at its first cell
         pivots = sorted((bottom[x - r], x - r, pair[x] - r) for x in range(r, len(pair)) if x < pair[x])
         for z, q1, q2 in pivots:
-            for width in range(r + 1):
-                for c1 in range(r - width + 1):
-                    if _red_holds(pair, r, q1, q2, c1, c1 + width):
+            cuts = _red_cuts(pair, r, q1, q2)
+            if cuts is None:
+                continue
+            c1_lo, c1_hi, c2_lo, c2_hi = cuts[:4]
+            # only cuts inside the bounds, in the order (width, c1)
+            for width in range(max(0, c2_lo - c1_hi), c2_hi - c1_lo + 1):
+                for c1 in range(max(c1_lo, c2_lo - width), min(c1_hi, c2_hi - width) + 1):
+                    if _red_fits(cuts, c1, c1 + width):
                         return RedDecomposition(swapped, z, (q1, q2), (c1, c1 + width))
     return None
 

@@ -559,11 +559,26 @@ class SquareTiledCover:
         assert _mul(self.deck, _mul(self.up, self.deck)) == ui
 
     def components(self) -> int:
-        uf = _UnionFind(self.n)
-        for i in range(self.n):
-            uf.union(i, self.right[i])
-            uf.union(i, self.up[i])
-        return len({uf.find(i) for i in range(self.n)})
+        """Number of orbits of <right, up>.
+
+        Both generators are permutations of finitely many squares, so
+        forward images alone reach a whole orbit.
+        """
+        seen = [False] * self.n
+        count = 0
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = True
+            stack = [start]
+            while stack:
+                q = stack.pop()
+                for t in (self.right[q], self.up[q]):
+                    if not seen[t]:
+                        seen[t] = True
+                        stack.append(t)
+        return count
 
     def _vertices(self) -> tuple[list[int], list[int]]:
         """Vertex of each square's lower-left corner, and each vertex's corner-turn cycle length.

@@ -15,14 +15,14 @@ from onecyl import acceptance
 RUNTIME_BUDGETS = {
     "pi1-table": 1.0,
     "pi1a-family": 1.0,
-    "q8-": 60.0,
+    "q8-": 5.0,
     "qm15-": 5.0,
     "q12-": 60.0,
     "empty-strata": 10.0,
     "q22-": 10.0,
-    "bridge-": 300.0,
-    "invariants-500": 60.0,
-    "oplus-": 120.0,
+    "bridge-": 5.0,
+    "invariants-500": 10.0,
+    "oplus-": 5.0,
 }
 
 KNOWN_REFUTED = {"q8-one-orbit"}

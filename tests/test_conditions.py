@@ -1,4 +1,8 @@
+import hashlib
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onecyl import (
     GeneralizedPermutation,
@@ -330,3 +334,39 @@ def test_checks_match_the_oracle_on_arbitrary_witnesses():
                     assert check_weak_split(gp, w) == ref_check_weak_split(gp, w), (gp.render(), w)
         for d in red_witnesses(gp, rng):
             assert check_red_decomposition(gp, d) == ref_check_red_decomposition(gp, d), (gp.render(), d)
+
+
+@st.composite
+def random_rows(draw, max_letters=8):
+    """Rows of up to 16 cells, rotated and sometimes row-swapped, as in
+    shuffled_perms."""
+    k = draw(st.integers(2, max_letters))
+    cells = draw(st.permutations([x for x in range(1, k + 1) for _ in range(2)]))
+    r = draw(st.integers(1, 2 * k - 1))
+    gp = GeneralizedPermutation.from_rows(cells[:r], cells[r:])
+    gp = gp.rotated(draw(st.integers(0, r - 1)), draw(st.integers(0, 2 * k - r - 1)))
+    return gp.swap_rows() if draw(st.booleans()) else gp
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_rows())
+def test_solved_searches_match_the_oracle(gp):
+    w = weak_reducibility(gp)
+    assert w == ref_weak_reducibility(gp)
+    assert w is None or (check_weak_split(gp, w) and ref_check_weak_split(gp, w))
+    d = red_condition(gp)
+    assert d == ref_red_condition(gp)
+    assert d is None or (check_red_decomposition(gp, d) and ref_check_red_decomposition(gp, d))
+
+
+# sha256 over the reprs of (weak_reducibility, red_condition, is_irreducible)
+# on every split of every word of at most 10 cells, then on shuffled_perms(),
+# frozen from the searches that tried every cut
+WITNESS_DIGEST = "f193a315fe18944e81732106b79021b5098678221566ae3aca9a6a928cd41a0e"
+
+
+def test_witnesses_are_frozen():
+    digest = hashlib.sha256()
+    for gp in [*split_words(), *shuffled_perms()]:
+        digest.update(repr((weak_reducibility(gp), red_condition(gp), is_irreducible(gp))).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST

@@ -501,6 +501,29 @@ def test_three_component_cover_key_is_a_relabeling():
         assert brute_force_key(key_cover) == brute_force_key(union)
 
 
+def reference_components(cover: SquareTiledCover) -> int:
+    """The union-find count the traversal in components() replaced."""
+    uf = _UnionFind(cover.n)
+    for i in range(cover.n):
+        uf.union(i, cover.right[i])
+        uf.union(i, cover.up[i])
+    return len({uf.find(i) for i in range(cover.n)})
+
+
+def test_components_match_the_union_find_count():
+    rng = random.Random(53)
+    counts = set()
+    for _ in range(40):
+        parts = [random_cover(rng) for _ in range(rng.randint(1, 3))]
+        union = disjoint_union(*parts)
+        p = list(range(union.n))
+        rng.shuffle(p)
+        for cover in (union, relabeled(union, p), union.apply_T()):
+            assert cover.components() == reference_components(cover)
+        counts.add(union.components())
+    assert counts >= {1, 2, 3, 4}
+
+
 def test_cover_key_matches_reference_on_pillowcase():
     cover = build_cover(GP("1 1 / 2 2"), (1, 1))
     assert cover.canonical_key() == reference_cover_key(cover)
