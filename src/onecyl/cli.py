@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import acceptance
-from .conditions import condition_star, is_irreducible, red_condition, weak_reducibility
+from .conditions import RedDecomposition, WeakSplit, condition_star, is_irreducible, red_condition, weak_reducibility
 from .classify import (
     MoveConfig,
     bubble,
@@ -98,6 +98,13 @@ def _emit(args, payload: dict, human: str) -> None:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)
+
+
+def _witness_json(gp: GeneralizedPermutation, w: WeakSplit | RedDecomposition | None) -> dict | None:
+    """A weak or Red certificate as JSON, its pivot letter named as the user wrote it."""
+    if isinstance(w, RedDecomposition):
+        return dict(w.__dict__, zero_letter=gp.names[w.zero_letter - 1])
+    return None if w is None else w.__dict__
 
 
 def _global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -201,30 +208,22 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check":
+        if args.which == "star":
+            v = condition_star(gp)
+            _emit(args, {"verdict": v}, "condition (*): %s" % v)
+            return 0
         if args.which == "weak":
             w = weak_reducibility(gp)
             verdict = "weakly-reducible" if w else "weakly-irreducible"
-            _emit(args, {"verdict": verdict, "witness": w.__dict__ if w else None}, verdict + (" %s" % (w,) if w else ""))
+            human = verdict + (" %s" % (w,) if w else "")
         elif args.which == "red":
-            d = red_condition(gp)
-            verdict = "violated" if d else "satisfied"
-            _emit(
-                args,
-                {"verdict": verdict, "witness": None if d is None else {
-                    "swapped": d.swapped, "zero_letter": gp.names[d.zero_letter - 1],
-                    "zero_cells": list(d.zero_cells), "cuts": list(d.cuts)}},
-                "Red %s" % verdict + ("" if d is None else " %s" % (d,)),
-            )
-        elif args.which == "star":
-            v = condition_star(gp)
-            _emit(args, {"verdict": v}, "condition (*): %s" % v)
+            w = red_condition(gp)
+            verdict = "violated" if w else "satisfied"
+            human = "Red %s" % verdict + ("" if w is None else " %s" % (w,))
         else:
-            verdict = is_irreducible(gp)
-            _emit(
-                args,
-                {"verdict": verdict.status, "witness": None if verdict.witness is None else str(verdict.witness)},
-                verdict.status,
-            )
+            outcome = is_irreducible(gp)
+            w, verdict, human = outcome.witness, outcome.status, outcome.status
+        _emit(args, {"verdict": verdict, "witness": _witness_json(gp, w)}, human)
         return 0
 
     if args.command == "suspend":

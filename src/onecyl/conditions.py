@@ -209,10 +209,12 @@ def red_condition(gp: GeneralizedPermutation) -> RedDecomposition | None:
     Pivots are tried by letter, and candidates tightest middle block
     first, so the returned witness carries no slack in its cuts.
     """
+    pair = gp.pairing()
     for swapped in (False, True):
         top, bottom = _oriented(gp, swapped)
         r = len(top)
-        pair = position_pairing(top + bottom)
+        if swapped:  # the word bottom + top is top + bottom rotated right by r
+            pair = [(y + r) % len(pair) for y in pair[-r:] + pair[:-r]]
         # the doubled letters of the pivot row, each at its first cell
         pivots = sorted((bottom[x - r], x - r, pair[x] - r) for x in range(r, len(pair)) if x < pair[x])
         for z, q1, q2 in pivots:

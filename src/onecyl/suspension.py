@@ -520,7 +520,7 @@ def vertical_permutation(
 
 def _mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Composition p after q."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def _inv(p: Sequence[int]) -> tuple[int, ...]:
@@ -549,21 +549,25 @@ class SquareTiledCover:
         return len(self.right)
 
     def check(self) -> None:
-        n = self.n
-        assert sorted(self.right) == list(range(n))
-        assert sorted(self.up) == list(range(n))
-        for i in range(n):
-            assert self.deck[self.deck[i]] == i and self.deck[i] != i
-        ri, ui = _inv(self.right), _inv(self.up)
-        assert _mul(self.deck, _mul(self.right, self.deck)) == ri
-        assert _mul(self.deck, _mul(self.up, self.deck)) == ui
+        """Assert that deck is a fixed-point-free involution conjugating right and up to their inverses.
 
-    def components(self) -> int:
-        """Number of orbits of <right, up>.
+        One loop tests deck[deck[i]] == i, right[deck[right[deck[i]]]] == i
+        and the same for up: every square is then a value of deck, right and
+        up, so with equal lengths all three are permutations of the squares.
+        """
+        right, up, deck = self.right, self.up, self.deck
+        assert len(up) == len(deck) == len(right)
+        for i in range(len(right)):
+            d = deck[i]
+            assert d != i and deck[d] == i and right[deck[right[d]]] == i and up[deck[up[d]]] == i
 
-        Both generators are permutations of finitely many squares, so
+    def components(self, deck: bool = False) -> int:
+        """Number of orbits of <right, up>, or of <right, up, deck> with ``deck``.
+
+        The generators are permutations of finitely many squares, so
         forward images alone reach a whole orbit.
         """
+        gens = (self.right, self.up, self.deck) if deck else (self.right, self.up)
         seen = [False] * self.n
         count = 0
         for start in range(self.n):
@@ -574,7 +578,8 @@ class SquareTiledCover:
             stack = [start]
             while stack:
                 q = stack.pop()
-                for t in (self.right[q], self.up[q]):
+                for g in gens:
+                    t = g[q]
                     if not seen[t]:
                         seen[t] = True
                         stack.append(t)
@@ -614,8 +619,7 @@ class SquareTiledCover:
 
     def apply_T(self) -> "SquareTiledCover":
         """Unit horizontal shear, re-squared."""
-        ri = _inv(self.right)
-        out = SquareTiledCover(self.right, _mul(self.up, ri), _mul(self.right, self.deck), self.connected)
+        out = SquareTiledCover(self.right, _mul(self.up, _inv(self.right)), _mul(self.right, self.deck), self.connected)
         out.check()
         return out
 
@@ -636,65 +640,57 @@ class SquareTiledCover:
         Row i of a relabeled permutation is the label of the image of
         ``order[i]``.
 
-        The minimum is searched with pruning. When ``order[i]`` has been
-        processed its right neighbour carries a label, so entry i of the
-        start's right row is known: the start is dropped at its first
-        entry larger than the best right row so far, and stops comparing
-        once an entry is smaller. Only a start whose whole right row ties
-        the best builds its up row, and only a tie there too builds its
-        deck row. The result is the same triple as the full minimum.
+        All starts walk in lockstep: step i labels the neighbours of each
+        live start's ``order[i]``, which fixes entry i of its right row,
+        and only the starts at the least entry stay live. The starts left
+        share the least right row and are ranked by up row, then deck row,
+        so the result is the same triple as the full minimum.
         """
         n = self.n
         right, up, deck = self.right, self.up, self.deck
-        gens = (right, up, _inv(right), _inv(up))
-        best_right: list[int] | None = None
-        best_order: list[int] = []
-        best_label: list[int] = []
-        best_up: list[int] | None = None  # built only when a right row ties
-        for start in range(n):
-            label = [-1] * n
+        right_inv, up_inv = _inv(right), _inv(up)
+        live = [(start, [-1] * n, [start]) for start in range(n)]  # (start, label, order) still at the minimum
+        for start, label, _ in live:
             label[start] = 0
-            order = [start]
-            row: list[int] = []
-            smaller = best_right is None
-            for i in range(n):
+        row = []
+        for i in range(n):
+            best = n
+            survivors = []
+            for walk in live:
+                start, label, order = walk
                 if i == len(order):  # disconnected cover: jump to the other sheet
                     s = deck[start] if label[deck[start]] < 0 else label.index(-1)
                     label[s] = i
                     order.append(s)
                 cur = order[i]
-                for g in gens:
-                    t = g[cur]
-                    if label[t] < 0:
-                        label[t] = len(order)
-                        order.append(t)
-                v = label[right[cur]]
-                if not smaller:
-                    b = best_right[i]
-                    if v > b:
-                        break
-                    smaller = v < b
-                row.append(v)
-            else:
-                if not smaller:  # the right rows tie: compare up, then deck
-                    if best_up is None:
-                        best_up = [best_label[up[q]] for q in best_order]
-                    up_row = [label[up[q]] for q in order]
-                    if up_row > best_up:
-                        continue
-                    if up_row == best_up:
-                        deck_row = [label[deck[q]] for q in order]
-                        if deck_row >= [best_label[deck[q]] for q in best_order]:
-                            continue
-                    best_up = up_row
-                else:
-                    best_up = None
-                best_right, best_order, best_label = row, order, label
-        return (
-            tuple(best_right),
-            tuple(best_label[up[q]] for q in best_order),
-            tuple(best_label[deck[q]] for q in best_order),
+                # the four generators unrolled; the right neighbour's label is entry i
+                t = right[cur]
+                v = label[t]
+                if v < 0:
+                    v = label[t] = len(order)
+                    order.append(t)
+                t = up[cur]
+                if label[t] < 0:
+                    label[t] = len(order)
+                    order.append(t)
+                t = right_inv[cur]
+                if label[t] < 0:
+                    label[t] = len(order)
+                    order.append(t)
+                t = up_inv[cur]
+                if label[t] < 0:
+                    label[t] = len(order)
+                    order.append(t)
+                if v < best:
+                    best, survivors = v, [walk]
+                elif v == best:
+                    survivors.append(walk)
+            row.append(best)
+            live = survivors
+        up_row, deck_row = min(
+            ([label[up[q]] for q in order], [label[deck[q]] for q in order]) for _, label, order in live
         )
+        return tuple(row), tuple(up_row), tuple(deck_row)
 
 
 def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCover:
@@ -764,16 +760,11 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
             cur = r[cur]
         rows.append(row)
 
-    def gap_above_singular(row: list[int]) -> bool:
-        # the gap carries the NW/NE corners of the row, i.e. SW of the ups
-        return any(singular[u[q]] for q in row)
-
-    def gap_below_singular(row: list[int]) -> bool:
-        return any(singular[q] for q in row)
-
+    # the gap above a row carries its NW/NE corners, i.e. SW of the ups
+    gap_above_singular = [any(singular[u[q]] for q in row) for row in rows]
     uf = _UnionFind(len(rows))
     for idx, row in enumerate(rows):
-        if not gap_above_singular(row):
+        if not gap_above_singular[idx]:
             uf.union(idx, row_of[u[row[0]]])
     cylinders: dict[int, list[int]] = {}
     for idx in range(len(rows)):
@@ -785,8 +776,8 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
     if uf.find(row_of[deck[probe]]) != kb:
         return None  # deck-invariant cover cylinder: not handled
     rows_k = cylinders[ka]
-    tops = [i for i in rows_k if gap_above_singular(rows[i])]
-    bottoms = [i for i in rows_k if gap_below_singular(rows[i])]
+    tops = [i for i in rows_k if gap_above_singular[i]]
+    bottoms = [i for i in rows_k if any(singular[q] for q in rows[i])]
     assert len(tops) == 1 and len(bottoms) == 1, "cylinder with torn boundary"
     top_row, bottom_row = rows[tops[0]], rows[bottoms[0]]
 
@@ -853,17 +844,24 @@ def orbit_forms(start: SquareTiledCover):
     Yields (depth, key, cover, word) once per form, the start first with
     the empty word; ``word`` spells the path from the start, leftmost
     letter applied first (T = unit shear, S = quarter turn).
+
+    A form reached by S is not turned again: S(S(c)) is c relabeled by
+    deck, with c's key, whenever the key reads no square label, i.e. when
+    <right, up, deck> is transitive (true of every ``build_cover`` output
+    and kept by T and S).
     """
     key = start.canonical_key()
     yield 0, key, start, ""
     seen = {key}
     frontier = [(start, "")]
+    turn_twice = start.components(deck=True) > 1
     depth = 0
     while frontier:
         depth += 1
         nxt = []
         for cover, word in frontier:
-            for image, letter in ((cover.apply_T(), "T"), (cover.apply_S(), "S")):
+            for letter in "TS" if turn_twice or word[-1:] != "S" else "T":
+                image = cover.apply_T() if letter == "T" else cover.apply_S()
                 key = image.canonical_key()
                 if key not in seen:
                     seen.add(key)

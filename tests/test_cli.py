@@ -38,6 +38,25 @@ def test_check_red(capsys):
     assert code == 0 and "satisfied" in out
 
 
+def test_check_irreducible_json_carries_the_failed_check_witness(capsys):
+    # one JSON shape per certificate, with the letters as written
+    for perm, which, verdict in [
+        ("1 2 2 3 3 1 / 0 0", "red", "fails_red"),
+        ("1 2 3 4 3 5 / 6 1 2 6 5 4", "weak", "fails_weak"),
+    ]:
+        code, out, _ = run(capsys, "--json", "check", "irreducible", perm)
+        _, single, _ = run(capsys, "--json", "check", which, perm)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == verdict
+        assert payload["witness"] == json.loads(single)["witness"] is not None
+    assert payload["witness"] == {"i0": 3, "j0": 9, "bullet": 2}
+    _, out, _ = run(capsys, "--json", "check", "irreducible", "1 2 2 3 3 1 / 0 0")
+    assert json.loads(out)["witness"]["zero_letter"] == "0"
+    _, out, _ = run(capsys, "--json", "check", "irreducible", "1 2 3 4 3 5 4 / 6 6 1 5 2")
+    assert json.loads(out) == {"schema": "1", "verdict": "irreducible", "witness": None}
+
+
 def test_enumerate_pattern(capsys):
     code, out, _ = run(capsys, "enumerate", "--pattern", "8")
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from typing import Sequence
 
 import pytest
@@ -1223,3 +1224,254 @@ def test_corner_turn_vertices_match_union_find():
         assert len({(roots[q], vertex[q]) for q in range(cover.n)}) == len(lengths) == len(set(roots.values()))
         assert all(counts[roots[q]] == 4 * lengths[vertex[q]] for q in range(cover.n))
         assert cover.vertex_profile() == tuple(sorted(lengths, reverse=True))
+
+
+# -- orbit walk, cover key and cover check against the code they replaced -----
+
+
+def reference_orbit_forms(start: SquareTiledCover):
+    """The breadth-first orbit walk before it skipped S-images of S-images, kept verbatim."""
+    key = start.canonical_key()
+    yield 0, key, start, ""
+    seen = {key}
+    frontier = [(start, "")]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for cover, word in frontier:
+            for image, letter in ((cover.apply_T(), "T"), (cover.apply_S(), "S")):
+                key = image.canonical_key()
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((image, word + letter))
+                    yield depth, key, image, word + letter
+        frontier = nxt
+
+
+def pruned_cover_key(self) -> tuple:
+    """The depth-first pruned cover key the lockstep search replaced, kept verbatim.
+
+    It jumps between components as canonical_key does, so it is the
+    oracle on disconnected covers, where reference_cover_key jumps to the
+    least unlabeled square instead.
+    """
+    n = self.n
+    right, up, deck = self.right, self.up, self.deck
+    gens = (right, up, _inv(right), _inv(up))
+    best_right: list[int] | None = None
+    best_order: list[int] = []
+    best_label: list[int] = []
+    best_up: list[int] | None = None  # built only when a right row ties
+    for start in range(n):
+        label = [-1] * n
+        label[start] = 0
+        order = [start]
+        row: list[int] = []
+        smaller = best_right is None
+        for i in range(n):
+            if i == len(order):  # disconnected cover: jump to the other sheet
+                s = deck[start] if label[deck[start]] < 0 else label.index(-1)
+                label[s] = i
+                order.append(s)
+            cur = order[i]
+            for g in gens:
+                t = g[cur]
+                if label[t] < 0:
+                    label[t] = len(order)
+                    order.append(t)
+            v = label[right[cur]]
+            if not smaller:
+                b = best_right[i]
+                if v > b:
+                    break
+                smaller = v < b
+            row.append(v)
+        else:
+            if not smaller:  # the right rows tie: compare up, then deck
+                if best_up is None:
+                    best_up = [best_label[up[q]] for q in best_order]
+                up_row = [label[up[q]] for q in order]
+                if up_row > best_up:
+                    continue
+                if up_row == best_up:
+                    deck_row = [label[deck[q]] for q in order]
+                    if deck_row >= [best_label[deck[q]] for q in best_order]:
+                        continue
+                best_up = up_row
+            else:
+                best_up = None
+            best_right, best_order, best_label = row, order, label
+    return (
+        tuple(best_right),
+        tuple(best_label[up[q]] for q in best_order),
+        tuple(best_label[deck[q]] for q in best_order),
+    )
+
+
+def width_covers(seed: int, widths=range(7, 14), per_width: int = 2):
+    """Covers over the minimal admissible vectors of seeded permutations, per_width of each width."""
+    rng = random.Random(seed)
+    for w in widths:
+        found = 0
+        while found < per_width:
+            gp = random_gp(rng, 8)
+            lam = minimal_admissible(gp)
+            if sum(lam[x - 1] for x in gp.top) == w:
+                found += 1
+                yield build_cover(gp, lam)
+
+
+def shuffled(cover: SquareTiledCover, rng) -> SquareTiledCover:
+    p = list(range(cover.n))
+    rng.shuffle(p)
+    return relabeled(cover, p)
+
+
+def disconnected_covers():
+    """Abelian covers, whose deck swaps the two sheets, and unions of connected covers, whose deck does not."""
+    rng = random.Random(67)
+    pillow, figure = build_cover(GP("1 1 / 2 2"), (1, 1)), build_cover(GP("1 1 2 / 3 2 3"), (2, 1, 2))
+    abelian = build_cover(GP("1 2 3 4 / 2 4 1 3"), (1, 1, 1, 1))
+    covers = [abelian, shuffled(abelian, rng), shuffled(disjoint_union(pillow, figure), rng),
+              shuffled(disjoint_union(figure, figure.apply_T()), rng),
+              shuffled(disjoint_union(build_cover(GP("1 2 / 2 1"), (1, 2)), pillow), rng)]
+    assert [c.components() for c in covers] == [2, 2, 2, 2, 3]
+    assert [c.components(deck=True) for c in covers] == [1, 1, 2, 2, 2]
+    return covers
+
+
+def walk(forms, cap=None):
+    return [(depth, key, word) for depth, key, _, word in itertools.islice(forms, cap)]
+
+
+def test_orbit_walk_matches_the_reference_prefix_on_every_width():
+    # a cap of 200 as in sl2z_orbit: the first 201 forms fix the prefix and the truncation flag
+    truncated = 0
+    for cover in width_covers(71):
+        got = walk(orbit_forms(cover), 201)
+        assert got == walk(reference_orbit_forms(cover), 201)
+        truncated += len(got) == 201
+    assert truncated >= 10
+
+
+def test_complete_orbits_match_the_reference():
+    # widths 7 and 8 still have orbits small enough to close
+    closed = []
+    for cover in width_covers(61, widths=(7, 8), per_width=6):
+        got = walk(orbit_forms(cover), 2001)
+        if len(got) <= 2000:
+            assert got == walk(reference_orbit_forms(cover))
+            closed.append(len(got))
+    assert len(closed) >= 6 and max(closed) > 1000
+    for cover in disconnected_covers():
+        assert walk(orbit_forms(cover)) == walk(reference_orbit_forms(cover))
+
+
+def test_s_image_of_an_s_image_repeats_its_grandparent_key():
+    # the identity the walk's skip rests on, and where it fails: a union whose
+    # deck keeps each component reads square labels in its key
+    rng = random.Random(73)
+    for cover in list(width_covers(79, per_width=1)) + disconnected_covers()[:2]:
+        for _ in range(3):
+            form = shuffled(cover, rng)
+            assert form.apply_S().apply_S().canonical_key() == form.canonical_key()
+    union = disconnected_covers()[2]
+    forms = [form for _, _, form, _ in itertools.islice(orbit_forms(union), 60)]
+    assert any(form.apply_S().apply_S().canonical_key() != form.canonical_key() for form in forms)
+
+
+def test_lockstep_key_matches_both_searches_on_orbit_forms():
+    for cover in width_covers(83, per_width=1):
+        for _, key, form, _ in itertools.islice(orbit_forms(cover), 0, 120, 6):
+            assert key == reference_cover_key(form) == pruned_cover_key(form)
+
+
+def test_lockstep_key_matches_the_pruned_search_on_disconnected_covers():
+    rng = random.Random(89)
+    for cover in disconnected_covers():
+        for _, key, form, _ in itertools.islice(orbit_forms(cover), 40):
+            assert key == pruned_cover_key(form)
+            other = shuffled(form, rng)
+            assert other.canonical_key() == pruned_cover_key(other)
+
+
+def _reference_mul(p, q):
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def reference_check(self) -> None:
+    """SquareTiledCover.check before it became one loop, kept verbatim."""
+    n = self.n
+    assert sorted(self.right) == list(range(n))
+    assert sorted(self.up) == list(range(n))
+    for i in range(n):
+        assert self.deck[self.deck[i]] == i and self.deck[i] != i
+    ri, ui = _inv(self.right), _inv(self.up)
+    assert _reference_mul(self.deck, _reference_mul(self.right, self.deck)) == ri
+    assert _reference_mul(self.deck, _reference_mul(self.up, self.deck)) == ui
+
+
+def broken_covers(cover: SquareTiledCover, rng):
+    """The cover, then copies with one invariant of check() broken each."""
+    n = cover.n
+    a, b = rng.sample(range(n), 2)
+    c = next(q for q in range(n) if q not in (a, cover.deck[a]))
+    a2, c2 = cover.deck[a], cover.deck[c]
+
+    def edit(field, changes, extra=()):
+        rows = {"right": list(cover.right), "up": list(cover.up), "deck": list(cover.deck)}
+        for q, v in changes.items():
+            rows[field][q] = v
+        rows[field] += extra
+        return SquareTiledCover(tuple(rows["right"]), tuple(rows["up"]), tuple(rows["deck"]), cover.connected)
+
+    yield "intact", cover
+    for field in ("right", "up"):
+        g = getattr(cover, field)
+        yield field + " swap", edit(field, {a: g[b], b: g[a]})
+        yield field + " repeat", edit(field, {a: g[b]})
+        yield field + " out of range", edit(field, {a: n})
+        yield field + " negative", edit(field, {a: -1})
+    yield "up extra square", edit("up", {}, (0,))
+    yield "deck extra square", edit("deck", {}, (0,))
+    yield "deck fixed point", edit("deck", {a: a})
+    yield "deck four-cycle", edit("deck", {a: c, c: a2, a2: c2, c2: a})
+    yield "deck other pairing", edit("deck", {a: c, c: a, a2: c2, c2: a2})
+
+
+def special_covers():
+    """Covers that break one invariant only: a deck with fixed points that still reverses
+    right and up, and a deck of order three with right.deck and up.deck involutions."""
+    n = 6
+    torus = SquareTiledCover(tuple((q + 1) % n for q in range(n)), tuple(range(n)), tuple(-q % n for q in range(n)), True)
+    cycle = SquareTiledCover((2, 0, 1), (2, 0, 1), (1, 2, 0), True)
+    return [("reflected torus", torus), ("deck three-cycle", cycle)]
+
+
+def raises(check, cover) -> bool:
+    try:
+        check(cover)
+    except (AssertionError, IndexError):
+        return True
+    return False
+
+
+def test_one_pass_check_raises_exactly_when_the_reference_does():
+    rng = random.Random(97)
+    cases = list(special_covers())
+    for _ in range(30):
+        cases += broken_covers(random_cover(rng), rng)
+    for cover in width_covers(101, per_width=1):
+        cases += broken_covers(cover, rng)
+    seen, caught = Counter(), Counter()
+    for name, cover in cases:
+        want = raises(reference_check, cover)
+        assert raises(SquareTiledCover.check, cover) == want, name
+        seen[name] += 1
+        caught[name] += want
+    assert caught["intact"] == 0
+    # a swap or a new deck pairing may keep a conjugation; any other damage is always caught
+    for name in seen:
+        if name != "intact":
+            assert caught[name] == seen[name] or ("swap" in name or "pairing" in name) and caught[name] > 0, name
