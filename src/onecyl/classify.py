@@ -17,7 +17,11 @@ certifies they lie in one connected component:
 * for minimal-type strata, excising a simple cylinder of angle s*pi with
   an irreducible restriction: the class then lies in the handle-sum of
   the (connected) smaller minimal stratum, so the label s alone
-  identifies its component.
+  identifies its component;
+* for a class still alone, the shear/quarter-turn orbit of its minimal
+  suspension, whose forms decode back to one-cylinder classes.
+
+Each move is one pass of candidate pairs to one merge loop, in this order.
 
 Upper bounds are merged-group counts.  Lower bounds never assert
 separation from a failed merge; known separations travel as citations.
@@ -26,6 +30,7 @@ separation from a failed merge; known separations travel as citations.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .conditions import is_irreducible
@@ -379,14 +384,16 @@ def bubble(
 # -- component report -------------------------------------------------------
 
 
+ORBIT_CAP = 4000  # forms kept per orbit of an all-ones suspension
+
+
 @dataclass(frozen=True)
 class MoveConfig:
-    """Breadth of the merge-move search."""
+    """Which moves :func:`component_report` runs besides vperm, and how widely."""
 
-    lambda_samples: int = 8
+    lambda_samples: int = 8  # re-reading: vectors of seeds 0..lambda_samples
     lambda_bound: int = 12
     use_orbits: bool = True
-    orbit_cap: int = 4000
     use_excisions: bool = False
     substratum_connected: bool = False  # certified by a smaller report
     orbit_decode_cap: int = 0  # orbit walk with base decoding for stragglers
@@ -396,7 +403,7 @@ class MoveConfig:
 
 @dataclass
 class MergeEdge:
-    kind: str  # "vperm" | "orbit" | "excise"
+    kind: str  # "vperm" | "orbit" | "excise"; a decoded orbit is "orbit"
     source: int
     target: object
     detail: str = ""
@@ -439,47 +446,10 @@ class ComponentReport:
         return "\n".join(lines)
 
 
-def _orbit_decode_partner(
-    gp: GeneralizedPermutation,
-    i: int,
-    index: dict,
-    merger: _UnionFind,
-    sym: SymmetryGroup,
-    cap: int,
-) -> tuple[int, str] | None:
-    """Search the shear/quarter-turn orbit for another class's suspension.
-
-    The walk stops before a level once more than ``cap`` forms are seen.
-    """
-    forms = orbit_forms(build_cover(gp, minimal_admissible(gp)))
-    level = 0
-    for seen, (depth, _, cover, word) in enumerate(forms):
-        if depth > level and seen > cap:
-            return None
-        level = depth
-        decoded = decode_one_cylinder(cover) if word else None  # the start is gp itself
-        if decoded is not None:
-            j = index.get(decoded.canonical_key(sym))
-            if j is not None and merger.find(j) != merger.find(i):
-                return j, word
-    return None
-
-
-def component_report(
-    pattern: tuple[int, ...],
-    config: MoveConfig = MoveConfig(),
-    sym: SymmetryGroup = CALIBRATED_SYM,
-) -> ComponentReport:
-    """Enumerate a stratum and merge classes along certified moves."""
-    spattern = SingularityPattern.from_orders(pattern)
-    classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
-    # enumerated classes are canonical forms under sym: their rows are their keys
-    index: dict = {gp.rows(): i for i, gp in enumerate(classes)}
-    # class indices, then one slot per excision angle (below the stratum size)
-    merger = _UnionFind(len(classes) + sum(k + 2 for k in spattern.orders))
-    edges: list[MergeEdge] = []
-
-    # vertical re-readings over sampled admissible vectors
+# Each move reads (classes, index, config, sym, find) and yields candidates
+# (kind, i, j, target, detail): class i and slot j lie in one component.
+def _vperm_pairs(classes, index, config, sym, find):
+    """Vertical re-readings over sampled admissible vectors."""
     for i, gp in enumerate(classes):
         lams = []
         for seed in range(config.lambda_samples + 1):
@@ -493,55 +463,82 @@ def component_report(
             except NotSingleCylinder:
                 continue
             j = index.get(vg.canonical_key(sym))
-            if j is not None and merger.find(i) != merger.find(j):
+            if j is not None:
+                yield "vperm", i, j, j, "lam=%s" % (lam,)
+
+
+def _orbit_pairs(classes, index, config, sym, find):
+    """One orbit of the shear / quarter-turn action per all-ones suspension:
+    a class whose cover lies in an earlier orbit pairs with its owner."""
+    owner: dict = {}
+    for i, gp in enumerate(classes):
+        if len(gp.top) != len(gp.bottom):
+            continue  # all-ones needs equal rows
+        key = build_cover(gp, all_ones(gp)).canonical_key()
+        if key in owner:
+            j, word = owner[key]
+            yield "orbit", i, j, j, "word=%s" % (word or "id")
+            continue
+        result = sl2z_orbit(gp, all_ones(gp), cap=ORBIT_CAP)
+        for k in result.keys:
+            owner.setdefault(k, (i, result.words[k]))
+        owner[key] = (i, "")
+
+
+def _excise_pairs(classes, index, config, sym, find):
+    """Excisions into a connected smaller minimal stratum: a class pairs
+    with the slot of each certified angle s, ``len(classes) + s``."""
+    if not config.substratum_connected:
+        raise SizeLimit("excision labels need a certified connected substratum")
+    for i, gp in enumerate(classes):
+        for exc in excisions(gp):
+            if exc.restricted_irreducible:
+                yield "excise", i, len(classes) + exc.angle, ("angle", exc.angle), "s=%d" % exc.angle
+
+
+def _decode_pairs(classes, index, config, sym, find):
+    """For each class alone after the earlier passes, walk the orbit of its
+    minimal suspension up to the first form that decodes to a class of
+    another group; stop before a level past ``orbit_decode_cap`` forms."""
+    sizes = Counter(map(find, range(len(classes))))
+    for i in [i for i in range(len(classes)) if sizes[find(i)] == 1]:
+        forms = orbit_forms(build_cover(classes[i], minimal_admissible(classes[i])))
+        level = 0
+        for seen, (depth, _, cover, word) in enumerate(forms):
+            if depth > level and seen > config.orbit_decode_cap:
+                break
+            level = depth
+            decoded = decode_one_cylinder(cover) if word else None  # the start is the class itself
+            if decoded is not None:
+                j = index.get(decoded.canonical_key(sym))
+                if j is not None and find(j) != find(i):
+                    yield "orbit", i, j, j, "decoded after word=%s" % word
+                    break
+
+
+def component_report(
+    pattern: tuple[int, ...],
+    config: MoveConfig = MoveConfig(),
+    sym: SymmetryGroup = CALIBRATED_SYM,
+) -> ComponentReport:
+    """Enumerate a stratum and merge classes along certified moves: one loop
+    merges the candidates of each pass that ``config`` turns on, in order."""
+    spattern = SingularityPattern.from_orders(pattern)
+    classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
+    # enumerated classes are canonical forms under sym: their rows are their keys
+    index: dict = {gp.rows(): i for i, gp in enumerate(classes)}
+    # class indices, then one slot per excision angle (below the stratum size)
+    merger = _UnionFind(len(classes) + sum(k + 2 for k in spattern.orders))
+    passes = [_vperm_pairs]
+    passes += [_orbit_pairs] if config.use_orbits else []
+    passes += [_excise_pairs] if config.use_excisions else []
+    passes += [_decode_pairs] if config.orbit_decode_cap else []
+    edges: list[MergeEdge] = []
+    for move in passes:
+        for kind, i, j, target, detail in move(classes, index, config, sym, merger.find):
+            if merger.find(i) != merger.find(j):
                 merger.union(i, j)
-                edges.append(MergeEdge("vperm", i, j, "lam=%s" % (lam,)))
-
-    # one orbit of the shear / quarter-turn action per all-ones suspension
-    if config.use_orbits:
-        orbit_owner: dict = {}
-        for i, gp in enumerate(classes):
-            if len(gp.top) != len(gp.bottom):
-                continue  # all-ones needs equal rows
-            key = build_cover(gp, all_ones(gp)).canonical_key()
-            if key in orbit_owner:
-                j, word = orbit_owner[key]
-                if merger.find(i) != merger.find(j):
-                    merger.union(i, j)
-                    edges.append(MergeEdge("orbit", i, j, "word=%s" % (word or "id")))
-                continue
-            result = sl2z_orbit(gp, all_ones(gp), cap=config.orbit_cap)
-            for k in result.keys:
-                orbit_owner.setdefault(k, (i, result.words[k]))
-            orbit_owner[key] = (i, "")
-
-    # excisions into a connected smaller minimal stratum: label by angle
-    if config.use_excisions:
-        if not config.substratum_connected:
-            raise SizeLimit("excision labels need a certified connected substratum")
-        for i, gp in enumerate(classes):
-            for exc in excisions(gp):
-                if not exc.restricted_irreducible:
-                    continue
-                slot = len(classes) + exc.angle
-                if merger.find(i) != merger.find(slot):
-                    merger.union(i, slot)
-                    edges.append(MergeEdge("excise", i, ("angle", exc.angle), "s=%d" % exc.angle))
-
-    # last resort for still-isolated classes: walk the orbit of a sampled
-    # suspension and decode one-cylinder presentations back to classes
-    if config.orbit_decode_cap:
-        sizes: dict[int, int] = {}
-        for i in range(len(classes)):
-            root = merger.find(i)
-            sizes[root] = sizes.get(root, 0) + 1
-        singletons = [i for i in range(len(classes)) if sizes[merger.find(i)] == 1]
-        for i in singletons:
-            hit = _orbit_decode_partner(classes[i], i, index, merger, sym, config.orbit_decode_cap)
-            if hit is not None:
-                j, word = hit
-                merger.union(j, i)
-                edges.append(MergeEdge("orbit", i, j, "decoded after word=%s" % word))
+                edges.append(MergeEdge(kind, i, target, detail))
 
     roots: dict[int, int] = {}
     groups = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .genperm import GeneralizedPermutation, position_pairing
+from .genperm import GeneralizedPermutation
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,13 @@ class Verdict:
         return self.status == "irreducible"
 
 
-def _oriented(gp: GeneralizedPermutation, swapped: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (gp.bottom, gp.top) if swapped else (gp.top, gp.bottom)
+def _oriented(gp: GeneralizedPermutation, swapped: bool) -> tuple[tuple[int, ...], tuple[int, ...], Sequence[int]]:
+    """The cut row, the pivot row and the position pairing of the two; with
+    the rows exchanged the word is top + bottom rotated right by l."""
+    pair, l = gp.pairing(), len(gp.bottom)
+    if swapped:
+        return gp.bottom, gp.top, [(y + l) % len(pair) for y in pair[-l:] + pair[:-l]]
+    return gp.top, gp.bottom, pair
 
 
 def _weak_cuts(pair: Sequence[int], r: int, i0: int) -> tuple[list[int], int, int]:
@@ -191,7 +196,7 @@ def check_red_decomposition(gp: GeneralizedPermutation, d: RedDecomposition) -> 
     refines the four textbook membership bullets (which alone admit
     decompositions without the forced length-two separatrix).
     """
-    top, bottom = _oriented(gp, d.swapped)
+    top, bottom, pair = _oriented(gp, d.swapped)
     r, l = len(top), len(bottom)
     q1, q2 = d.zero_cells
     c1, c2 = d.cuts
@@ -199,7 +204,7 @@ def check_red_decomposition(gp: GeneralizedPermutation, d: RedDecomposition) -> 
         return False
     if bottom[q1] != d.zero_letter or bottom[q2] != d.zero_letter:
         return False
-    cuts = _red_cuts(position_pairing(top + bottom), r, q1, q2)
+    cuts = _red_cuts(pair, r, q1, q2)
     return cuts is not None and _red_fits(cuts, c1, c2)
 
 
@@ -209,12 +214,9 @@ def red_condition(gp: GeneralizedPermutation) -> RedDecomposition | None:
     Pivots are tried by letter, and candidates tightest middle block
     first, so the returned witness carries no slack in its cuts.
     """
-    pair = gp.pairing()
     for swapped in (False, True):
-        top, bottom = _oriented(gp, swapped)
+        top, bottom, pair = _oriented(gp, swapped)
         r = len(top)
-        if swapped:  # the word bottom + top is top + bottom rotated right by r
-            pair = [(y + r) % len(pair) for y in pair[-r:] + pair[:-r]]
         # the doubled letters of the pivot row, each at its first cell
         pivots = sorted((bottom[x - r], x - r, pair[x] - r) for x in range(r, len(pair)) if x < pair[x])
         for z, q1, q2 in pivots:

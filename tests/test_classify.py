@@ -17,8 +17,35 @@ from onecyl import (
     singularity_pattern,
     smooth_marked_points,
 )
-from onecyl.classify import _collapse_keys, collapse_letter, insert_split_letter
-from onecyl.errors import BadPattern, NoSimpleCylinderForm, NotFoundWithinBudget, SizeLimit
+from onecyl.classify import (
+    ORBIT_CAP,
+    ComponentReport,
+    MergeEdge,
+    _collapse_keys,
+    collapse_letter,
+    insert_split_letter,
+)
+from onecyl.errors import (
+    BadPattern,
+    BoundTooSmall,
+    NoSimpleCylinderForm,
+    NotFoundWithinBudget,
+    NotSingleCylinder,
+    SizeLimit,
+)
+from onecyl.genperm import SymmetryGroup
+from onecyl.strata import SingularityPattern, match_component
+from onecyl.suspension import (
+    _UnionFind,
+    all_ones,
+    build_cover,
+    decode_one_cylinder,
+    minimal_admissible,
+    orbit_forms,
+    sample_admissible,
+    sl2z_orbit,
+    vertical_permutation,
+)
 
 GP = GeneralizedPermutation.parse
 
@@ -171,3 +198,204 @@ def test_merge_edges_are_recorded():
     tsv = report.as_tsv()
     assert tsv.splitlines()[0] == "class\ttag\tgroup"
     assert len(tsv.splitlines()) == 8
+
+
+# -- oracle: the four inline merge blocks the pass loop replaced -------------
+#
+# Kept verbatim (renamed; the orbit cap, once a MoveConfig field, is read
+# from ORBIT_CAP): each move has its own find test, union and edge append.
+
+
+def reference_orbit_decode_partner(
+    gp: GeneralizedPermutation,
+    i: int,
+    index: dict,
+    merger: _UnionFind,
+    sym: SymmetryGroup,
+    cap: int,
+) -> tuple[int, str] | None:
+    """Search the shear/quarter-turn orbit for another class's suspension.
+
+    The walk stops before a level once more than ``cap`` forms are seen.
+    """
+    forms = orbit_forms(build_cover(gp, minimal_admissible(gp)))
+    level = 0
+    for seen, (depth, _, cover, word) in enumerate(forms):
+        if depth > level and seen > cap:
+            return None
+        level = depth
+        decoded = decode_one_cylinder(cover) if word else None  # the start is gp itself
+        if decoded is not None:
+            j = index.get(decoded.canonical_key(sym))
+            if j is not None and merger.find(j) != merger.find(i):
+                return j, word
+    return None
+
+
+def reference_component_report(
+    pattern: tuple[int, ...],
+    config: MoveConfig = MoveConfig(),
+    sym: SymmetryGroup = CALIBRATED_SYM,
+) -> ComponentReport:
+    """Enumerate a stratum and merge classes along certified moves."""
+    spattern = SingularityPattern.from_orders(pattern)
+    classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
+    # enumerated classes are canonical forms under sym: their rows are their keys
+    index: dict = {gp.rows(): i for i, gp in enumerate(classes)}
+    # class indices, then one slot per excision angle (below the stratum size)
+    merger = _UnionFind(len(classes) + sum(k + 2 for k in spattern.orders))
+    edges: list[MergeEdge] = []
+
+    # vertical re-readings over sampled admissible vectors
+    for i, gp in enumerate(classes):
+        lams = []
+        for seed in range(config.lambda_samples + 1):
+            try:
+                lams.append(sample_admissible(gp, seed=seed, bound=config.lambda_bound))
+            except BoundTooSmall:
+                continue
+        for lam in sorted(set(lams)):
+            try:
+                vg, _ = vertical_permutation(gp, lam)
+            except NotSingleCylinder:
+                continue
+            j = index.get(vg.canonical_key(sym))
+            if j is not None and merger.find(i) != merger.find(j):
+                merger.union(i, j)
+                edges.append(MergeEdge("vperm", i, j, "lam=%s" % (lam,)))
+
+    # one orbit of the shear / quarter-turn action per all-ones suspension
+    if config.use_orbits:
+        orbit_owner: dict = {}
+        for i, gp in enumerate(classes):
+            if len(gp.top) != len(gp.bottom):
+                continue  # all-ones needs equal rows
+            key = build_cover(gp, all_ones(gp)).canonical_key()
+            if key in orbit_owner:
+                j, word = orbit_owner[key]
+                if merger.find(i) != merger.find(j):
+                    merger.union(i, j)
+                    edges.append(MergeEdge("orbit", i, j, "word=%s" % (word or "id")))
+                continue
+            result = sl2z_orbit(gp, all_ones(gp), cap=ORBIT_CAP)
+            for k in result.keys:
+                orbit_owner.setdefault(k, (i, result.words[k]))
+            orbit_owner[key] = (i, "")
+
+    # excisions into a connected smaller minimal stratum: label by angle
+    if config.use_excisions:
+        if not config.substratum_connected:
+            raise SizeLimit("excision labels need a certified connected substratum")
+        for i, gp in enumerate(classes):
+            for exc in excisions(gp):
+                if not exc.restricted_irreducible:
+                    continue
+                slot = len(classes) + exc.angle
+                if merger.find(i) != merger.find(slot):
+                    merger.union(i, slot)
+                    edges.append(MergeEdge("excise", i, ("angle", exc.angle), "s=%d" % exc.angle))
+
+    # last resort for still-isolated classes: walk the orbit of a sampled
+    # suspension and decode one-cylinder presentations back to classes
+    if config.orbit_decode_cap:
+        sizes: dict[int, int] = {}
+        for i in range(len(classes)):
+            root = merger.find(i)
+            sizes[root] = sizes.get(root, 0) + 1
+        singletons = [i for i in range(len(classes)) if sizes[merger.find(i)] == 1]
+        for i in singletons:
+            hit = reference_orbit_decode_partner(classes[i], i, index, merger, sym, config.orbit_decode_cap)
+            if hit is not None:
+                j, word = hit
+                merger.union(j, i)
+                edges.append(MergeEdge("orbit", i, j, "decoded after word=%s" % word))
+
+    roots: dict[int, int] = {}
+    groups = []
+    for i in range(len(classes)):
+        root = merger.find(i)
+        roots.setdefault(root, len(roots))
+        groups.append(roots[root])
+    upper = len(roots)
+    lower = 1 if classes else 0
+    tags = [match_component(gp, sym) for gp in classes]
+    return ComponentReport(
+        pattern=spattern,
+        sym_label=sym.label(),
+        classes=classes,
+        tags=tags,
+        groups=groups,
+        edges=edges,
+        lower_bound=lower,
+        upper_bound=upper,
+        citations=config.citations,
+    )
+
+
+def nonempty_strata(most: int) -> list[tuple[int, ...]]:
+    """Non-empty strata with r + l <= most and no marked point (order 0)."""
+    def orders(rest: int, top: int):
+        # one singularity of order k fills k + 2 cells; parts 2 are order 0
+        if rest == 0:
+            yield ()
+        for part in range(min(rest, top), 0, -1):
+            if part != 2:
+                for more in orders(rest - part, part):
+                    yield (part - 2,) + more
+
+    return [pat for total in range(2, most + 1, 2) for pat in orders(total, total) if enumerate_stratum(pat)]
+
+
+FOUR_MOVES = MoveConfig(use_excisions=True, substratum_connected=True, orbit_decode_cap=3000)
+Q12_MOVES = MoveConfig(
+    lambda_samples=6,
+    lambda_bound=8,
+    use_orbits=False,
+    use_excisions=True,
+    substratum_connected=True,
+    orbit_decode_cap=3000,
+)
+# one sampled vector leaves work for every later move: orbit, excise and
+# decoded-orbit edges all occur over the strata below
+SPARSE_MOVES = MoveConfig(lambda_samples=0, use_excisions=True, substratum_connected=True, orbit_decode_cap=3000)
+
+
+def test_small_strata_are_the_fifteen_nonempty_ones():
+    strata = nonempty_strata(10)
+    assert len(strata) == 15
+    assert (8,) in strata and (5, -1) in strata and (2, 2) in strata
+
+
+@pytest.mark.parametrize(
+    "config",
+    [MoveConfig(), FOUR_MOVES, Q12_MOVES, SPARSE_MOVES],
+    ids=["defaults", "four-moves", "q12-moves", "sparse"],
+)
+def test_pass_loop_matches_the_inline_blocks(config):
+    kinds = set()
+    for pattern in nonempty_strata(10):
+        report = component_report(pattern, config)
+        assert report.as_json() == reference_component_report(pattern, config).as_json(), pattern
+        kinds |= {(e.kind, e.detail.split("=")[0]) for e in report.edges}
+    if config is SPARSE_MOVES:
+        assert kinds == {("vperm", "lam"), ("orbit", "word"), ("excise", "s"), ("orbit", "decoded after word")}
+
+
+@pytest.mark.parametrize(
+    "pattern, config",
+    [((3, 1, 1, -1), FOUR_MOVES), ((-1, 9), MoveConfig())],
+    ids=["Q(3,1,1,-1)-four-moves", "Q(-1,9)-defaults"],
+)
+def test_pass_loop_matches_the_inline_blocks_on_larger_strata(pattern, config):
+    report = component_report(pattern, config)
+    assert report.as_json() == reference_component_report(pattern, config).as_json()
+    if pattern == (3, 1, 1, -1):
+        details = {e.detail for e in report.edges}
+        assert "s=1" in details and "decoded after word=TS" in details
+
+
+def test_excisions_need_a_connected_substratum():
+    with pytest.raises(SizeLimit):
+        component_report((8,), MoveConfig(use_excisions=True))
+    with pytest.raises(SizeLimit):
+        reference_component_report((8,), MoveConfig(use_excisions=True))
