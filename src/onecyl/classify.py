@@ -62,7 +62,6 @@ from .strata import (
     smooth_marked_points,
 )
 from .suspension import (
-    _UnionFind,
     all_ones,
     build_cover,
     decode_one_cylinder,
@@ -446,6 +445,22 @@ class ComponentReport:
         return "\n".join(lines)
 
 
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
 # Each move reads (classes, index, config, sym, find) and yields candidates
 # (kind, i, j, target, detail): class i and slot j lie in one component.
 def _vperm_pairs(classes, index, config, sym, find):
@@ -488,8 +503,6 @@ def _orbit_pairs(classes, index, config, sym, find):
 def _excise_pairs(classes, index, config, sym, find):
     """Excisions into a connected smaller minimal stratum: a class pairs
     with the slot of each certified angle s, ``len(classes) + s``."""
-    if not config.substratum_connected:
-        raise SizeLimit("excision labels need a certified connected substratum")
     for i, gp in enumerate(classes):
         for exc in excisions(gp):
             if exc.restricted_irreducible:
@@ -523,6 +536,8 @@ def component_report(
 ) -> ComponentReport:
     """Enumerate a stratum and merge classes along certified moves: one loop
     merges the candidates of each pass that ``config`` turns on, in order."""
+    if config.use_excisions and not config.substratum_connected:
+        raise BadParameters("excision labels need a certified connected substratum")
     spattern = SingularityPattern.from_orders(pattern)
     classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
     # enumerated classes are canonical forms under sym: their rows are their keys

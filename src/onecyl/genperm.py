@@ -289,9 +289,6 @@ class GeneralizedPermutation:
     def swap_rows(self) -> "GeneralizedPermutation":
         return self._with_rows(self.bottom, self.top)
 
-    def reversed_rows(self) -> "GeneralizedPermutation":
-        return self._with_rows(self.top[::-1], self.bottom[::-1])
-
     def canonical_form(self, sym: SymmetryGroup = DEFAULT_SYM) -> "GeneralizedPermutation":
         """Minimal representative of the sym orbit, letters renamed 1..k."""
         t, b = canonical_key(self.top, self.bottom, sym)

@@ -22,7 +22,9 @@ Conventions:
   a compact separatrix runs along; in increasing order, the seam first)
   to the next one.  Separatrices run along both its edges, so an arc
   spans the width of its vertical cylinder, and a closed leaf of that
-  cylinder crosses each of the cylinder's arcs exactly once;
+  cylinder crosses each of the cylinder's arcs exactly once; the side
+  trace up the first column of an arc is such a leaf, so one trace finds
+  both a cylinder's arcs and one of its boundary sides;
 * going up through a top interval glued by translation re-enters the
   bottom going up; glued to another top interval it re-enters that
   interval going down with reflected offset, and symmetrically below.
@@ -43,7 +45,6 @@ the cover works on flat integer arrays:
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,7 +57,7 @@ from .errors import (
     TraceBudgetExceeded,
 )
 from .genperm import GeneralizedPermutation
-from .strata import junction_cycles, singularity_pattern
+from .strata import corner_walk, singularity_pattern
 
 Germ = int  # junction carrying the inward vertical ray, numbered as in corner_walk
 
@@ -208,12 +209,6 @@ class Segment:
 class SeparatrixSpectrum:
     segments: tuple[Segment, ...]
 
-    def gamma(self) -> Segment:
-        for s in self.segments:
-            if s.is_gamma:
-                return s
-        raise AssertionError("no gamma segment")
-
     def non_gamma(self) -> tuple[Segment, ...]:
         return tuple(s for s in self.segments if not s.is_gamma)
 
@@ -344,73 +339,64 @@ def _side_trace(geo: _Geometry, x0: int, sigma0: int) -> tuple[Side, list[tuple[
             return Side(tuple(passages), len(visited)), visited
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> CylinderDecomposition:
     """Vertical cylinders of the suspension, with boundary structure."""
     return _decomposition(_Geometry(gp, lam))
 
 
-def _cylinders(geo: _Geometry, singular: list[int]) -> tuple[list[int], list[list[int]]]:
-    """Owning cylinder of each arc, and the arcs of each cylinder, ascending.
+def _cylinders(
+    geo: _Geometry, singular: list[int]
+) -> tuple[list[int], list[list[int]], list[tuple[Side, list[tuple[int, int]]]]]:
+    """Owning cylinder of each arc, the arcs of each cylinder, ascending, and its first side.
 
     ``singular`` lists the singular lines in increasing order, the seam
-    first.  One leaf walk per cylinder, up the first column of its least
-    arc, claims the arc of every column the leaf crosses; the arcs' number
-    is the circumference and their length the width.  Cylinders are
-    numbered in order of their least arc.
+    first.  The first side of a cylinder is the side trace up the first
+    column of its least arc: a leaf of the cylinder, so it claims the arc
+    of every column it crosses, the arc right of line x for a visit
+    (x, +1) and the arc left of it for (x, -1).  The arcs' number is the
+    circumference and their length the width.  Cylinders are numbered in
+    order of their least arc; the first side comes with its visits.
     """
     assert singular[0] == 0
     bounds = singular + [geo.w]
+    arc_right = {x: i for i, x in enumerate(singular)}
     owner = [-1] * len(singular)
     arcs_of: list[list[int]] = []
+    first: list[tuple[Side, list[tuple[int, int]]]] = []
     for i in range(len(singular)):
         if owner[i] >= 0:
             continue
-        arcs: list[int] = []
-        start = state = (0, 2 * singular[i] + 1)
-        while True:
-            a = bisect_right(singular, state[1] >> 1) - 1
+        side, visited = _side_trace(geo, singular[i], 1)
+        arcs = [(arc_right[x] if sigma > 0 else arc_right[x] - 1) % len(singular) for x, sigma in visited]
+        for a in arcs:
             assert owner[a] < 0, "leaf crosses an arc twice"
             owner[a] = len(arcs_of)
-            arcs.append(a)
-            state = geo.glue(*state)
-            if state == start:
-                break
         assert len({bounds[a + 1] - bounds[a] for a in arcs}) == 1, "cylinder arcs differ in width"
         arcs_of.append(sorted(arcs))
-    return owner, arcs_of
+        first.append((side, visited))
+    return owner, arcs_of, first
 
 
 def _decomposition(geo: _Geometry) -> CylinderDecomposition:
     spectrum = _spectrum(geo)
     singular = sorted(spectrum.singular_lines())
-    owner, arcs_of = _cylinders(geo, singular)
+    owner, arcs_of, first = _cylinders(geo, singular)
 
-    # boundary sides, assigned to the arc beside the traced line
+    # boundary sides, assigned to the arc beside the traced line; a scan
+    # start that is a first side's start reuses that trace
     sides_of: list[list[Side]] = [[] for _ in arcs_of]
     seen: set[tuple[int, int]] = set()
     for i, x in enumerate(singular):
         for sigma in (1, -1):
             if (x, sigma) in seen:
                 continue
-            side, visited = _side_trace(geo, x, sigma)
+            k = owner[i if sigma == 1 else i - 1]
+            if sigma == 1 and arcs_of[k][0] == i:
+                side, visited = first[k]
+            else:
+                side, visited = _side_trace(geo, x, sigma)
             seen.update(visited)
-            sides_of[owner[i if sigma == 1 else i - 1]].append(side)
+            sides_of[k].append(side)
 
     bounds = singular + [geo.w]
     cylinders = []
@@ -432,18 +418,17 @@ def germ_sector_angles(
 
     Each pair is the (incoming, outgoing) junction of one boundary circle
     at the singularity; the pairs occupy adjacent wedges, and the
-    remaining wedges split into the two sectors.  Raises NotSimple when
-    the germs do not sit around a single singularity.
+    remaining wedges split into the two sectors.  One corner walk from the
+    first germ reads the singularity; sector arithmetic is mod its
+    junction count, so where the walk starts does not matter.  Raises
+    NotSimple when the germs do not sit around a single singularity.
     """
-    cycles = junction_cycles(gp.pairing(), len(gp.top))
-    position = [(0, 0)] * gp.size
-    for ci, cycle in enumerate(cycles):
-        for pos, junction in enumerate(cycle):
-            position[junction] = (ci, pos)
-    spots = [position[g] for g in (*side1, *side2)]
-    if len({ci for ci, _ in spots}) != 1:
+    cycle = corner_walk(gp.pairing(), len(gp.top), side1[0])
+    germs = (*side1, *side2)
+    if not all(g in cycle for g in germs):
         raise NotSimple("boundary circles meet different singularities")
-    n = len(cycles[spots[0][0]])
+    spots = [cycle.index(g) for g in germs]
+    n = len(cycle)
 
     def block(in_pos: int, out_pos: int) -> int:
         if (in_pos + 1) % n == out_pos:
@@ -451,8 +436,8 @@ def germ_sector_angles(
         assert (out_pos + 1) % n == in_pos, "passage germs are not adjacent"
         return out_pos
 
-    xa = block(spots[0][1], spots[1][1])
-    xb = block(spots[2][1], spots[3][1])
+    xa = block(spots[0], spots[1])
+    xb = block(spots[2], spots[3])
     s1 = (xb - xa - 1) % n
     s2 = (xa - xb - 1) % n
     assert s1 + s2 == n - 2
@@ -491,12 +476,13 @@ def vertical_permutation(
     geo = _Geometry(gp, lam)
     spectrum = _spectrum(geo)
     singular = sorted(spectrum.singular_lines())
-    _, arcs_of = _cylinders(geo, singular)
+    _, arcs_of, first = _cylinders(geo, singular)
     if len(arcs_of) != 1:
         raise NotSingleCylinder("vertical foliation has %d cylinders" % len(arcs_of))
-    # read both sides upward at arc 0, the regular columns right of x=0
+    # read both sides upward at arc 0, the regular columns right of x=0:
+    # the first side already runs up beside x=0
     right_of_zero = singular[1] if len(singular) > 1 else geo.w
-    side_top, _ = _side_trace(geo, 0, 1)
+    side_top, _ = first[0]
     side_bottom, _ = _side_trace(geo, right_of_zero % geo.w, -1)
     # the two sides of the one cylinder hug every singular line on both sides
     assert side_top.traversals + side_bottom.traversals == 2 * len(singular), "cylinder without two sides"
@@ -528,6 +514,25 @@ def _inv(p: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def _cycles(p: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """Cycle number of each point of a permutation, and the cycles, each from its least point.
+
+    Cycles are numbered in order of their least point.
+    """
+    cycle_of = [-1] * len(p)
+    cycles: list[list[int]] = []
+    for i in range(len(p)):
+        if cycle_of[i] >= 0:
+            continue
+        cycle = []
+        while cycle_of[i] < 0:
+            cycle_of[i] = len(cycles)
+            cycle.append(i)
+            i = p[i]
+        cycles.append(cycle)
+    return cycle_of, cycles
 
 
 @dataclass(frozen=True)
@@ -593,19 +598,8 @@ class SquareTiledCover:
         vertices, numbered in order of their least square.
         """
         ri, ui = _inv(self.right), _inv(self.up)
-        turn = _mul(_mul(self.right, self.up), _mul(ri, ui))
-        vertex = [-1] * self.n
-        lengths: list[int] = []
-        for i in range(self.n):
-            if vertex[i] >= 0:
-                continue
-            v, m, j = len(lengths), 0, i
-            while vertex[j] < 0:
-                vertex[j] = v
-                j = turn[j]
-                m += 1
-            lengths.append(m)
-        return vertex, lengths
+        vertex, cycles = _cycles(_mul(_mul(self.right, self.up), _mul(ri, ui)))
+        return vertex, [len(c) for c in cycles]
 
     def vertex_profile(self) -> tuple[int, ...]:
         """Cycle lengths of the corner turn, in descending order."""
@@ -746,46 +740,34 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
     # vertex); deck maps the lower-left corner of q to the upper-right of deck(q)
     singular = [lengths[vertex[q]] != 1 or vertex[u[r[deck[q]]]] == vertex[q] for q in range(n)]
 
-    # rows: cycles of right
-    row_of = [-1] * n
-    rows: list[list[int]] = []
-    for q in range(n):
-        if row_of[q] >= 0:
+    # rows: cycles of right; a bottom row has a singular corner below it,
+    # and above a regular gap (no singular NW/NE corner, i.e. SW of the
+    # ups) lies exactly one row, so each cover cylinder is the chain of
+    # rows climbed from its bottom row up to its first singular gap
+    row_of, rows = _cycles(r)
+    bottom = [any(singular[q] for q in row) for row in rows]
+    cylinder_of = [-1] * len(rows)
+    ends: list[tuple[int, int]] = []  # (bottom row, top row) of each cover cylinder
+    for b in range(len(rows)):
+        if not bottom[b]:
             continue
-        row = []
-        cur = q
-        while row_of[cur] < 0:
-            row_of[cur] = len(rows)
-            row.append(cur)
-            cur = r[cur]
-        rows.append(row)
-
-    # the gap above a row carries its NW/NE corners, i.e. SW of the ups
-    gap_above_singular = [any(singular[u[q]] for q in row) for row in rows]
-    uf = _UnionFind(len(rows))
-    for idx, row in enumerate(rows):
-        if not gap_above_singular[idx]:
-            uf.union(idx, row_of[u[row[0]]])
-    cylinders: dict[int, list[int]] = {}
-    for idx in range(len(rows)):
-        cylinders.setdefault(uf.find(idx), []).append(idx)
-    if len(cylinders) != 2:
+        cylinder_of[b] = len(ends)
+        i = b
+        while not any(singular[u[q]] for q in rows[i]):
+            i = row_of[u[rows[i][0]]]
+            assert cylinder_of[i] < 0 and not bottom[i], "cylinder with torn boundary"
+            cylinder_of[i] = len(ends)
+        ends.append((b, i))
+    assert min(cylinder_of) >= 0, "cylinder with torn boundary"
+    if len(ends) != 2:
         return None
-    ka, kb = sorted(cylinders)
-    probe = rows[cylinders[ka][0]][0]
-    if uf.find(row_of[deck[probe]]) != kb:
+    (b, t), _ = ends
+    if cylinder_of[row_of[deck[rows[b][0]]]] != 1:
         return None  # deck-invariant cover cylinder: not handled
-    rows_k = cylinders[ka]
-    tops = [i for i in rows_k if gap_above_singular[i]]
-    bottoms = [i for i in rows_k if any(singular[q] for q in rows[i])]
-    assert len(tops) == 1 and len(bottoms) == 1, "cylinder with torn boundary"
-    top_row, bottom_row = rows[tops[0]], rows[bottoms[0]]
+    bottom_row, top_row = rows[b], rows[t]
 
     # unit edges: edge q above top-row square q, edge n + q below bottom-row square q
-    in_k = [False] * n
-    for i in rows_k:
-        for q in rows[i]:
-            in_k[q] = True
+    in_k = [cylinder_of[i] == 0 for i in row_of]
     partner = [-1] * (2 * n)
     for q in top_row:
         p = u[q]

@@ -17,15 +17,18 @@ from onecyl import (
     singularity_pattern,
     smooth_marked_points,
 )
+from onecyl import classify
 from onecyl.classify import (
     ORBIT_CAP,
     ComponentReport,
     MergeEdge,
     _collapse_keys,
+    _UnionFind,
     collapse_letter,
     insert_split_letter,
 )
 from onecyl.errors import (
+    BadParameters,
     BadPattern,
     BoundTooSmall,
     NoSimpleCylinderForm,
@@ -36,7 +39,6 @@ from onecyl.errors import (
 from onecyl.genperm import SymmetryGroup
 from onecyl.strata import SingularityPattern, match_component
 from onecyl.suspension import (
-    _UnionFind,
     all_ones,
     build_cover,
     decode_one_cylinder,
@@ -394,8 +396,13 @@ def test_pass_loop_matches_the_inline_blocks_on_larger_strata(pattern, config):
         assert "s=1" in details and "decoded after word=TS" in details
 
 
-def test_excisions_need_a_connected_substratum():
-    with pytest.raises(SizeLimit):
-        component_report((8,), MoveConfig(use_excisions=True))
+def test_excisions_need_a_connected_substratum(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the config is checked before enumeration")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "enumerate_stratum", no_enumeration)
+        with pytest.raises(BadParameters):
+            component_report((8,), MoveConfig(use_excisions=True))
     with pytest.raises(SizeLimit):
         reference_component_report((8,), MoveConfig(use_excisions=True))

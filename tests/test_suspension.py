@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_right
 from collections import Counter
 from typing import Sequence
 
@@ -14,6 +15,7 @@ from onecyl import (
     all_ones,
     build_cover,
     cylinder_decomposition,
+    enumerate_type,
     gamma_mult_one_evidence,
     hyperelliptic_rep,
     irreducible_rep,
@@ -26,7 +28,9 @@ from onecyl import (
     smooth_marked_points,
     vertical_permutation,
 )
+from onecyl import suspension
 from onecyl.acceptance import A1_TABLE
+from onecyl.classify import _UnionFind
 from onecyl.errors import (
     BadParameters,
     BoundTooSmall,
@@ -35,6 +39,7 @@ from onecyl.errors import (
     NotSingleCylinder,
     TraceBudgetExceeded,
 )
+from onecyl.strata import junction_cycles
 from onecyl.suspension import (
     Cylinder,
     CylinderDecomposition,
@@ -43,7 +48,6 @@ from onecyl.suspension import (
     Side,
     SquareTiledCover,
     _inv,
-    _UnionFind,
     check_admissible,
     decode_one_cylinder,
     germ_sector_angles,
@@ -122,7 +126,8 @@ def test_gamma_always_single_crossing():
         gp = random_gp(rng)
         lam = sample_admissible(gp, seed=rng.randint(0, 999), bound=6)
         spec = separatrix_spectrum(gp, lam)
-        assert spec.gamma().crossings == 1
+        (gamma,) = [s for s in spec.segments if s.is_gamma]
+        assert gamma.crossings == 1
 
 
 def test_figure_spectrum_frozen():
@@ -133,7 +138,7 @@ def test_figure_spectrum_frozen():
         (1, True),
     ]
     # companion lengths relative to the seam stay in {1, 2, 1/2}
-    gamma = spec.gamma().crossings
+    (gamma,) = [s.crossings for s in spec.segments if s.is_gamma]
     assert all(s.crossings / gamma in (1.0, 2.0, 0.5) for s in spec.non_gamma())
 
 
@@ -601,6 +606,96 @@ def test_germ_sector_angles_rejects_split_vertices():
         germ_sector_angles(gp, (0, 3), (1, 4))
 
 
+def reference_germ_sector_angles(
+    gp: GeneralizedPermutation,
+    side1: tuple[int, int],
+    side2: tuple[int, int],
+) -> tuple[int, int]:
+    """The sector angles read off every junction class, before one corner walk replaced them; kept verbatim."""
+    cycles = junction_cycles(gp.pairing(), len(gp.top))
+    position = [(0, 0)] * gp.size
+    for ci, cycle in enumerate(cycles):
+        for pos, junction in enumerate(cycle):
+            position[junction] = (ci, pos)
+    spots = [position[g] for g in (*side1, *side2)]
+    if len({ci for ci, _ in spots}) != 1:
+        raise NotSimple("boundary circles meet different singularities")
+    n = len(cycles[spots[0][0]])
+
+    def block(in_pos: int, out_pos: int) -> int:
+        if (in_pos + 1) % n == out_pos:
+            return in_pos
+        assert (out_pos + 1) % n == in_pos, "passage germs are not adjacent"
+        return out_pos
+
+    xa = block(spots[0][1], spots[1][1])
+    xb = block(spots[2][1], spots[3][1])
+    s1 = (xb - xa - 1) % n
+    s2 = (xa - xb - 1) % n
+    assert s1 + s2 == n - 2
+    return (min(s1, s2), max(s1, s2))
+
+
+def sector_outcomes(cases) -> Counter:
+    """Compare both sector readers on (gp, side1, side2) cases; count the outcomes.
+
+    An outcome is the angle pair or the name of the exception raised: a
+    head passage of an arbitrary rotation need not pair adjacent germs.
+    """
+    outcomes: Counter = Counter()
+    for gp, side1, side2 in cases:
+        got = []
+        for angles in (germ_sector_angles, reference_germ_sector_angles):
+            try:
+                got.append(angles(gp, side1, side2))
+            except (NotSimple, AssertionError) as exc:
+                got.append(type(exc).__name__)
+        assert got[0] == got[1], (gp.render(), side1, side2)
+        outcomes[got[0] if isinstance(got[0], str) else "angles"] += 1
+    return outcomes
+
+
+def test_sector_angles_match_the_reference_on_every_head_rotation():
+    cases = [
+        (rot, (0, r), (1, r + 1))
+        for r in range(1, 7)
+        for l in range(1, 7)
+        if (r + l) % 2 == 0
+        for gp in enumerate_type(r, l)
+        for rot in gp.rotations()
+    ]
+    outcomes = sector_outcomes(cases)
+    assert min(outcomes[k] for k in ("angles", "NotSimple", "AssertionError")) >= 300
+
+
+def test_sector_angles_match_the_reference_on_simple_cylinders():
+    cases = []
+    for gp, lam in reference_pairs():
+        for cylinder in cylinder_decomposition(gp, lam).cylinders:
+            if cylinder.simple:
+                (pass1,), (pass2,) = (side.passages for side in cylinder.sides)
+                cases.append((gp, pass1, pass2))
+    outcomes = sector_outcomes(cases)
+    assert outcomes["angles"] >= 20 and outcomes["NotSimple"] >= 20
+
+
+def test_sector_angles_match_the_reference_across_two_singularities():
+    # passages of two distinct singularities, and a passage that leaves the first one
+    rng = random.Random(97)
+    cases = []
+    while len(cases) < 200:
+        gp = random_gp(rng, 7)
+        cycles = junction_cycles(gp.pairing(), len(gp.top))
+        if len(cycles) < 2:
+            continue
+        a, b = rng.sample(cycles, 2)
+        i, j = rng.randrange(len(a)), rng.randrange(len(b))
+        side1 = (a[i], a[(i + 1) % len(a)])
+        side2 = (b[j], b[(j + 1) % len(b)]) if rng.random() < 0.5 else (a[i], b[j])
+        cases.append((gp, side1, side2) if rng.random() < 0.5 else (gp, side2, side1))
+    assert sector_outcomes(cases) == Counter({"NotSimple": 200})
+
+
 # -- integer geometry against the string-keyed reference -----------------------
 #
 # The geometry as it was before the integer rewrite, kept verbatim as the
@@ -1014,13 +1109,12 @@ def test_arc_cylinders_match_reference(pair):
     assert_cylinders_match_reference(*pair)
 
 
-def test_arc_cylinders_match_reference_on_seeded_corpus():
+def seeded_cylinder_corpus():
+    """(kind, gp, lam) over 300 seeded permutations: all ones and sampled vectors of bound 2 and 20."""
     rng = random.Random(67)
-    vectors = {"ones": 0, 2: 0, 20: 0}
-    single = 0
     for _ in range(300):
         gp = random_gp(rng, 8)
-        for kind in vectors:
+        for kind in ("ones", 2, 20):
             try:
                 if kind == "ones":
                     lam = check_admissible(gp, (1,) * gp.num_letters)
@@ -1028,10 +1122,62 @@ def test_arc_cylinders_match_reference_on_seeded_corpus():
                     lam = sample_admissible(gp, seed=rng.randint(1, 999), bound=kind)
             except (Infeasible, BoundTooSmall):
                 continue
-            vectors[kind] += 1
-            single += assert_cylinders_match_reference(gp, lam)
+            yield kind, gp, lam
+
+
+def test_arc_cylinders_match_reference_on_seeded_corpus():
+    vectors = {"ones": 0, 2: 0, 20: 0}
+    single = 0
+    for kind, gp, lam in seeded_cylinder_corpus():
+        vectors[kind] += 1
+        single += assert_cylinders_match_reference(gp, lam)
     assert min(vectors.values()) >= 100
     assert 0 < single < sum(vectors.values())
+
+
+def reference_leaf_cylinders(geo, singular: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Owning cylinder of each arc, and the arcs of each cylinder, ascending.
+
+    The bare leaf walk the first side traces replaced, kept verbatim: one
+    leaf walk per cylinder, up the first column of its least arc, claims
+    the arc of every column the leaf crosses.
+    """
+    assert singular[0] == 0
+    bounds = singular + [geo.w]
+    owner = [-1] * len(singular)
+    arcs_of: list[list[int]] = []
+    for i in range(len(singular)):
+        if owner[i] >= 0:
+            continue
+        arcs: list[int] = []
+        start = state = (0, 2 * singular[i] + 1)
+        while True:
+            a = bisect_right(singular, state[1] >> 1) - 1
+            assert owner[a] < 0, "leaf crosses an arc twice"
+            owner[a] = len(arcs_of)
+            arcs.append(a)
+            state = geo.glue(*state)
+            if state == start:
+                break
+        assert len({bounds[a + 1] - bounds[a] for a in arcs}) == 1, "cylinder arcs differ in width"
+        arcs_of.append(sorted(arcs))
+    return owner, arcs_of
+
+
+def test_first_sides_claim_the_leaf_walk_arcs_on_seeded_corpus():
+    three = retraced = 0
+    for _, gp, lam in seeded_cylinder_corpus():
+        geo = suspension._Geometry(gp, lam)
+        singular = sorted(suspension._spectrum(geo).singular_lines())
+        owner, arcs_of, first = suspension._cylinders(geo, singular)
+        assert (owner, arcs_of) == reference_leaf_cylinders(geo, singular)
+        for arcs, (side, visited) in zip(arcs_of, first):
+            assert (side, visited) == suspension._side_trace(geo, singular[arcs[0]], 1)
+            # the decomposition's (line, sigma) scan meets this side before its start when a
+            # visit comes earlier in scan order, and then traces the side anew from there
+            retraced += min((singular.index(x), sigma < 0) for x, sigma in visited) < (arcs[0], False)
+        three += len(arcs_of) == 3
+    assert (three, retraced) == (69, 41)
 
 
 
@@ -1203,14 +1349,17 @@ def seeded_orbit_forms(count: int = 100, cap: int = 50):
 
 
 def test_decode_matches_tuple_keyed_reference():
-    outcomes = {True: 0, False: 0}
-    for form in seeded_orbit_forms():
-        got, want = decode_one_cylinder(form), reference_decode_one_cylinder(form)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.rows() == want.rows()
-        outcomes[got is None] += 1
-    assert outcomes[True] >= 100 and outcomes[False] >= 100
+    # seeded orbit prefixes, then the first 200 forms of two orbits of each width 7..13
+    width_forms = (form for cover in width_covers(0) for _, _, form, _ in itertools.islice(orbit_forms(cover), 200))
+    for forms in (seeded_orbit_forms(), width_forms):
+        outcomes = {True: 0, False: 0}
+        for form in forms:
+            got, want = decode_one_cylinder(form), reference_decode_one_cylinder(form)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.rows() == want.rows()
+            outcomes[got is None] += 1
+        assert outcomes[True] >= 100 and outcomes[False] >= 100
 
 
 def test_corner_turn_vertices_match_union_find():
