@@ -538,6 +538,11 @@ def component_report(
     merges the candidates of each pass that ``config`` turns on, in order."""
     if config.use_excisions and not config.substratum_connected:
         raise BadParameters("excision labels need a certified connected substratum")
+    if config.lambda_bound < 1 or config.lambda_samples < 0:
+        raise BadParameters(
+            "need lambda_bound >= 1 and lambda_samples >= 0, got %d and %d"
+            % (config.lambda_bound, config.lambda_samples)
+        )
     spattern = SingularityPattern.from_orders(pattern)
     classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
     # enumerated classes are canonical forms under sym: their rows are their keys

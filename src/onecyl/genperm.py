@@ -14,7 +14,13 @@ rendering, so ``parse`` / ``render`` round-trip letter-for-letter.
 The symmetry group acts on cell positions, and :func:`position_orders`
 is the one table of that action.  Canonical keys and the orderly
 enumeration both compare words by the first-appearance code of their
-position pairing (:func:`code_below`), never by relabeled letter rows.
+position pairing, never by relabeled letter rows, through one kernel per
+question.  :func:`canonical_key` asks which order reads the least word:
+it walks every order in lockstep, one per class of orders with the same
+top row while the top row is read, and keeps those at the least code
+entry.  The enumeration asks whether any order lies below the identity:
+:func:`code_below` compares one order with a given code and stops at its
+first difference.
 """
 
 from __future__ import annotations
@@ -119,7 +125,9 @@ def code_below(pair: Sequence[int], order: Sequence[int], inverse: Sequence[int]
     words agree up to cell i exactly when their relabeled prefixes agree,
     and then the codes order cell i as the relabeled letters do (a new
     letter is above every earlier one, and old letters go by their first
-    cells), so the comparison stops at the first differing cell.
+    cells), so the comparison stops at the first differing cell.  This
+    answers "is any order below the identity" for the orderly enumeration,
+    where almost every order loses at its first few cells.
     """
     for i, pos in enumerate(order):
         j = inverse[pair[pos]]
@@ -130,6 +138,46 @@ def code_below(pair: Sequence[int], order: Sequence[int], inverse: Sequence[int]
     return False
 
 
+@functools.lru_cache(maxsize=None)
+def _top_classes(r: int, l: int, sym: SymmetryGroup) -> dict[int, tuple]:
+    """Each top-length group of :func:`position_orders`, in classes of orders
+    that read the same top row: ``(order, inverse, members)`` per class,
+    with its first member as representative.
+
+    The code entries of a class agree below its top length n: entry i < n
+    reads the mate of cell order[i] among the cells before it, which lie in
+    the shared top part, or else is i.
+    """
+    groups = {}
+    for n, orders in position_orders(r, l, sym).items():
+        classes: dict[tuple, list] = {}
+        for entry in orders:
+            classes.setdefault(entry[0][:n], []).append(entry)
+        groups[n] = tuple((*members[0], tuple(members)) for members in classes.values())
+    return groups
+
+
+def _keep_least(pair: Sequence[int], live: Sequence[tuple], start: int, stop: int) -> Sequence[tuple]:
+    """The (order, inverse, ...) entries of ``live`` whose codes (see
+    :func:`code_below`) are least at entries start..stop-1.
+
+    Every order is read in lockstep: step i reads code entry i of each
+    live order and keeps the orders at the least entry, until one is left;
+    orders still tied at ``stop`` agree on all those entries.  This answers
+    "which order reads the least word" for :func:`canonical_key`, without
+    building any full code.
+    """
+    for i in range(start, stop):
+        if len(live) == 1:
+            break
+        # entry i is the position of the cell's mate if that came earlier, else i
+        mates = [entry[1][pair[entry[0][i]]] for entry in live]
+        least = min(mates)
+        if least < i:
+            live = [entry for entry, j in zip(live, mates) if j == least]
+    return live
+
+
 def canonical_key(
     top: Sequence[int], bottom: Sequence[int], sym: SymmetryGroup = DEFAULT_SYM
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -138,19 +186,18 @@ def canonical_key(
     This is the hashable core of :meth:`GeneralizedPermutation.canonical_form`,
     usable directly on raw row tuples during large enumerations.  Codes
     order the words of one top length as their relabeled rows do, so the
-    key is the smaller of the least-code words of the (at most two)
-    top-length groups of :func:`position_orders`.  Every letter must occur
-    exactly twice.
+    key is the smaller of the least-code words (:func:`_keep_least`) of
+    the (at most two) top-length groups of :func:`position_orders`.
+    Every letter must occur exactly twice.
     """
     word = tuple(top) + tuple(bottom)
     pair = position_pairing(word)
     best = None
-    for n, orders in position_orders(len(top), len(bottom), sym).items():
-        code = None
-        for order, inverse in orders:
-            if code is None or code_below(pair, order, inverse, code):
-                code, least = [min(inverse[pair[pos]], i) for i, pos in enumerate(order)], order
-        cells = [word[pos] for pos in least]
+    for n, classes in _top_classes(len(top), len(bottom), sym).items():
+        # entry 0 is 0 for every order, and below n a class reads as one order
+        live = _keep_least(pair, classes, 1, n)
+        live = _keep_least(pair, [member for entry in live for member in entry[2]], n, len(word))
+        cells = [word[pos] for pos in live[0][0]]
         key = _relabel_key(cells[:n], cells[n:])
         if best is None or key < best:
             best = key
@@ -204,8 +251,10 @@ class GeneralizedPermutation:
         if not top or not bottom:
             raise EmptyRow("both rows must contain at least one letter")
         t, b = _relabel_key(top, bottom)
-        position_pairing(t + b)  # every letter exactly twice
-        return GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, len(t + b) // 2 + 1)))
+        pair = position_pairing(t + b)  # every letter exactly twice
+        gp = GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, len(pair) // 2 + 1)))
+        gp.__dict__["_pairing"] = tuple(pair)  # the cache behind pairing()
+        return gp
 
     # -- basic data ----------------------------------------------------
 
@@ -224,13 +273,19 @@ class GeneralizedPermutation:
     def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.top, self.bottom
 
+    @functools.cached_property
+    def _pairing(self) -> tuple[int, ...]:
+        return tuple(position_pairing(self.top + self.bottom))
+
     def pairing(self) -> tuple[int, ...]:
         """Position involution: pairing()[i] is the partner of position i.
 
         Positions are 0-based, top row first.  The involution has no
-        fixed point because every letter fills exactly two cells.
+        fixed point because every letter fills exactly two cells.  It is
+        built once per instance and cached outside the dataclass fields,
+        so equality, hashing and ``repr`` do not see it.
         """
-        return tuple(position_pairing(self.top + self.bottom))
+        return self._pairing
 
     def top_doubled(self) -> tuple[int, ...]:
         """Letters whose two cells both lie on the top row."""

@@ -119,7 +119,13 @@ def minimal_admissible(gp: GeneralizedPermutation) -> tuple[int, ...]:
 
 
 def sample_admissible(gp: GeneralizedPermutation, seed: int = 0, bound: int = 20) -> tuple[int, ...]:
-    """Deterministic positive integer admissible vector with entries <= bound."""
+    """Deterministic positive integer admissible vector with entries <= bound.
+
+    Each entry is drawn as ``random.Random.randint(1, bound)`` draws it, a
+    ``getrandbits`` rejection loop, inlined so the stream is unchanged.
+    """
+    if bound < 1:
+        raise BadParameters("lambda bound must be at least 1, got %d" % bound)
     if not admissible_feasible(gp):
         raise Infeasible("no positive admissible vector for %s" % gp.render())
     k = gp.num_letters
@@ -128,9 +134,15 @@ def sample_admissible(gp: GeneralizedPermutation, seed: int = 0, bound: int = 20
     if seed == 0 and len(td) == len(bd):
         return (1,) * k
     rng = random.Random(seed)
+    getrandbits, bits = rng.getrandbits, bound.bit_length()
     for _ in range(400):
-        lam = [rng.randint(1, bound) for _ in range(k)]
-        diff = sum(lam[i] for i in td) - sum(lam[i] for i in bd)
+        lam = []
+        for _ in range(k):
+            v = getrandbits(bits)
+            while v >= bound:
+                v = getrandbits(bits)
+            lam.append(v + 1)
+        diff = sum(map(lam.__getitem__, td)) - sum(map(lam.__getitem__, bd))
         if diff == 0:
             return tuple(lam)
         fix = bd if diff > 0 else td

@@ -406,3 +406,17 @@ def test_excisions_need_a_connected_substratum(monkeypatch):
             component_report((8,), MoveConfig(use_excisions=True))
     with pytest.raises(SizeLimit):
         reference_component_report((8,), MoveConfig(use_excisions=True))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [MoveConfig(lambda_bound=0), MoveConfig(lambda_bound=-4), MoveConfig(lambda_samples=-3)],
+    ids=["bound-0", "bound-neg", "samples-neg"],
+)
+def test_component_report_rejects_bad_lambda_settings(monkeypatch, config):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the config is checked before enumeration")
+
+    monkeypatch.setattr(classify, "enumerate_stratum", no_enumeration)
+    with pytest.raises(BadParameters):
+        component_report((8,), config)

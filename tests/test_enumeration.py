@@ -3,6 +3,10 @@
 * the letter-row ``canonical_key`` that preceded the shared orders table,
   kept verbatim as ``reference_canonical_key``, against the code-comparison
   key on every split of every word with p <= 10 and on random longer words;
+* the sequential code-comparison key that preceded the lockstep walk, kept
+  verbatim as ``sequential_canonical_key``, with the letter-row key against
+  the lockstep key on hyperelliptic representatives up to (20, 20) and on
+  seeded words of 12 to 16 cells;
 * a hypothesis property: the key ignores each enabled symmetry generator
   and relabeling;
 * a brute-force reference: every relabeled word, filtered by cone points
@@ -21,6 +25,7 @@ import itertools
 import random
 from collections import Counter
 from functools import cache
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +33,8 @@ from hypothesis import strategies as st
 
 from onecyl import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
 from onecyl.errors import LetterCountError
-from onecyl.genperm import canonical_key
+from onecyl.genperm import DEFAULT_SYM, _top_classes, canonical_key, code_below, position_orders, position_pairing
+from onecyl.strata import hyperelliptic_rep
 from onecyl.strata import pattern_orders, single_vertex, vertex_cycles
 
 ALL_SYMS = [
@@ -70,6 +76,34 @@ def reference_canonical_key(top, bottom, sym):
                 key = _relabel_key(ta, vb[b:] + vb[:b])
                 if best is None or key < best:
                     best = key
+    assert best is not None
+    return best
+
+
+def sequential_canonical_key(
+    top: Sequence[int], bottom: Sequence[int], sym: SymmetryGroup = DEFAULT_SYM
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lexicographically minimal relabeled row pair over the sym orbit.
+
+    This is the hashable core of :meth:`GeneralizedPermutation.canonical_form`,
+    usable directly on raw row tuples during large enumerations.  Codes
+    order the words of one top length as their relabeled rows do, so the
+    key is the smaller of the least-code words of the (at most two)
+    top-length groups of :func:`position_orders`.  Every letter must occur
+    exactly twice.
+    """
+    word = tuple(top) + tuple(bottom)
+    pair = position_pairing(word)
+    best = None
+    for n, orders in position_orders(len(top), len(bottom), sym).items():
+        code = None
+        for order, inverse in orders:
+            if code is None or code_below(pair, order, inverse, code):
+                code, least = [min(inverse[pair[pos]], i) for i, pos in enumerate(order)], order
+        cells = [word[pos] for pos in least]
+        key = _relabel_key(cells[:n], cells[n:])
+        if best is None or key < best:
+            best = key
     assert best is not None
     return best
 
@@ -204,6 +238,38 @@ def test_canonical_key_matches_reference_on_random_long_words():
                 top, bottom = cells[:r], cells[r:]
                 want = reference_canonical_key(top, bottom, sym)
                 assert canonical_key(top, bottom, sym) == want, (top, bottom, sym)
+
+
+# the diagonal, and off-diagonal types of either orientation
+HYPERELLIPTIC_TYPES = [(n, n) for n in (*range(1, 9), 12, 16, 20)] + [(1, 20), (20, 1), (5, 14), (13, 6)]
+LARGE_SYMS = [DEFAULT_SYM, CALIBRATED_SYM, SymmetryGroup(rotate_rows=True, swap_rows=True, reverse_rows=True)]
+
+
+@pytest.mark.parametrize("kind", ["pi1", "pi2"])
+def test_lockstep_key_matches_sequential_key_on_hyperelliptic_reps(kind):
+    for r, l in HYPERELLIPTIC_TYPES:
+        gp = hyperelliptic_rep(kind, r, l)
+        for sym in ALL_SYMS if gp.size <= 16 else LARGE_SYMS:
+            want = sequential_canonical_key(gp.top, gp.bottom, sym)
+            assert want == reference_canonical_key(gp.top, gp.bottom, sym)
+            assert canonical_key(gp.top, gp.bottom, sym) == want, (kind, r, l, sym)
+            assert gp.canonical_key(sym) == want, (kind, r, l, sym)
+    _top_classes.cache_clear()  # the large tables are for this test only
+    position_orders.cache_clear()
+
+
+def test_lockstep_key_matches_sequential_key_on_seeded_words():
+    rng = random.Random(13)
+    for _ in range(2000):
+        p = rng.choice((12, 14, 16))
+        cells = [x for x in range(1, p // 2 + 1) for _ in range(2)]
+        rng.shuffle(cells)
+        r = rng.randint(1, p - 1)
+        top, bottom = cells[:r], cells[r:]
+        for sym in ALL_SYMS:
+            want = sequential_canonical_key(top, bottom, sym)
+            assert want == reference_canonical_key(top, bottom, sym)
+            assert canonical_key(top, bottom, sym) == want, (top, bottom, sym)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from bisect import bisect_right
@@ -15,6 +16,7 @@ from onecyl import (
     all_ones,
     build_cover,
     cylinder_decomposition,
+    enumerate_stratum,
     enumerate_type,
     gamma_mult_one_evidence,
     hyperelliptic_rep,
@@ -100,6 +102,91 @@ def test_bound_too_small():
     gp = GP("1 1 2 3 4 5 / 2 3 4 5 6 6 7 7 8 8 9 9")
     with pytest.raises(BoundTooSmall):
         sample_admissible(gp, seed=3, bound=1)
+
+
+def test_sample_admissible_rejects_a_bound_below_one():
+    gp = GP("1 1 2 3 / 2 3 4 4")
+    for bound in (0, -2):
+        with pytest.raises(BadParameters):
+            sample_admissible(gp, seed=1, bound=bound)
+
+
+# sha256 of every lambda drawn below, as random.Random.randint made them
+LAMBDA_STREAM_SHA256 = "d61dcde8035ddffaff018b2679de6aef89ec793a29229d3ee0b2ac95dd1e4891"
+
+
+def _lambda_stream() -> str:
+    """Every lambda (or BoundTooSmall) of each class of the report strata at
+    seeds 0..6 and bound 8, then 500 query-style draws at bound 20."""
+    lines = []
+    for pattern in ((8,), (-1, 5), (2, 2), (-1, 9), (12,)):
+        for gp in enumerate_stratum(pattern):
+            for seed in range(7):
+                try:
+                    lines.append(str(sample_admissible(gp, seed=seed, bound=8)))
+                except BoundTooSmall:
+                    lines.append("BoundTooSmall")
+    rng = random.Random(20261018)
+    queries = 0
+    while queries < 500:
+        k = rng.randint(4, 8)
+        cells = [x for x in range(1, k + 1) for _ in range(2)]
+        rng.shuffle(cells)
+        r = rng.randint(1, 2 * k - 1)
+        gp = GeneralizedPermutation.from_rows(cells[:r], cells[r:])
+        if not admissible_feasible(gp):
+            continue
+        queries += 1
+        try:
+            lines.append(str(sample_admissible(gp, seed=rng.randrange(1, 2**31), bound=20)))
+        except BoundTooSmall:
+            lines.append("BoundTooSmall")
+    return "\n".join(lines)
+
+
+def reference_sample_admissible(gp, seed=0, bound=20):
+    """The sampler before its draws were inlined: one ``randint`` per entry."""
+    if not admissible_feasible(gp):
+        raise Infeasible("no positive admissible vector for %s" % gp.render())
+    k = gp.num_letters
+    td = [x - 1 for x in gp.top_doubled()]
+    bd = [x - 1 for x in gp.bottom_doubled()]
+    if seed == 0 and len(td) == len(bd):
+        return (1,) * k
+    rng = random.Random(seed)
+    for _ in range(400):
+        lam = [rng.randint(1, bound) for _ in range(k)]
+        diff = sum(lam[i] for i in td) - sum(lam[i] for i in bd)
+        if diff == 0:
+            return tuple(lam)
+        fix = bd if diff > 0 else td
+        rng.shuffle(fix)
+        for i in fix:
+            v = lam[i] + abs(diff)
+            if v <= bound:
+                lam[i] = v
+                return tuple(lam)
+    raise BoundTooSmall("could not balance within bound %d" % bound)
+
+
+def test_inline_draws_match_randint_at_every_small_bound():
+    # bound 1 redraws until a 0 bit, and powers of two and their neighbours sit
+    # at the edges of a bit length
+    gps = [GP("1 2 3 4 3 5 4 / 6 6 1 5 2"), GP("1 1 2 3 / 2 3 4 4"), GP("1 2 3 / 3 2 1")]
+    for gp in gps:
+        for bound in (*range(1, 18), 31, 32, 33, 64, 1000):
+            for seed in range(4):
+                try:
+                    want = reference_sample_admissible(gp, seed=seed, bound=bound)
+                except BoundTooSmall:
+                    with pytest.raises(BoundTooSmall):
+                        sample_admissible(gp, seed=seed, bound=bound)
+                else:
+                    assert sample_admissible(gp, seed=seed, bound=bound) == want, (gp, bound, seed)
+
+
+def test_lambda_stream_is_frozen():
+    assert hashlib.sha256(_lambda_stream().encode()).hexdigest() == LAMBDA_STREAM_SHA256
 
 
 def test_lam_from_positions():
