@@ -55,9 +55,9 @@ from .genperm import (
 from .strata import (
     ComponentTag,
     SingularityPattern,
-    corner_walk,
-    cycle_orders,
     match_component,
+    pattern_orders,
+    single_vertex,
     singularity_pattern,
     smooth_marked_points,
 )
@@ -117,8 +117,8 @@ def _orderly_keys(
     """
     minimal = want is not None and len(want) == 1
     # group r of the orders table is the part of the sym group that keeps
-    # type (r, p - r); its first order is the identity
-    moves = {r: position_orders(r, p - r, sym)[r][1:] for r in top_lengths}
+    # type (r, p - r); the first member of its first class is the identity
+    moves = {r: [m for entry in position_orders(r, p - r, sym)[r] for m in entry[2]][1:] for r in top_lengths}
     keys: dict[int, list] = {r: [] for r in top_lengths}
     for word, pair, lo, hi in _letter_sequences(p):
         for r in top_lengths:
@@ -127,9 +127,9 @@ def _orderly_keys(
             if not lo < r <= hi:
                 continue
             if minimal:
-                if len(corner_walk(pair, r)) != p:
+                if not single_vertex(pair, r):
                     continue
-            elif want is not None and cycle_orders(pair, r) != want:
+            elif want is not None and pattern_orders(pair, r) != want:
                 continue
             code = [j if j < i else i for i, j in enumerate(pair)]  # the identity's code
             if not any(code_below(pair, order, inverse, code) for order, inverse in moves[r]):
@@ -543,6 +543,8 @@ def component_report(
             "need lambda_bound >= 1 and lambda_samples >= 0, got %d and %d"
             % (config.lambda_bound, config.lambda_samples)
         )
+    if config.orbit_decode_cap < 0:
+        raise BadParameters("need orbit_decode_cap >= 0, got %d" % config.orbit_decode_cap)
     spattern = SingularityPattern.from_orders(pattern)
     classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
     # enumerated classes are canonical forms under sym: their rows are their keys

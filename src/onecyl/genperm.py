@@ -12,15 +12,16 @@ appearance (top row scanned first); the original tokens are kept for
 rendering, so ``parse`` / ``render`` round-trip letter-for-letter.
 
 The symmetry group acts on cell positions, and :func:`position_orders`
-is the one table of that action.  Canonical keys and the orderly
-enumeration both compare words by the first-appearance code of their
-position pairing, never by relabeled letter rows, through one kernel per
-question.  :func:`canonical_key` asks which order reads the least word:
-it walks every order in lockstep, one per class of orders with the same
-top row while the top row is read, and keeps those at the least code
-entry.  The enumeration asks whether any order lies below the identity:
-:func:`code_below` compares one order with a given code and stops at its
-first difference.
+is the one table of that action: its orders come grouped by the length
+of the top row they read, and within a group in classes that read the
+same top row.  Canonical keys and the orderly enumeration both compare
+words by the first-appearance code of their position pairing, never by
+relabeled letter rows, through one kernel per question.
+:func:`canonical_key` asks which order reads the least word: it walks
+every order in lockstep, one per class while the top row is read, and
+keeps those at the least code entry.  The enumeration asks whether any
+order lies below the identity: :func:`code_below` compares one order
+with a given code and stops at its first difference.
 """
 
 from __future__ import annotations
@@ -96,8 +97,14 @@ def position_orders(r: int, l: int, sym: SymmetryGroup) -> dict[int, tuple]:
     """The sym group acting on the cell positions of type-(r, l) words.
 
     An order reads position order[i] into cell i and comes with its
-    inverse.  Orders are grouped by the top length they produce: r, and l
-    when row swap is on and r != l.  Group r starts with the identity.
+    inverse.  Orders are grouped by the top length n they produce: r, and
+    l when row swap is on and r != l.  A group holds classes of orders that
+    read the same top row, ``(order, inverse, members)`` per class with
+    its first member as representative; group r starts with the identity.
+
+    The code entries of a class agree below n: entry i < n reads the mate
+    of cell order[i] among the cells before it, which lie in the shared
+    top part, or else is i.
     """
     top, bottom = tuple(range(r)), tuple(range(r, r + l))
     arrangements = [(top, bottom)]
@@ -107,13 +114,16 @@ def position_orders(r: int, l: int, sym: SymmetryGroup) -> dict[int, tuple]:
         arrangements += [(y, x) for x, y in arrangements]
     groups: dict[int, dict] = {}
     for x, y in arrangements:
-        group = groups.setdefault(len(x), {})
+        classes = groups.setdefault(len(x), {})
         for a in range(len(x)) if sym.rotate_rows else (0,):
+            head = x[a:] + x[:a]
+            members = classes.setdefault(head, {})
             for b in range(len(y)) if sym.rotate_rows else (0,):
-                group.setdefault(x[a:] + x[:a] + y[b:] + y[:b])
+                order = head + y[b:] + y[:b]
+                members[order] = tuple(sorted(range(r + l), key=order.__getitem__))  # the inverse
     return {
-        n: tuple((order, tuple(sorted(range(r + l), key=order.__getitem__))) for order in group)
-        for n, group in groups.items()
+        n: tuple((*entries[0], entries) for entries in (tuple(m.items()) for m in classes.values()))
+        for n, classes in groups.items()
     }
 
 
@@ -136,25 +146,6 @@ def code_below(pair: Sequence[int], order: Sequence[int], inverse: Sequence[int]
         if j != code[i]:
             return j < code[i]
     return False
-
-
-@functools.lru_cache(maxsize=None)
-def _top_classes(r: int, l: int, sym: SymmetryGroup) -> dict[int, tuple]:
-    """Each top-length group of :func:`position_orders`, in classes of orders
-    that read the same top row: ``(order, inverse, members)`` per class,
-    with its first member as representative.
-
-    The code entries of a class agree below its top length n: entry i < n
-    reads the mate of cell order[i] among the cells before it, which lie in
-    the shared top part, or else is i.
-    """
-    groups = {}
-    for n, orders in position_orders(r, l, sym).items():
-        classes: dict[tuple, list] = {}
-        for entry in orders:
-            classes.setdefault(entry[0][:n], []).append(entry)
-        groups[n] = tuple((*members[0], tuple(members)) for members in classes.values())
-    return groups
 
 
 def _keep_least(pair: Sequence[int], live: Sequence[tuple], start: int, stop: int) -> Sequence[tuple]:
@@ -193,7 +184,7 @@ def canonical_key(
     word = tuple(top) + tuple(bottom)
     pair = position_pairing(word)
     best = None
-    for n, classes in _top_classes(len(top), len(bottom), sym).items():
+    for n, classes in position_orders(len(top), len(bottom), sym).items():
         # entry 0 is 0 for every order, and below n a class reads as one order
         live = _keep_least(pair, classes, 1, n)
         live = _keep_least(pair, [member for entry in live for member in entry[2]], n, len(word))

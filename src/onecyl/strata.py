@@ -10,11 +10,11 @@ m - 2 (cone angle m*pi, a simple pole for m = 1).
 Junctions carry one integer numbering, shared with the suspension
 module: cell c is position c of the rows, top row first, and junction c
 the point at its left end, so top junction j < r and bottom junction
-r + j.  :func:`junction_cycles` returns each class as a rotationally
-ordered list of junctions, the order that angle computations consume;
-only ``vertex_cycles`` renames them ("T", j) / ("B", j), for display.  Every
-junction query runs one corner walk (:func:`corner_walk`) that reads the
-gluing off the position pairing of the rows.
+r + j.  Every junction query reads the position pairing of the rows
+through one corner walk (:func:`corner_walk`): :func:`vertex_cycles`
+returns each class as a rotationally ordered list of junctions, the
+order that angle computations consume, :func:`pattern_orders` their
+singularity orders and :func:`single_vertex` the minimal-stratum test.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadParameters, BadPattern, UnknownName
-from .genperm import DEFAULT_SYM, GeneralizedPermutation, SymmetryGroup, position_pairing
-
-Junction = tuple[str, int]
+from .genperm import DEFAULT_SYM, GeneralizedPermutation, SymmetryGroup
 
 
 def corner_walk(pair: Sequence[int], r: int, start: int = 0) -> list[int]:
@@ -71,7 +69,7 @@ def corner_walk(pair: Sequence[int], r: int, start: int = 0) -> list[int]:
             return out
 
 
-def junction_cycles(pair: Sequence[int], r: int) -> list[list[int]]:
+def vertex_cycles(pair: Sequence[int], r: int) -> list[list[int]]:
     """Every junction class, each walked from its smallest junction."""
     seen = [False] * len(pair)
     cycles = []
@@ -84,16 +82,14 @@ def junction_cycles(pair: Sequence[int], r: int) -> list[list[int]]:
     return cycles
 
 
-def cycle_orders(pair: Sequence[int], r: int) -> tuple[int, ...]:
+def pattern_orders(pair: Sequence[int], r: int) -> tuple[int, ...]:
     """Descending singularity orders of the rows ``pair`` encodes (see :func:`corner_walk`)."""
-    return tuple(sorted((len(c) - 2 for c in junction_cycles(pair, r)), reverse=True))
+    return tuple(sorted((len(c) - 2 for c in vertex_cycles(pair, r)), reverse=True))
 
 
-def vertex_cycles(gp: GeneralizedPermutation) -> list[list[Junction]]:
-    """Junction classes of the suspension, each in rotational order."""
-    r = len(gp.top)
-    names = [("T", i) for i in range(r)] + [("B", j) for j in range(len(gp.bottom))]
-    return [[names[j] for j in cycle] for cycle in junction_cycles(gp.pairing(), r)]
+def single_vertex(pair: Sequence[int], r: int) -> bool:
+    """True iff all junctions fall in one class (minimal-stratum test)."""
+    return len(corner_walk(pair, r)) == len(pair)
 
 
 @dataclass(frozen=True)
@@ -124,18 +120,7 @@ class SingularityPattern:
 
 def singularity_pattern(gp: GeneralizedPermutation) -> SingularityPattern:
     """Orders of the suspension cone points by the junction corner walk."""
-    return SingularityPattern.from_orders(cycle_orders(gp.pairing(), len(gp.top)))
-
-
-def pattern_orders(top: Sequence[int], bottom: Sequence[int]) -> tuple[int, ...]:
-    """Descending singularity orders for raw rows, without building a permutation."""
-    return cycle_orders(position_pairing(tuple(top) + tuple(bottom)), len(top))
-
-
-def single_vertex(top: Sequence[int], bottom: Sequence[int]) -> bool:
-    """True iff all junctions fall in one class (minimal-stratum test)."""
-    n = len(top) + len(bottom)
-    return len(corner_walk(position_pairing(tuple(top) + tuple(bottom)), len(top))) == n
+    return SingularityPattern.from_orders(pattern_orders(gp.pairing(), len(gp.top)))
 
 
 def stratum_info(pattern: Sequence[int]) -> tuple[int, int]:
@@ -150,20 +135,20 @@ def smooth_marked_points(gp: GeneralizedPermutation) -> GeneralizedPermutation:
     A junction class of size two is an angle-2*pi point; the two letters
     meeting at either junction bound one straight interval, so dropping
     the second letter's cells re-reads the same surface without the
-    marked point.  Repeats until no order-zero class remains.
+    marked point.  Repeats until every order-zero junction is flanked by
+    one letter, as on a one-cell row: the flat torus keeps its one point.
     """
     while True:
         r = len(gp.top)
-        flat = next((c for c in junction_cycles(gp.pairing(), r) if len(c) == 2), None)
-        if flat is None:
+        flat = (j for c in vertex_cycles(gp.pairing(), r) if len(c) == 2 for j in c)
+        for j in flat:
+            row, i = (gp.top, j) if j < r else (gp.bottom, j - r)
+            if row[i - 1] != row[i]:
+                break
+        else:
             return gp
-        j = flat[0]
-        row, i = (gp.top, j) if j < r else (gp.bottom, j - r)
-        a = row[(i - 1) % len(row)]
-        b = row[i]
-        assert a != b, "adjacent equal letters form a pole, not a marked point"
-        top = [x for x in gp.top if x != b]
-        bottom = [x for x in gp.bottom if x != b]
+        top = [x for x in gp.top if x != row[i]]
+        bottom = [x for x in gp.bottom if x != row[i]]
         gp = GeneralizedPermutation.from_rows(top, bottom)
 
 

@@ -76,8 +76,14 @@ def admissible_feasible(gp: GeneralizedPermutation) -> bool:
 
 
 def check_admissible(gp: GeneralizedPermutation, lam: Sequence[int]) -> tuple[int, ...]:
-    """Validate a per-letter length vector and return it as a tuple."""
-    lam = tuple(int(v) for v in lam)
+    """Validate a per-letter length vector and return it as a tuple of ints."""
+    given = tuple(lam)
+    try:
+        lam = tuple(int(v) for v in given)
+    except (TypeError, ValueError):
+        lam = ()
+    if lam != given:
+        raise Infeasible("lengths must be integers, got %r" % (given,))
     if len(lam) != gp.num_letters:
         raise Infeasible("expected %d lengths, got %d" % (gp.num_letters, len(lam)))
     if any(v <= 0 for v in lam):

@@ -410,8 +410,13 @@ def test_excisions_need_a_connected_substratum(monkeypatch):
 
 @pytest.mark.parametrize(
     "config",
-    [MoveConfig(lambda_bound=0), MoveConfig(lambda_bound=-4), MoveConfig(lambda_samples=-3)],
-    ids=["bound-0", "bound-neg", "samples-neg"],
+    [
+        MoveConfig(lambda_bound=0),
+        MoveConfig(lambda_bound=-4),
+        MoveConfig(lambda_samples=-3),
+        MoveConfig(orbit_decode_cap=-5),
+    ],
+    ids=["bound-0", "bound-neg", "samples-neg", "decode-cap-neg"],
 )
 def test_component_report_rejects_bad_lambda_settings(monkeypatch, config):
     def no_enumeration(*args, **kwargs):

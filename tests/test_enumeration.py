@@ -16,10 +16,13 @@
   each symmetry fixes, with no canonical key at all;
 * the pairing corner walk against a germ-gluing-table walk, junction by
   junction, through ``vertex_cycles``, ``pattern_orders`` and ``single_vertex``;
+* the classed orders table against the flat table that preceded it, kept
+  verbatim as ``reference_position_orders``;
 * sha256 digests of class lists rendered before orderly generation;
 * every enumerated class is its own canonical form.
 """
 
+import functools
 import hashlib
 import itertools
 import random
@@ -32,8 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onecyl import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
-from onecyl.errors import LetterCountError
-from onecyl.genperm import DEFAULT_SYM, _top_classes, canonical_key, code_below, position_orders, position_pairing
+from onecyl.genperm import DEFAULT_SYM, canonical_key, code_below, position_orders, position_pairing
 from onecyl.strata import hyperelliptic_rep
 from onecyl.strata import pattern_orders, single_vertex, vertex_cycles
 
@@ -80,6 +82,32 @@ def reference_canonical_key(top, bottom, sym):
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def reference_position_orders(r: int, l: int, sym: SymmetryGroup) -> dict[int, tuple]:
+    """The sym group acting on the cell positions of type-(r, l) words.
+
+    An order reads position order[i] into cell i and comes with its
+    inverse.  Orders are grouped by the top length they produce: r, and l
+    when row swap is on and r != l.  Group r starts with the identity.
+    """
+    top, bottom = tuple(range(r)), tuple(range(r, r + l))
+    arrangements = [(top, bottom)]
+    if sym.reverse_rows:
+        arrangements.append((top[::-1], bottom[::-1]))
+    if sym.swap_rows:
+        arrangements += [(y, x) for x, y in arrangements]
+    groups: dict[int, dict] = {}
+    for x, y in arrangements:
+        group = groups.setdefault(len(x), {})
+        for a in range(len(x)) if sym.rotate_rows else (0,):
+            for b in range(len(y)) if sym.rotate_rows else (0,):
+                group.setdefault(x[a:] + x[:a] + y[b:] + y[:b])
+    return {
+        n: tuple((order, tuple(sorted(range(r + l), key=order.__getitem__))) for order in group)
+        for n, group in groups.items()
+    }
+
+
 def sequential_canonical_key(
     top: Sequence[int], bottom: Sequence[int], sym: SymmetryGroup = DEFAULT_SYM
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -89,13 +117,13 @@ def sequential_canonical_key(
     usable directly on raw row tuples during large enumerations.  Codes
     order the words of one top length as their relabeled rows do, so the
     key is the smaller of the least-code words of the (at most two)
-    top-length groups of :func:`position_orders`.  Every letter must occur
-    exactly twice.
+    top-length groups of :func:`reference_position_orders`.  Every letter
+    must occur exactly twice.
     """
     word = tuple(top) + tuple(bottom)
     pair = position_pairing(word)
     best = None
-    for n, orders in position_orders(len(top), len(bottom), sym).items():
+    for n, orders in reference_position_orders(len(top), len(bottom), sym).items():
         code = None
         for order, inverse in orders:
             if code is None or code_below(pair, order, inverse, code):
@@ -254,8 +282,8 @@ def test_lockstep_key_matches_sequential_key_on_hyperelliptic_reps(kind):
             assert want == reference_canonical_key(gp.top, gp.bottom, sym)
             assert canonical_key(gp.top, gp.bottom, sym) == want, (kind, r, l, sym)
             assert gp.canonical_key(sym) == want, (kind, r, l, sym)
-    _top_classes.cache_clear()  # the large tables are for this test only
-    position_orders.cache_clear()
+    position_orders.cache_clear()  # the large tables are for this test only
+    reference_position_orders.cache_clear()
 
 
 def test_lockstep_key_matches_sequential_key_on_seeded_words():
@@ -376,18 +404,33 @@ def test_pairing_walk_matches_vertex_cycles():
         for word in _words(p):
             for r in range(1, p):
                 top, bottom = word[:r], word[r:]
-                reference = reference_vertex_cycles(top, bottom)
+                junction = {("T", i): i for i in range(r)}
+                junction.update({("B", j): r + j for j in range(p - r)})
+                reference = [[junction[j] for j in c] for c in reference_vertex_cycles(top, bottom)]
                 orders = tuple(sorted((len(c) - 2 for c in reference), reverse=True))
-                assert vertex_cycles(GeneralizedPermutation.from_rows(top, bottom)) == reference
-                assert pattern_orders(top, bottom) == orders, (top, bottom)
-                assert single_vertex(top, bottom) == (len(orders) == 1), (top, bottom)
+                pair = position_pairing(word)
+                assert vertex_cycles(pair, r) == reference, (top, bottom)
+                assert pattern_orders(pair, r) == orders, (top, bottom)
+                assert single_vertex(pair, r) == (len(orders) == 1), (top, bottom)
 
 
-def test_raw_row_walk_rejects_unpaired_letters():
-    with pytest.raises(LetterCountError):
-        pattern_orders((1, 2, 1), (3,))
-    with pytest.raises(LetterCountError):
-        single_vertex((1, 2, 1), (3,))
+def test_position_orders_match_the_flat_reference_table():
+    for p in range(2, 17, 2):
+        for r in range(1, p):
+            for sym in ALL_SYMS:
+                table = position_orders(r, p - r, sym)
+                reference = reference_position_orders(r, p - r, sym)
+                assert table.keys() == reference.keys()
+                assert next(iter(table)) == r and table[r][0][0] == tuple(range(p))
+                for n, classes in table.items():
+                    members = [m for _, _, entries in classes for m in entries]
+                    assert len(members) == len(set(members)) and set(members) == set(reference[n])
+                    for order, inverse, entries in classes:
+                        assert (order, inverse) == entries[0]
+                        assert {m[:n] for m, _ in entries} == {order[:n]}
+                        for m, inv in entries:
+                            assert all(inv[pos] == i for i, pos in enumerate(m))
+    reference_position_orders.cache_clear()
 
 
 # sha256 of "\n".join(class renders), computed before orderly generation landed

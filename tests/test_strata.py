@@ -122,6 +122,16 @@ def test_smooth_marked_points():
     smoothed = smooth_marked_points(threaded)
     assert 0 not in singularity_pattern(smoothed).orders
     assert singularity_pattern(smoothed).orders == singularity_pattern(base).orders
+    # a surface without order-zero points is left as it is
+    assert smooth_marked_points(GP("1 1 2 / 2 3 3")) == GP("1 1 2 / 2 3 3")
+
+
+@pytest.mark.parametrize("text", ["1 / 1", "1 2 / 1 2", "1 2 / 2 1", "1 2 3 / 1 2 3"])
+def test_smoothing_a_flat_torus_keeps_one_point(text):
+    # on a one-cell row both neighbours of the flat junction are one letter
+    smoothed = smooth_marked_points(GP(text))
+    assert smoothed.rows() == ((1,), (1,))
+    assert singularity_pattern(smoothed).orders == (0,)
 
 
 def test_pattern_invariant_under_restrict_prepend():

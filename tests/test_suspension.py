@@ -41,7 +41,7 @@ from onecyl.errors import (
     NotSingleCylinder,
     TraceBudgetExceeded,
 )
-from onecyl.strata import junction_cycles
+from onecyl.strata import vertex_cycles
 from onecyl.suspension import (
     Cylinder,
     CylinderDecomposition,
@@ -91,6 +91,18 @@ def test_sample_admissible_deterministic_and_positive():
     assert lam1 == lam2
     assert all(v >= 1 for v in lam1)
     check_admissible(gp, lam1)
+
+
+def test_fractional_or_text_lengths_are_rejected():
+    square = GP("1 1 / 2 2")
+    with pytest.raises(Infeasible):
+        check_admissible(square, [1.7, 1.2])
+    with pytest.raises(Infeasible):
+        cylinder_decomposition(square, [2.9, 2.1])
+    for lam in (["1", "1", "1"], ["a", 1, 1], [None, 1, 1], [float("nan"), 1, 1]):
+        with pytest.raises(Infeasible):
+            check_admissible(GP("1 1 2 / 2 3 3"), lam)
+    assert check_admissible(square, [2.0, 2]) == (2, 2)
 
 
 def test_all_ones_for_true_permutation_at_seed_zero():
@@ -699,7 +711,7 @@ def reference_germ_sector_angles(
     side2: tuple[int, int],
 ) -> tuple[int, int]:
     """The sector angles read off every junction class, before one corner walk replaced them; kept verbatim."""
-    cycles = junction_cycles(gp.pairing(), len(gp.top))
+    cycles = vertex_cycles(gp.pairing(), len(gp.top))
     position = [(0, 0)] * gp.size
     for ci, cycle in enumerate(cycles):
         for pos, junction in enumerate(cycle):
@@ -772,7 +784,7 @@ def test_sector_angles_match_the_reference_across_two_singularities():
     cases = []
     while len(cases) < 200:
         gp = random_gp(rng, 7)
-        cycles = junction_cycles(gp.pairing(), len(gp.top))
+        cycles = vertex_cycles(gp.pairing(), len(gp.top))
         if len(cycles) < 2:
             continue
         a, b = rng.sample(cycles, 2)
