@@ -297,11 +297,11 @@ class GeneralizedPermutation:
 
     @staticmethod
     def parse(text: str) -> "GeneralizedPermutation":
-        """Parse two whitespace-separated rows split by a newline or '/'."""
-        if "\n" in text:
-            rows = [row for row in text.splitlines() if row.strip()]
-        else:
+        """Parse two whitespace-separated rows split by '/' or, without one, by a newline."""
+        if "/" in text:
             rows = text.split("/")
+        else:
+            rows = [row for row in text.splitlines() if row.strip()]
         if len(rows) != 2:
             raise MalformedText("expected exactly two rows, got %d" % len(rows))
         return GeneralizedPermutation.from_tokens(rows[0].split(), rows[1].split())

@@ -22,9 +22,11 @@ Conventions:
   a compact separatrix runs along; in increasing order, the seam first)
   to the next one.  Separatrices run along both its edges, so an arc
   spans the width of its vertical cylinder, and a closed leaf of that
-  cylinder crosses each of the cylinder's arcs exactly once; the side
-  trace up the first column of an arc is such a leaf, so one trace finds
-  both a cylinder's arcs and one of its boundary sides;
+  cylinder crosses each of the cylinder's arcs exactly once; a side
+  trace is such a leaf, so the boundary scan traces each side once and
+  groups the two sides of a cylinder by the arcs they cross;
+* the separatrix diagram (germs in turn around each cone point, paired
+  by segments) counts the boundary circles, two per cylinder, untraced;
 * going up through a top interval glued by translation re-enters the
   bottom going up; glued to another top interval it re-enters that
   interval going down with reflected offset, and symmetrically below.
@@ -57,7 +59,7 @@ from .errors import (
     TraceBudgetExceeded,
 )
 from .genperm import GeneralizedPermutation
-from .strata import corner_walk, singularity_pattern
+from .strata import corner_walk, singularity_pattern, vertex_cycles
 
 Germ = int  # junction carrying the inward vertical ray, numbered as in corner_walk
 
@@ -362,69 +364,62 @@ def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> Cy
     return _decomposition(_Geometry(gp, lam))
 
 
-def _cylinders(
-    geo: _Geometry, singular: list[int]
-) -> tuple[list[int], list[list[int]], list[tuple[Side, list[tuple[int, int]]]]]:
-    """Owning cylinder of each arc, the arcs of each cylinder, ascending, and its first side.
-
-    ``singular`` lists the singular lines in increasing order, the seam
-    first.  The first side of a cylinder is the side trace up the first
-    column of its least arc: a leaf of the cylinder, so it claims the arc
-    of every column it crosses, the arc right of line x for a visit
-    (x, +1) and the arc left of it for (x, -1).  The arcs' number is the
-    circumference and their length the width.  Cylinders are numbered in
-    order of their least arc; the first side comes with its visits.
-    """
-    assert singular[0] == 0
-    bounds = singular + [geo.w]
-    arc_right = {x: i for i, x in enumerate(singular)}
-    owner = [-1] * len(singular)
-    arcs_of: list[list[int]] = []
-    first: list[tuple[Side, list[tuple[int, int]]]] = []
-    for i in range(len(singular)):
-        if owner[i] >= 0:
-            continue
-        side, visited = _side_trace(geo, singular[i], 1)
-        arcs = [(arc_right[x] if sigma > 0 else arc_right[x] - 1) % len(singular) for x, sigma in visited]
-        for a in arcs:
-            assert owner[a] < 0, "leaf crosses an arc twice"
-            owner[a] = len(arcs_of)
-        assert len({bounds[a + 1] - bounds[a] for a in arcs}) == 1, "cylinder arcs differ in width"
-        arcs_of.append(sorted(arcs))
-        first.append((side, visited))
-    return owner, arcs_of, first
-
-
 def _decomposition(geo: _Geometry) -> CylinderDecomposition:
     spectrum = _spectrum(geo)
     singular = sorted(spectrum.singular_lines())
-    owner, arcs_of, first = _cylinders(geo, singular)
-
-    # boundary sides, assigned to the arc beside the traced line; a scan
-    # start that is a first side's start reuses that trace
-    sides_of: list[list[Side]] = [[] for _ in arcs_of]
+    arc_right = {x: i for i, x in enumerate(singular)}
+    # boundary sides in scan order, each traced once, from the first start
+    # it visits; a visit (x, +1) claims the arc right of line x and (x, -1)
+    # the arc left of it, and a cylinder's two sides claim its arcs
+    sides_of: dict[tuple[int, ...], list[Side]] = {}
     seen: set[tuple[int, int]] = set()
-    for i, x in enumerate(singular):
+    for x in singular:
         for sigma in (1, -1):
             if (x, sigma) in seen:
                 continue
-            k = owner[i if sigma == 1 else i - 1]
-            if sigma == 1 and arcs_of[k][0] == i:
-                side, visited = first[k]
-            else:
-                side, visited = _side_trace(geo, x, sigma)
+            side, visited = _side_trace(geo, x, sigma)
             seen.update(visited)
-            sides_of[k].append(side)
+            arcs = sorted((arc_right[v] if t > 0 else arc_right[v] - 1) % len(singular) for v, t in visited)
+            sides_of.setdefault(tuple(arcs), []).append(side)
+    # every arc in one cylinder, claimed once by each of its sides
+    assert sorted(a for arcs in sides_of for a in arcs) == list(range(len(singular))), "arcs not partitioned"
 
+    # cylinders in order of their least arc (the seam is singular line 0);
+    # the arcs' number is the circumference and their length the width
     bounds = singular + [geo.w]
     cylinders = []
-    for arcs, sides in zip(arcs_of, sides_of):
+    for arcs, sides in sorted(sides_of.items()):
         assert len(sides) == 2, "cylinder with %d boundary sides" % len(sides)
+        assert len({bounds[a + 1] - bounds[a] for a in arcs}) == 1, "cylinder arcs differ in width"
         simple = all(len(s.passages) == 1 for s in sides)
         columns = tuple(x for a in arcs for x in range(bounds[a], bounds[a + 1]))
         width = bounds[arcs[0] + 1] - bounds[arcs[0]]
         cylinders.append(Cylinder(columns, width, len(arcs), simple, (sides[0], sides[1])))
     return CylinderDecomposition(tuple(cylinders), spectrum, geo.w)
+
+
+def _boundary_circles(geo: _Geometry, spectrum: SeparatrixSpectrum) -> int:
+    """Number of boundary circles of the vertical cylinders, two per cylinder.
+
+    A circle passes each cone point between two adjacent germs, then runs
+    along the second germ's segment to its far end ``other[g]``, so the
+    circles are the cycles of g -> other[turn[g]], ``turn[g]`` the germ
+    after g around its cone point.  The corner walk turns one way from a
+    top junction and the other from a bottom one, so a class of
+    :func:`vertex_cycles` whose least junction is a bottom one is reversed.
+    """
+    turn = [0] * len(geo.pair)
+    for cycle in vertex_cycles(geo.pair, geo.r):
+        if cycle[0] >= geo.r:
+            cycle.reverse()
+        for i, g in enumerate(cycle):
+            turn[cycle[i - 1]] = g
+    other = [0] * len(geo.pair)
+    for a, b in (seg.germs for seg in spectrum.segments):
+        other[a], other[b] = b, a
+    _, circles = _cycles([other[g] for g in turn])
+    assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
+    return len(circles)
 
 
 def germ_sector_angles(
@@ -456,6 +451,8 @@ def germ_sector_angles(
 
     xa = block(spots[0], spots[1])
     xb = block(spots[2], spots[3])
+    if xa == xb:
+        raise NotSimple("boundary circles pass the singularity in one wedge")
     s1 = (xb - xa - 1) % n
     s2 = (xa - xb - 1) % n
     assert s1 + s2 == n - 2
@@ -490,17 +487,17 @@ def vertical_permutation(
     The two boundary circles, read parallel to each other at a common
     regular arc, become the rows of the new permutation; letters are the
     vertical separatrix segments and their lengths the crossing counts.
+    The separatrix diagram counts the cylinders before any side trace.
     """
     geo = _Geometry(gp, lam)
     spectrum = _spectrum(geo)
+    circles = _boundary_circles(geo, spectrum)
+    if circles != 2:
+        raise NotSingleCylinder("vertical foliation has %d cylinders" % (circles // 2))
+    # read both sides upward at arc 0, the regular columns right of x=0
     singular = sorted(spectrum.singular_lines())
-    _, arcs_of, first = _cylinders(geo, singular)
-    if len(arcs_of) != 1:
-        raise NotSingleCylinder("vertical foliation has %d cylinders" % len(arcs_of))
-    # read both sides upward at arc 0, the regular columns right of x=0:
-    # the first side already runs up beside x=0
     right_of_zero = singular[1] if len(singular) > 1 else geo.w
-    side_top, _ = first[0]
+    side_top, _ = _side_trace(geo, 0, 1)
     side_bottom, _ = _side_trace(geo, right_of_zero % geo.w, -1)
     # the two sides of the one cylinder hug every singular line on both sides
     assert side_top.traversals + side_bottom.traversals == 2 * len(singular), "cylinder without two sides"

@@ -203,6 +203,14 @@ def test_angle_and_excise(capsys):
     assert code == 0 and "angle 2" in out
 
 
+def test_angle_of_the_flat_torus_finds_no_simple_cylinder(capsys):
+    # its one cylinder passes the 2*pi point with passage (0, 1) on both sides, in one wedge
+    code, out, _ = run(capsys, "angle", "1 / 1")
+    assert (code, out) == (0, "no simple cylinder\n")
+    code, out, _ = run(capsys, "angle", "1 / 1", "--json")
+    assert code == 0 and json.loads(out)["angles"] == []
+
+
 def test_vperm(capsys):
     code, out, _ = run(capsys, "vperm", "0 1 0 / 2 3 2 1 3", "--lengths", "2 1 2 1 1 1 1 1")
     assert code == 0 and "lambda" in out

@@ -40,6 +40,11 @@ def test_parse_newline_rows():
     assert gp.is_abelian()
 
 
+def test_parse_slash_rows_around_newlines():
+    for text in ("1 2 / 1 2\n", "\n1 2 / 1 2", "1 2\n/\n1 2"):
+        assert GP(text).rows() == ((1, 2), (1, 2))
+
+
 def test_parse_errors():
     with pytest.raises(LetterCountError):
         GP("1 1 / 2")

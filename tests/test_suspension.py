@@ -1263,21 +1263,44 @@ def reference_leaf_cylinders(geo, singular: list[int]) -> tuple[list[int], list[
     return owner, arcs_of
 
 
-def test_first_sides_claim_the_leaf_walk_arcs_on_seeded_corpus():
-    three = retraced = 0
+def test_decomposition_traces_each_side_once_and_claims_the_leaf_walk_arcs(monkeypatch):
+    traces = 0
+    side_trace = suspension._side_trace
+
+    def counted(*args):
+        nonlocal traces
+        traces += 1
+        return side_trace(*args)
+
+    monkeypatch.setattr(suspension, "_side_trace", counted)
+    three = 0
     for _, gp, lam in seeded_cylinder_corpus():
         geo = suspension._Geometry(gp, lam)
         singular = sorted(suspension._spectrum(geo).singular_lines())
-        owner, arcs_of, first = suspension._cylinders(geo, singular)
-        assert (owner, arcs_of) == reference_leaf_cylinders(geo, singular)
-        for arcs, (side, visited) in zip(arcs_of, first):
-            assert (side, visited) == suspension._side_trace(geo, singular[arcs[0]], 1)
-            # the decomposition's (line, sigma) scan meets this side before its start when a
-            # visit comes earlier in scan order, and then traces the side anew from there
-            retraced += min((singular.index(x), sigma < 0) for x, sigma in visited) < (arcs[0], False)
-        three += len(arcs_of) == 3
-    assert (three, retraced) == (69, 41)
+        traces = 0
+        dec = cylinder_decomposition(gp, lam)
+        assert traces == 2 * len(dec.cylinders)
+        arcs_of = [sorted({bisect_right(singular, x) - 1 for x in c.columns}) for c in dec.cylinders]
+        assert arcs_of == reference_leaf_cylinders(geo, singular)[1]
+        # the vertical reading traces its two rows, and nothing when the diagram counts more cylinders
+        traces = 0
+        vperm_outcome(vertical_permutation, gp, lam)
+        assert traces == (2 if len(dec.cylinders) == 1 else 0)
+        three += len(dec.cylinders) == 3
+    assert three == 69
 
+
+def test_separatrix_diagram_counts_two_boundary_circles_per_cylinder():
+    # both explicit cases are misread when a class of bottom junctions only is not reversed
+    explicit = [
+        (GP("1 2 3 2 3 4 1 4 / 5 6 5 6"), (1, 1, 1, 1, 2, 2)),
+        (GP("1 2 3 1 2 4 / 5 6 6 7 8 7 5 3 8 4"), (2, 2, 2, 2, 1, 1, 1, 1)),
+    ]
+    assert [len(reference_cylinder_decomposition(*case).cylinders) for case in explicit] == [1, 3]
+    for gp, lam in explicit + [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()] + list(reference_pairs()):
+        geo = suspension._Geometry(gp, lam)
+        circles = suspension._boundary_circles(geo, suspension._spectrum(geo))
+        assert circles == 2 * len(reference_cylinder_decomposition(gp, lam).cylinders)
 
 
 # -- integer cover reader against the tuple-keyed reference --------------------
