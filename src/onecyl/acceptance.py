@@ -27,7 +27,7 @@ from .classify import (
     excisions,
 )
 from .conditions import condition_star, is_irreducible, weak_reducibility
-from .errors import NotFoundWithinBudget
+from .errors import NotFoundWithinBudget, NotSingleCylinder
 from .genperm import CALIBRATED_SYM, DEFAULT_SYM, GeneralizedPermutation
 from .strata import (
     hyperelliptic_rep,
@@ -261,12 +261,11 @@ def _q8_vertical_moves(memo):
     for text in A2_TABLE:
         gp = GP(text)
         lam = lam_from_positions(gp, A2_LAMBDA)
-        dec = cylinder_decomposition(gp, lam)
-        if len(dec.cylinders) != 1:
+        try:
+            vg, _ = vertical_permutation(gp, lam)
+            landed.append(vg.canonical_key(CALIBRATED_SYM) in a1_keys)
+        except NotSingleCylinder:
             landed.append("multi-cylinder")
-            continue
-        vg, _ = vertical_permutation(gp, lam)
-        landed.append(vg.canonical_key(CALIBRATED_SYM) in a1_keys)
     return ([True, True, True], [True, True, True]), (covers_enum, landed)
 
 

@@ -21,12 +21,11 @@ Conventions:
 * arc i is the run of unit columns from the i-th singular line (a line
   a compact separatrix runs along; in increasing order, the seam first)
   to the next one.  Separatrices run along both its edges, so an arc
-  spans the width of its vertical cylinder, and a closed leaf of that
-  cylinder crosses each of the cylinder's arcs exactly once; a side
-  trace is such a leaf, so the boundary scan traces each side once and
-  groups the two sides of a cylinder by the arcs they cross;
-* the separatrix diagram (germs in turn around each cone point, paired
-  by segments) counts the boundary circles, two per cylinder, untraced;
+  spans the width of its vertical cylinder, and each boundary side of the
+  cylinder runs beside each of its arcs once.  The sides are the circles
+  of the separatrix diagram (germs in turn around each cone point, paired
+  by segments), two per cylinder, read off the diagram without a trace;
+  the two sides of a cylinder are the two circles beside the same arcs;
 * going up through a top interval glued by translation re-enters the
   bottom going up; glued to another top interval it re-enters that
   interval going down with reflected offset, and symmetrically below.
@@ -48,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BadParameters,
@@ -242,42 +241,90 @@ class SeparatrixSpectrum:
         return [{"len": s.crossings, "is_gamma": s.is_gamma} for s in self.segments]
 
 
-def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, int, tuple[int, ...]]:
-    """Follow the vertical ray from a junction until it hits a junction."""
+def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, tuple[int, ...], list[bool]]:
+    """Follow the vertical ray from a junction until it hits a junction.
+
+    Returns the junction hit, the line of each crossing, and whether the
+    ray goes up at each crossing.
+    """
     s = int(germ < geo.r)  # a top ray travels down and first reaches the bottom
     X = 2 * geo.left[germ]
     budget = 2 * geo.w + 2
-    lines = []
+    lines, rising = [], []
     while True:
         lines.append(X >> 1)
+        rising.append(not s)
         if len(lines) > budget:
             raise TraceBudgetExceeded("separatrix trace exceeded %d crossings" % budget)
         hit = geo.junction_at[s][X >> 1]
         if hit >= 0:
-            return hit, len(lines), tuple(lines)
+            return hit, tuple(lines), rising
         s, X = geo.glue(s, X)
 
 
 def separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> SeparatrixSpectrum:
     """All compact vertical separatrices, as a perfect matching on germs."""
-    return _spectrum(_Geometry(gp, lam))
+    return _diagram(_Geometry(gp, lam))[0]
 
 
-def _spectrum(geo: _Geometry) -> SeparatrixSpectrum:
-    done = [False] * len(geo.pair)
+def _diagram(geo: _Geometry) -> tuple[SeparatrixSpectrum, list[int], list[Germ], list[Germ], dict[int, Germ]]:
+    """The separatrix diagram: (spectrum, seg_of, other, turn, start).
+
+    Each segment is traced once, from its least germ; ``seg_of[g]`` is the
+    index of g's segment and ``other[g]`` its far end.  ``turn[g]`` is the
+    germ after g around its cone point; the corner walk turns one way from
+    a top junction and the other from a bottom one, so a class of
+    :func:`vertex_cycles` whose least junction is a bottom one is reversed.
+    The boundary circles are the cycles of g -> other[turn[g]], two per
+    cylinder.  ``start[x]``, for each singular line x, is the end that the
+    segment along x reaches going up from x: the first in-germ of a
+    boundary side leaving line x upward.
+    """
+    n = len(geo.pair)
+    seg_of = [-1] * n
+    other = [0] * n
+    start: dict[int, Germ] = {}
     segments: list[Segment] = []
-    for g in range(len(geo.pair)):
-        if done[g]:
+    for g in range(n):
+        if seg_of[g] >= 0:
             continue
-        end, crossings, lines = _trace_segment(geo, g)
-        back, back_crossings, _ = _trace_segment(geo, end)
-        assert back == g and back_crossings == crossings, "segment pairing broke"
-        is_gamma = {g, end} == {0, geo.r}
-        segments.append(Segment((min(g, end), max(g, end)), crossings, lines, is_gamma))
-        done[g] = done[end] = True
+        end, lines, rising = _trace_segment(geo, g)
+        # glue is a bijection on crossing states, so a trace back from end
+        # would return to g exactly when end is a new germ and no line is
+        # crossed twice; every germ below g is claimed, so end > g
+        assert end != g and seg_of[end] < 0, "segment pairing broke"
+        seg_of[g] = seg_of[end] = len(segments)
+        other[g], other[end] = end, g
+        for x, up in zip(lines, rising):
+            assert x not in start, "two segments cross line %d" % x
+            start[x] = end if up else g
+        segments.append(Segment((g, end), len(lines), lines, {g, end} == {0, geo.r}))
     assert sum(1 for s in segments if s.is_gamma) == 1
     assert segments and min(s.crossings for s in segments if s.is_gamma) == 1
-    return SeparatrixSpectrum(tuple(segments))
+    turn = [0] * n
+    for cycle in vertex_cycles(geo.pair, geo.r):
+        if cycle[0] >= geo.r:
+            cycle.reverse()
+        for i, g in enumerate(cycle):
+            turn[cycle[i - 1]] = g
+    return SeparatrixSpectrum(tuple(segments)), seg_of, other, turn, start
+
+
+def _passages(other: list[Germ], step: Sequence[Germ], g: Germ) -> Iterator[tuple[Germ, Germ]]:
+    """(in-germ, out-germ) passages of the boundary side whose first in-germ is g.
+
+    The side passes each cone point from g to ``step[g]`` and runs along
+    that germ's segment to the next in-germ, ``other[step[g]]``, once round
+    its circle.  ``step`` is ``turn`` for a side that leaves a singular line
+    upward at offset +1 and its inverse for one at offset -1.
+    """
+    first = g
+    while True:
+        out = step[g]
+        yield g, out
+        g = other[out]
+        if g == first:
+            return
 
 
 def gamma_mult_one_evidence(gp: GeneralizedPermutation, lam: Sequence[int]) -> bool:
@@ -327,60 +374,34 @@ class CylinderDecomposition:
         }
 
 
-def _side_trace(geo: _Geometry, x0: int, sigma0: int) -> tuple[Side, list[tuple[int, int]]]:
-    """Boundary trace hugging singular lines at offset sigma*epsilon.
-
-    The trace runs upward through the column z = 2*x + sigma (doubled)
-    beside line x; a central symmetry flips sigma with the direction.  At
-    a junction the hugged line passes the singular point, from the
-    incoming germ to the junction where the image line resumes.
-    """
-    w2 = 2 * geo.w
-    start = (0, (2 * x0 + sigma0) % w2, sigma0)
-    s, z, sigma = start
-    passages: list[tuple[Germ, Germ]] = []
-    visited: list[tuple[int, int]] = []
-    while True:
-        x = ((z - sigma) % w2) >> 1
-        visited.append((x, sigma))
-        if len(visited) > 2 * geo.w + 2:
-            raise TraceBudgetExceeded("side trace exceeded budget")
-        in_germ = geo.junction_at[s][x]
-        t, z = geo.glue(s, z)
-        if t != s:
-            sigma = -sigma
-        if in_germ >= 0:
-            # the partner cell, where the image line resumes, lies on circle 1 - t
-            out_germ = geo.junction_at[1 - t][((z - sigma) % w2) >> 1]
-            assert out_germ >= 0, "junction image is not a junction"
-            passages.append((in_germ, out_germ))
-        s = t
-        if (s, z, sigma) == start:
-            return Side(tuple(passages), len(visited)), visited
-
-
 def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> CylinderDecomposition:
     """Vertical cylinders of the suspension, with boundary structure."""
     return _decomposition(_Geometry(gp, lam))
 
 
 def _decomposition(geo: _Geometry) -> CylinderDecomposition:
-    spectrum = _spectrum(geo)
-    singular = sorted(spectrum.singular_lines())
+    spectrum, seg_of, other, turn, start = _diagram(geo)
+    singular = sorted(start)
     arc_right = {x: i for i, x in enumerate(singular)}
-    # boundary sides in scan order, each traced once, from the first start
-    # it visits; a visit (x, +1) claims the arc right of line x and (x, -1)
-    # the arc left of it, and a cylinder's two sides claim its arcs
+    back = _inv(turn)
+    # boundary sides in scan order, each read once off its diagram circle
+    # from the first start it visits.  A side leaving line x upward at
+    # offset sigma visits the lines of its outgoing segments: at sigma where
+    # it goes up, toward start[v], and at -sigma where it goes down; a visit
+    # (x, +1) claims the arc right of line x and (x, -1) the arc left of
+    # it, and a cylinder's two sides claim its arcs
     sides_of: dict[tuple[int, ...], list[Side]] = {}
     seen: set[tuple[int, int]] = set()
     for x in singular:
         for sigma in (1, -1):
             if (x, sigma) in seen:
                 continue
-            side, visited = _side_trace(geo, x, sigma)
+            passages = tuple(_passages(other, turn if sigma > 0 else back, start[x]))
+            visited = [(v, sigma if start[v] == other[out] else -sigma)
+                       for _, out in passages for v in spectrum.segments[seg_of[out]].lines]
             seen.update(visited)
             arcs = sorted((arc_right[v] if t > 0 else arc_right[v] - 1) % len(singular) for v, t in visited)
-            sides_of.setdefault(tuple(arcs), []).append(side)
+            sides_of.setdefault(tuple(arcs), []).append(Side(passages, len(visited)))
     # every arc in one cylinder, claimed once by each of its sides
     assert sorted(a for arcs in sides_of for a in arcs) == list(range(len(singular))), "arcs not partitioned"
 
@@ -396,30 +417,6 @@ def _decomposition(geo: _Geometry) -> CylinderDecomposition:
         width = bounds[arcs[0] + 1] - bounds[arcs[0]]
         cylinders.append(Cylinder(columns, width, len(arcs), simple, (sides[0], sides[1])))
     return CylinderDecomposition(tuple(cylinders), spectrum, geo.w)
-
-
-def _boundary_circles(geo: _Geometry, spectrum: SeparatrixSpectrum) -> int:
-    """Number of boundary circles of the vertical cylinders, two per cylinder.
-
-    A circle passes each cone point between two adjacent germs, then runs
-    along the second germ's segment to its far end ``other[g]``, so the
-    circles are the cycles of g -> other[turn[g]], ``turn[g]`` the germ
-    after g around its cone point.  The corner walk turns one way from a
-    top junction and the other from a bottom one, so a class of
-    :func:`vertex_cycles` whose least junction is a bottom one is reversed.
-    """
-    turn = [0] * len(geo.pair)
-    for cycle in vertex_cycles(geo.pair, geo.r):
-        if cycle[0] >= geo.r:
-            cycle.reverse()
-        for i, g in enumerate(cycle):
-            turn[cycle[i - 1]] = g
-    other = [0] * len(geo.pair)
-    for a, b in (seg.germs for seg in spectrum.segments):
-        other[a], other[b] = b, a
-    _, circles = _cycles([other[g] for g in turn])
-    assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
-    return len(circles)
 
 
 def germ_sector_angles(
@@ -487,27 +484,25 @@ def vertical_permutation(
     The two boundary circles, read parallel to each other at a common
     regular arc, become the rows of the new permutation; letters are the
     vertical separatrix segments and their lengths the crossing counts.
-    The separatrix diagram counts the cylinders before any side trace.
+    The separatrix diagram counts the cylinders first, and the rows are
+    read off its two circles.
     """
     geo = _Geometry(gp, lam)
-    spectrum = _spectrum(geo)
-    circles = _boundary_circles(geo, spectrum)
-    if circles != 2:
-        raise NotSingleCylinder("vertical foliation has %d cylinders" % (circles // 2))
-    # read both sides upward at arc 0, the regular columns right of x=0
-    singular = sorted(spectrum.singular_lines())
-    right_of_zero = singular[1] if len(singular) > 1 else geo.w
-    side_top, _ = _side_trace(geo, 0, 1)
-    side_bottom, _ = _side_trace(geo, right_of_zero % geo.w, -1)
-    # the two sides of the one cylinder hug every singular line on both sides
-    assert side_top.traversals + side_bottom.traversals == 2 * len(singular), "cylinder without two sides"
-
+    spectrum, seg_of, other, turn, start = _diagram(geo)
+    _, circles = _cycles([other[g] for g in turn])
+    assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
+    if len(circles) != 2:
+        raise NotSingleCylinder("vertical foliation has %d cylinders" % (len(circles) // 2))
+    # read both sides upward at arc 0, the regular columns right of x=0:
+    # the top row leaves the seam at offset +1, the bottom row the next
+    # singular line (the seam again when it is the only one) at offset -1
+    singular = sorted(start)
+    top = [seg_of[out] for _, out in _passages(other, turn, start[0])]
+    bottom = [seg_of[out] for _, out in _passages(other, _inv(turn), start[singular[1 % len(singular)]])]
     segments = spectrum.segments
-    seg_of = [0] * len(geo.pair)
-    for i, seg in enumerate(segments):
-        for g in seg.germs:
-            seg_of[g] = i
-    top, bottom = ([seg_of[out] for (_, out) in side.passages] for side in (side_top, side_bottom))
+    # the two sides of the one cylinder hug every singular line on both sides
+    assert sum(segments[i].crossings for i in top + bottom) == 2 * len(singular), "cylinder without two sides"
+
     # from_rows checks that every segment occurs twice and renumbers by
     # first appearance, the order of dict.fromkeys
     new_gp = GeneralizedPermutation.from_rows(top, bottom)

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onecyl.cli import main
 
@@ -240,3 +245,63 @@ def test_reproduce_appendix_filter(capsys):
     code, out, _ = run(capsys, "reproduce-appendix", "--only", "q8-one-orbit")
     assert code == 1
     assert "[FAIL] q8-one-orbit" in out
+
+
+# -- bounded fuzz of the exit-code contract ---------------------------------
+
+FUZZ_COMMANDS = (
+    ["parse"], ["stratum"], ["check", "weak"], ["check", "red"], ["check", "star"], ["check", "irreducible"],
+    ["suspend"], ["spectrum"], ["decompose"], ["angle"], ["vperm"], ["orbit"], ["excise"], ["bubble"],
+)
+LENGTH_COMMANDS = {"suspend", "spectrum", "decompose", "angle", "vperm", "orbit"}
+FUZZ_TOKENS = ["1", "2", "3", "0", "-1", "9", "a", "b", "/", "//", "=", ",", "1,2", "x=1", "", " ", "\n"]
+
+
+@st.composite
+def small_permutation(draw) -> str:
+    k = draw(st.integers(1, 5))
+    cells = draw(st.permutations([x for x in range(1, k + 1) for _ in range(2)]))
+    r = draw(st.integers(1, 2 * k - 1))
+    return "%s / %s" % (" ".join(map(str, cells[:r])), " ".join(map(str, cells[r:])))
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    tokens = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=8).map(" ".join)
+    perm = draw(st.one_of(small_permutation(), small_permutation(), tokens))
+    argv = command + [perm]
+    if command == ["bubble"]:
+        argv.append(str(draw(st.integers(-1, 6))))
+    if command[0] in LENGTH_COMMANDS and draw(st.integers(0, 2)) == 0:
+        values = st.integers(-1, 4)
+        if draw(st.booleans()):
+            text = ",".join(map(str, draw(st.lists(values, max_size=10))))
+        else:
+            pairs = draw(st.lists(st.tuples(st.sampled_from(["1", "2", "3", "4", "5", "a"]), values), max_size=5))
+            text = ",".join("%s=%d" % pair for pair in pairs)
+        argv += ["--lengths", text]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-3, 50)))]
+    # the orbit walk is capped so that every example stays small
+    if command == ["orbit"]:
+        argv += ["--cap", str(draw(st.integers(-1, 50)))]
+    if draw(st.integers(0, 19)) == 7:  # an option the command does not take, or one without its value
+        argv.append(draw(st.sampled_from(["--cap", "--lengths", "--bogus", "--seed"])))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argv())
+def test_cli_exits_0_1_or_2_and_explains_exit_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line itself
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert "error: " in err.getvalue(), argv

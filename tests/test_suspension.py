@@ -1263,29 +1263,32 @@ def reference_leaf_cylinders(geo, singular: list[int]) -> tuple[list[int], list[
     return owner, arcs_of
 
 
-def test_decomposition_traces_each_side_once_and_claims_the_leaf_walk_arcs(monkeypatch):
+def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monkeypatch):
     traces = 0
-    side_trace = suspension._side_trace
+    trace_segment = suspension._trace_segment
 
     def counted(*args):
         nonlocal traces
         traces += 1
-        return side_trace(*args)
+        return trace_segment(*args)
 
-    monkeypatch.setattr(suspension, "_side_trace", counted)
+    monkeypatch.setattr(suspension, "_trace_segment", counted)
     three = 0
     for _, gp, lam in seeded_cylinder_corpus():
-        geo = suspension._Geometry(gp, lam)
-        singular = sorted(suspension._spectrum(geo).singular_lines())
+        traces = 0
+        spectrum = separatrix_spectrum(gp, lam)
+        assert traces == len(spectrum.segments)
+        singular = sorted(spectrum.singular_lines())
         traces = 0
         dec = cylinder_decomposition(gp, lam)
-        assert traces == 2 * len(dec.cylinders)
+        assert traces == len(spectrum.segments)
+        geo = suspension._Geometry(gp, lam)
         arcs_of = [sorted({bisect_right(singular, x) - 1 for x in c.columns}) for c in dec.cylinders]
         assert arcs_of == reference_leaf_cylinders(geo, singular)[1]
-        # the vertical reading traces its two rows, and nothing when the diagram counts more cylinders
+        # the vertical reading reads its rows off the diagram, with no second trace
         traces = 0
         vperm_outcome(vertical_permutation, gp, lam)
-        assert traces == (2 if len(dec.cylinders) == 1 else 0)
+        assert traces == len(spectrum.segments)
         three += len(dec.cylinders) == 3
     assert three == 69
 
@@ -1298,9 +1301,17 @@ def test_separatrix_diagram_counts_two_boundary_circles_per_cylinder():
     ]
     assert [len(reference_cylinder_decomposition(*case).cylinders) for case in explicit] == [1, 3]
     for gp, lam in explicit + [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()] + list(reference_pairs()):
-        geo = suspension._Geometry(gp, lam)
-        circles = suspension._boundary_circles(geo, suspension._spectrum(geo))
-        assert circles == 2 * len(reference_cylinder_decomposition(gp, lam).cylinders)
+        _, _, other, turn, _ = suspension._diagram(suspension._Geometry(gp, lam))
+        circles = suspension._cycles([other[g] for g in turn])[1]
+        assert len(circles) == 2 * len(reference_cylinder_decomposition(gp, lam).cylinders)
+
+
+def test_arc_cylinders_match_reference_on_q12_classes():
+    # one lambda per class, cycling through the seeds of the q12 config at its bound
+    single = 0
+    for i, gp in enumerate(enumerate_stratum((12,))):
+        single += assert_cylinders_match_reference(gp, sample_admissible(gp, seed=1 + i % 6, bound=8))
+    assert (i, single) == (724, 277)
 
 
 # -- integer cover reader against the tuple-keyed reference --------------------
