@@ -26,7 +26,7 @@ from .classify import (
     excise_simple_cylinder,
     excisions,
 )
-from .conditions import condition_star, is_irreducible, weak_reducibility
+from .conditions import condition_star, is_irreducible, red_condition, weak_reducibility
 from .errors import NotFoundWithinBudget, NotSingleCylinder
 from .genperm import CALIBRATED_SYM, DEFAULT_SYM, GeneralizedPermutation
 from .strata import (
@@ -43,6 +43,7 @@ from .suspension import (
     cylinder_decomposition,
     decode_one_cylinder,
     gamma_mult_one_evidence,
+    lam_from_positions,
     sample_admissible,
     separatrix_spectrum,
     simple_cylinder_angle,
@@ -216,8 +217,6 @@ def _pi1a_family(memo):
 
 @_check("red-examples", "PAPER")
 def _red_examples(memo):
-    from .conditions import red_condition
-
     d = red_condition(GP("1 2 2 3 3 1 / 0 0"))
     violated_as_printed = (
         d is not None
@@ -252,8 +251,6 @@ A2_LAMBDA = (1, 1, 1, 1, 1, 1, 2, 1, 2, 1)
 
 @_check("q8-vertical-moves", "PAPER")
 def _q8_vertical_moves(memo):
-    from .suspension import lam_from_positions
-
     a1_keys = {gp.canonical_key(CALIBRATED_SYM) for gp in enumerate_type(5, 5, pattern=(8,))}
     a2_keys = {gp.canonical_key(CALIBRATED_SYM) for gp in enumerate_type(6, 4, pattern=(8,))}
     covers_enum = sorted(GP(t).canonical_key(CALIBRATED_SYM) in a2_keys for t in A2_TABLE)
@@ -326,8 +323,6 @@ def _qm15_classes(memo):
 def _qm15_move(memo):
     pi1 = GP("0 0 1 2 / 1 3 2 3")
     pi2 = GP("0 1 0 / 2 3 2 1 3")
-    from .suspension import lam_from_positions
-
     lam2 = lam_from_positions(pi2, (2, 1, 2, 1, 1, 1, 1, 1))
     vg, _ = vertical_permutation(pi2, lam2)
     return True, vg.equivalent(pi1, CALIBRATED_SYM)
@@ -374,7 +369,7 @@ def _q12_quoted_angles(memo):
         restricted = gp.restrict()
         assert is_irreducible(restricted).irreducible
         dec = cylinder_decomposition(gp, all_ones(gp))
-        head = next(c for c in dec.cylinders if 0 in c.columns and c.circumference == 1)
+        head = next(c for c in dec.cylinders if 0 in c.arcs and c.circumference == 1)
         got[text] = simple_cylinder_angle(gp, all_ones(gp), head)[0]
     return quoted, got
 
@@ -414,8 +409,6 @@ def _qm19_angles(memo):
 def _qm19_one_pole_family(memo):
     # the one-pole ladder with weights ((l-1)a, a, (l-1)a, a, ..., a)
     # splits vertically into g-1 cylinders, exactly one of them simple
-    from .suspension import lam_from_positions
-
     got = []
     for l in (5, 7, 9):
         top = ["0", "1", "0"]

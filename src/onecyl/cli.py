@@ -20,7 +20,9 @@ from .errors import OneCylError
 from .genperm import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup
 from .strata import SingularityPattern, hyperelliptic_rep, irreducible_rep, match_component, singularity_pattern
 from .suspension import (
+    check_admissible,
     cylinder_decomposition,
+    lam_from_positions,
     sample_admissible,
     separatrix_spectrum,
     simple_cylinder_angle,
@@ -62,12 +64,8 @@ def _parse_lambda(gp: GeneralizedPermutation, text: str | None, seed: int) -> tu
         if len(given) < len(items):
             raise OneCylError("--lengths gives a letter twice: %r" % text)
         lam = [given.get(i, 1) for i in range(gp.num_letters)]  # letters left out have length 1
-        from .suspension import check_admissible
-
         return check_admissible(gp, lam)
     values = _parse_ints(text, "--lengths")
-    from .suspension import lam_from_positions
-
     return lam_from_positions(gp, values)
 
 

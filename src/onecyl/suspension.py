@@ -16,13 +16,15 @@ Conventions:
   :func:`onecyl.strata.corner_walk`: cell c is position c of the rows,
   top row first, and junction c its left end, so top junction j < r and
   bottom junction r + j; a germ, the vertical ray into the cylinder at a
-  junction, carries its junction's number;
+  junction, carries its junction's number.  Cells are read off their left
+  ends, so nothing is kept per unit column outside the cover;
 * vertical lengths are crossing counts (the cylinder height is the unit);
 * arc i is the run of unit columns from the i-th singular line (a line
   a compact separatrix runs along; in increasing order, the seam first)
-  to the next one.  Separatrices run along both its edges, so an arc
-  spans the width of its vertical cylinder, and each boundary side of the
-  cylinder runs beside each of its arcs once.  The sides are the circles
+  to the next one; a cylinder names its arcs by their first columns.
+  Separatrices run along both edges of an arc, so it spans the width of
+  its vertical cylinder, and each boundary side of the cylinder runs
+  beside each of its arcs once.  The sides are the circles
   of the separatrix diagram (germs in turn around each cone point, paired
   by segments), two per cylinder, read off the diagram without a trace;
   the two sides of a cylinder are the two circles beside the same arcs;
@@ -46,7 +48,9 @@ the cover works on flat integer arrays:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -171,10 +175,10 @@ class _Geometry:
     Cell c is position c of the rows, top row first, with partner
     ``pair[c]``; junction c is its left end, at ``left[c]`` on side 0 (the
     top circle) for c < r and on side 1 (the bottom circle) otherwise.
-    ``cell_at[s][x]`` is the cell over unit column x of side s and
-    ``junction_at[s][x]`` the junction at point x, or -1 for none.  A
-    vertical ray about to cross circle s travels up when s = 0 and down
-    when s = 1.
+    Cells are read off their left ends, with nothing kept per unit column:
+    ``cells[s]`` is side s's slice of ``left`` and ``junction_at[s]`` maps
+    its junction points to junctions.  A vertical ray about to cross
+    circle s travels up when s = 0 and down when s = 1.
     """
 
     def __init__(self, gp: GeneralizedPermutation, lam: Sequence[int]):
@@ -182,16 +186,10 @@ class _Geometry:
         self.r = r = len(gp.top)
         self.pair = gp.pairing()
         self.length = [lam[x - 1] for x in gp.top + gp.bottom]
-        self.w = w = sum(self.length[:r])
-        self.left: list[int] = []
-        self.cell_at: tuple[list[int], list[int]] = ([], [])
-        self.junction_at = ([-1] * w, [-1] * w)
-        for c, n in enumerate(self.length):
-            s = int(c >= r)
-            x = len(self.cell_at[s])
-            self.left.append(x)
-            self.junction_at[s][x] = c
-            self.cell_at[s].extend([c] * n)
+        self.w = sum(self.length[:r])
+        self.left = [0, *accumulate(self.length[: r - 1]), 0, *accumulate(self.length[r:-1])]
+        self.cells = ((0, r), (r, len(self.length)))
+        self.junction_at = tuple({self.left[c]: c for c in range(*span)} for span in self.cells)
 
     def glue(self, s: int, X: int) -> tuple[int, int]:
         """Cross side s at doubled coordinate X: (next side, image of X).
@@ -203,12 +201,14 @@ class _Geometry:
         next crossing is at side s again; a central symmetry (partner on
         side s) reflects X within the partner and reverses the direction.
         """
-        c = self.cell_at[s][X >> 1]
+        left = self.left
+        lo, hi = self.cells[s]
+        c = bisect_right(left, X >> 1, lo, hi) - 1  # the last of side s to start at or before X
         d = self.pair[c]
-        X -= 2 * self.left[c]
+        X -= 2 * left[c]
         if (d >= self.r) == s:
-            return s ^ 1, 2 * (self.left[d] + self.length[d]) - X
-        return s, 2 * self.left[d] + X
+            return s ^ 1, 2 * (left[d] + self.length[d]) - X
+        return s, 2 * left[d] + X
 
 
 # -- separatrix spectrum --------------------------------------------------
@@ -251,15 +251,15 @@ def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, tuple[int, ...], l
     X = 2 * geo.left[germ]
     budget = 2 * geo.w + 2
     lines, rising = [], []
+    junction_at, glue = geo.junction_at, geo.glue
     while True:
         lines.append(X >> 1)
         rising.append(not s)
         if len(lines) > budget:
             raise TraceBudgetExceeded("separatrix trace exceeded %d crossings" % budget)
-        hit = geo.junction_at[s][X >> 1]
-        if hit >= 0:
-            return hit, tuple(lines), rising
-        s, X = geo.glue(s, X)
+        if X >> 1 in junction_at[s]:
+            return junction_at[s][X >> 1], tuple(lines), rising
+        s, X = glue(s, X)
 
 
 def separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> SeparatrixSpectrum:
@@ -267,18 +267,14 @@ def separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> Separ
     return _diagram(_Geometry(gp, lam))[0]
 
 
-def _diagram(geo: _Geometry) -> tuple[SeparatrixSpectrum, list[int], list[Germ], list[Germ], dict[int, Germ]]:
-    """The separatrix diagram: (spectrum, seg_of, other, turn, start).
+def _diagram(geo: _Geometry) -> tuple[SeparatrixSpectrum, list[int], list[Germ], dict[int, Germ]]:
+    """The segments of the separatrix diagram: (spectrum, seg_of, other, start).
 
     Each segment is traced once, from its least germ; ``seg_of[g]`` is the
-    index of g's segment and ``other[g]`` its far end.  ``turn[g]`` is the
-    germ after g around its cone point; the corner walk turns one way from
-    a top junction and the other from a bottom one, so a class of
-    :func:`vertex_cycles` whose least junction is a bottom one is reversed.
-    The boundary circles are the cycles of g -> other[turn[g]], two per
-    cylinder.  ``start[x]``, for each singular line x, is the end that the
-    segment along x reaches going up from x: the first in-germ of a
-    boundary side leaving line x upward.
+    index of g's segment and ``other[g]`` its far end.  ``start[x]``, for
+    each singular line x, is the end that the segment along x reaches
+    going up from x: the first in-germ of a boundary side leaving line x
+    upward.  :func:`_turn` gives the diagram's other half.
     """
     n = len(geo.pair)
     seg_of = [-1] * n
@@ -301,13 +297,24 @@ def _diagram(geo: _Geometry) -> tuple[SeparatrixSpectrum, list[int], list[Germ],
         segments.append(Segment((g, end), len(lines), lines, {g, end} == {0, geo.r}))
     assert sum(1 for s in segments if s.is_gamma) == 1
     assert segments and min(s.crossings for s in segments if s.is_gamma) == 1
-    turn = [0] * n
+    return SeparatrixSpectrum(tuple(segments)), seg_of, other, start
+
+
+def _turn(geo: _Geometry) -> list[Germ]:
+    """``turn[g]``: the germ after g around its cone point.
+
+    The corner walk turns one way from a top junction and the other from
+    a bottom one, so a class of :func:`vertex_cycles` whose least junction
+    is a bottom one is reversed.  The boundary circles are the cycles of
+    g -> other[turn[g]], two per cylinder.
+    """
+    turn = [0] * len(geo.pair)
     for cycle in vertex_cycles(geo.pair, geo.r):
         if cycle[0] >= geo.r:
             cycle.reverse()
         for i, g in enumerate(cycle):
             turn[cycle[i - 1]] = g
-    return SeparatrixSpectrum(tuple(segments)), seg_of, other, turn, start
+    return turn
 
 
 def _passages(other: list[Germ], step: Sequence[Germ], g: Germ) -> Iterator[tuple[Germ, Germ]]:
@@ -351,7 +358,7 @@ class Side:
 
 @dataclass(frozen=True)
 class Cylinder:
-    columns: tuple[int, ...]
+    arcs: tuple[int, ...]  # the first column of each arc, ascending
     width: int
     circumference: int
     simple: bool
@@ -380,7 +387,8 @@ def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> Cy
 
 
 def _decomposition(geo: _Geometry) -> CylinderDecomposition:
-    spectrum, seg_of, other, turn, start = _diagram(geo)
+    spectrum, seg_of, other, start = _diagram(geo)
+    turn = _turn(geo)
     singular = sorted(start)
     arc_right = {x: i for i, x in enumerate(singular)}
     back = _inv(turn)
@@ -413,9 +421,8 @@ def _decomposition(geo: _Geometry) -> CylinderDecomposition:
         assert len(sides) == 2, "cylinder with %d boundary sides" % len(sides)
         assert len({bounds[a + 1] - bounds[a] for a in arcs}) == 1, "cylinder arcs differ in width"
         simple = all(len(s.passages) == 1 for s in sides)
-        columns = tuple(x for a in arcs for x in range(bounds[a], bounds[a + 1]))
         width = bounds[arcs[0] + 1] - bounds[arcs[0]]
-        cylinders.append(Cylinder(columns, width, len(arcs), simple, (sides[0], sides[1])))
+        cylinders.append(Cylinder(tuple(bounds[a] for a in arcs), width, len(arcs), simple, (sides[0], sides[1])))
     return CylinderDecomposition(tuple(cylinders), spectrum, geo.w)
 
 
@@ -488,7 +495,8 @@ def vertical_permutation(
     read off its two circles.
     """
     geo = _Geometry(gp, lam)
-    spectrum, seg_of, other, turn, start = _diagram(geo)
+    spectrum, seg_of, other, start = _diagram(geo)
+    turn = _turn(geo)
     _, circles = _cycles([other[g] for g in turn])
     assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
     if len(circles) != 2:

@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import itertools
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from typing import Sequence
@@ -30,7 +32,7 @@ from onecyl import (
     smooth_marked_points,
     vertical_permutation,
 )
-from onecyl import suspension
+from onecyl import strata, suspension
 from onecyl.acceptance import A1_TABLE
 from onecyl.classify import _UnionFind
 from onecyl.errors import (
@@ -308,7 +310,7 @@ def test_quoted_angle_table():
         gp = GP(text)
         lam = all_ones(gp)
         dec = cylinder_decomposition(gp, lam)
-        head = next(c for c in dec.cylinders if 0 in c.columns and c.circumference == 1)
+        head = next(c for c in dec.cylinders if 0 in c.arcs and c.circumference == 1)
         assert simple_cylinder_angle(gp, lam, head)[0] == angle, text
 
 
@@ -1022,8 +1024,9 @@ def reference_cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[i
         sides = sides_of[root]
         assert len(sides) == 2, "cylinder with %d boundary sides" % len(sides)
         simple = all(len(s.passages) == 1 for s in sides)
+        # the arcs: the cylinder's columns that lie on singular lines
         cylinders.append(
-            Cylinder(tuple(sorted(cols)), len(cols) // m, m, simple, (sides[0], sides[1]))
+            Cylinder(tuple(x for x in sorted(cols) if x in singular), len(cols) // m, m, simple, (sides[0], sides[1]))
         )
     assert sum(c.width * c.circumference for c in cylinders) == w
     return CylinderDecomposition(tuple(cylinders), spectrum, w)
@@ -1143,7 +1146,7 @@ def test_geometry_matches_string_keyed_reference():
         ref_dec = reference_cylinder_decomposition(gp, lam)
         dec = cylinder_decomposition(gp, lam)
         assert dec == CylinderDecomposition(tuple(
-            Cylinder(c.columns, c.width, c.circumference, c.simple, (side(c.sides[0]), side(c.sides[1])))
+            Cylinder(c.arcs, c.width, c.circumference, c.simple, (side(c.sides[0]), side(c.sides[1])))
             for c in ref_dec.cylinders
         ), spectrum, ref_dec.total_width)
         if len(dec.cylinders) == 1:
@@ -1179,7 +1182,7 @@ def integer_reference_decomposition(gp: GeneralizedPermutation, lam: Sequence[in
         for s in ref.spectrum.segments
     ))
     cylinders = tuple(
-        Cylinder(c.columns, c.width, c.circumference, c.simple, (side(c.sides[0]), side(c.sides[1])))
+        Cylinder(c.arcs, c.width, c.circumference, c.simple, (side(c.sides[0]), side(c.sides[1])))
         for c in ref.cylinders
     )
     return CylinderDecomposition(cylinders, spectrum, ref.total_width)
@@ -1283,7 +1286,7 @@ def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monke
         dec = cylinder_decomposition(gp, lam)
         assert traces == len(spectrum.segments)
         geo = suspension._Geometry(gp, lam)
-        arcs_of = [sorted({bisect_right(singular, x) - 1 for x in c.columns}) for c in dec.cylinders]
+        arcs_of = [[bisect_right(singular, x) - 1 for x in c.arcs] for c in dec.cylinders]
         assert arcs_of == reference_leaf_cylinders(geo, singular)[1]
         # the vertical reading reads its rows off the diagram, with no second trace
         traces = 0
@@ -1301,9 +1304,62 @@ def test_separatrix_diagram_counts_two_boundary_circles_per_cylinder():
     ]
     assert [len(reference_cylinder_decomposition(*case).cylinders) for case in explicit] == [1, 3]
     for gp, lam in explicit + [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()] + list(reference_pairs()):
-        _, _, other, turn, _ = suspension._diagram(suspension._Geometry(gp, lam))
-        circles = suspension._cycles([other[g] for g in turn])[1]
+        geo = suspension._Geometry(gp, lam)
+        _, _, other, _ = suspension._diagram(geo)
+        circles = suspension._cycles([other[g] for g in suspension._turn(geo)])[1]
         assert len(circles) == 2 * len(reference_cylinder_decomposition(gp, lam).cylinders)
+
+
+def test_only_the_cylinder_readings_turn_germs(monkeypatch):
+    # strata.vertex_cycles wherever it is bound, as bench/tracing.py wraps it
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return vertex_cycles(*args)
+
+    monkeypatch.setattr(strata, "vertex_cycles", counted)
+    monkeypatch.setattr(suspension, "vertex_cycles", counted)
+    for gp, lam in itertools.islice(reference_pairs(), 40):
+        seen = []
+        for reading in (separatrix_spectrum, cylinder_decomposition, vertical_permutation):
+            calls = 0
+            with contextlib.suppress(NotSingleCylinder):
+                reading(gp, lam)
+            seen.append(calls)
+        assert seen[:2] == [0, 1] and seen[2] >= 1, seen
+
+
+EXAMPLE_14 = "1 2 3 4 2 5 6 / 1 4 5 7 6 7 3"
+
+
+@pytest.mark.parametrize("c", [3, 10**6])
+def test_scaled_lengths_scale_only_the_widths(c):
+    example = GP(EXAMPLE_14)
+    for gp, lam in [(example, all_ones(example))] + list(reference_pairs()):
+        big = tuple(c * v for v in lam)
+        dec, big_dec = cylinder_decomposition(gp, lam), cylinder_decomposition(gp, big)
+        assert big_dec.spectrum == separatrix_spectrum(gp, big) == SeparatrixSpectrum(tuple(
+            Segment(s.germs, s.crossings, tuple(c * x for x in s.lines), s.is_gamma) for s in dec.spectrum.segments
+        ))
+        assert big_dec == CylinderDecomposition(tuple(
+            Cylinder(tuple(c * x for x in cyl.arcs), c * cyl.width, cyl.circumference, cyl.simple, cyl.sides)
+            for cyl in dec.cylinders
+        ), big_dec.spectrum, c * dec.total_width)
+        assert vperm_outcome(vertical_permutation, gp, big) == vperm_outcome(vertical_permutation, gp, lam)
+
+
+def test_decomposition_memory_does_not_grow_with_the_lengths():
+    gp = GP(EXAMPLE_14)
+    tracemalloc.start()
+    try:
+        dec = cylinder_decomposition(gp, (10**5,) * gp.num_letters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(c.width, c.circumference) for c in dec.cylinders] == [(10**5, 1), (10**5, 6)]
+    assert peak < 10**6, peak
 
 
 def test_arc_cylinders_match_reference_on_q12_classes():
