@@ -1,13 +1,17 @@
 """Stratum enumeration, geometric moves, handle calculus, component bounds.
 
-One-cylinder classes of a stratum are finite.  Enumeration is orderly: one
-pass over the relabeled words of length r + l splits each word at every
-admissible r, keeps the splits whose suspension lands in the stratum, and
-of those only the one that is lexicographically minimal among its images
-under the symmetries that keep its type, so each class is met exactly
-once and canonicalized once (Read 1978; McKay 1998).  The images are the
-orders of :func:`onecyl.genperm.position_orders`, compared by the same
-code as the canonical key.  Classes merge when a geometric move
+One-cylinder classes of a stratum are finite.  Enumeration is
+walk-directed and orderly.  For each type (r, l) the position pairings
+are built along the corner walk around their cone points, a branch per
+free partner of an unpaired cell, and a branch dies as soon as it closes
+a cone point of an order the stratum lacks (face-by-face map generation,
+Walsh-Lehman 1972; :func:`onecyl.strata.walk_pairings`), so only the
+pairings in the stratum are ever built.  Of those only the one that is
+lexicographically minimal among its images under the symmetries that
+keep its type is kept, so each class is met exactly once and
+canonicalized once (Read 1978; McKay 1998).  The images are the orders
+of :func:`onecyl.genperm.position_orders`, compared by the same code as
+the canonical key.  Classes merge when a geometric move
 certifies they lie in one connected component:
 
 * re-reading a single-vertical-cylinder suspension along the vertical
@@ -60,6 +64,7 @@ from .strata import (
     single_vertex,
     singularity_pattern,
     smooth_marked_points,
+    walk_pairings,
 )
 from .suspension import (
     all_ones,
@@ -77,63 +82,39 @@ from .suspension import (
 # -- enumeration -----------------------------------------------------------
 
 
-def _letter_sequences(p: int):
-    """All words of length p over letters 1..p/2, each letter used twice,
-    first appearances in increasing order (canonical relabeling built in).
+def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGroup) -> list:
+    """Canonical keys of the type-(r, l) classes with cone point orders ``want``.
 
-    Yields (word, pair, lo, hi): pair[i] is the other position of
-    word[i]'s letter, lo the earliest second cell of a letter and hi the
-    latest first cell.  The first free position takes the next letter and
-    is paired with each later free position in turn.
+    :func:`onecyl.strata.walk_pairings` builds the pairings with a doubled
+    letter in each row and those orders (a one-order pattern asks only for
+    a single cone point).  A pairing survives when it is the minimum of its
+    same-type orbit; each class has exactly one such pairing, so it pays for
+    exactly one full canonical key, and for one re-check of its orders by
+    the strata readers.
     """
-    word = [0] * p
-    pair = [0] * p
-
-    def rec(free: tuple[int, ...], letter: int, lo: int):
-        a = free[0]
-        word[a] = letter
-        for k in range(1, len(free)):
-            b = free[k]
-            word[b] = letter
-            pair[a], pair[b] = b, a
-            if len(free) == 2:
-                yield tuple(word), pair, min(lo, b), a
-            else:
-                yield from rec(free[1:k] + free[k + 1 :], letter + 1, min(lo, b))
-
-    yield from rec(tuple(range(p)), 1, p)
-
-
-def _orderly_keys(
-    p: int, top_lengths: list[int], want: tuple[int, ...] | None, sym: SymmetryGroup
-) -> dict[int, list]:
-    """Canonical keys of the classes of each type (r, p - r), r in top_lengths.
-
-    One pass over the relabeled words of length p; each word is split at
-    every requested r.  A split survives when each row holds a doubled
-    letter, its cone points match ``want`` and it is the minimum of its
-    same-type orbit.  Each class has exactly one such split, so it pays
-    for exactly one full canonical key.
-    """
+    p = r + l
     minimal = want is not None and len(want) == 1
     # group r of the orders table is the part of the sym group that keeps
-    # type (r, p - r); the first member of its first class is the identity
-    moves = {r: [m for entry in position_orders(r, p - r, sym)[r] for m in entry[2]][1:] for r in top_lengths}
-    keys: dict[int, list] = {r: [] for r in top_lengths}
-    for word, pair, lo, hi in _letter_sequences(p):
-        for r in top_lengths:
-            # a doubled letter in the top row has its second cell before r,
-            # one in the bottom row its first cell at r or later
-            if not lo < r <= hi:
-                continue
-            if minimal:
-                if not single_vertex(pair, r):
-                    continue
-            elif want is not None and pattern_orders(pair, r) != want:
-                continue
-            code = [j if j < i else i for i, j in enumerate(pair)]  # the identity's code
-            if not any(code_below(pair, order, inverse, code) for order, inverse in moves[r]):
-                keys[r].append(canonical_key(word[:r], word[r:], sym))
+    # type (r, l); the first member of its first class is the identity
+    moves = [m for entry in position_orders(r, l, sym)[r] for m in entry[2]][1:]
+    keys: list = []
+
+    def leaf(pair: list[int]) -> None:
+        code = [j if j < i else i for i, j in enumerate(pair)]  # the identity's code
+        for order, inverse in moves:
+            if code_below(pair, order, inverse, code):
+                return
+        if not (single_vertex(pair, r) if minimal else want is None or pattern_orders(pair, r) == want):
+            raise AssertionError("walk_pairings gave %r, not of orders %r" % (pair, want))
+        word = [0] * p
+        letter = 0
+        for i, j in enumerate(pair):
+            if j > i:
+                letter += 1
+                word[i] = word[j] = letter
+        keys.append(canonical_key(word[:r], word[r:], sym))
+
+    walk_pairings(r, p, (p - 2,) if minimal else want, leaf)
     return keys
 
 
@@ -154,10 +135,12 @@ def enumerate_type(
 
     Keeps only permutations with a doubled letter in each row (the
     non-orientable condition, which is also exactly admissibility here).
-    Generation is orderly: a word is kept only when it is the minimum of
-    its orbit under the symmetries that keep type (r, l), so no class is
-    produced twice and no dedupe is needed.  Classes are returned as
-    their canonical forms, which may have type (l, r) under row swap.
+    Generation is walk-directed and orderly: each position pairing is
+    built along the corner walk around its cone points, with pattern
+    pruning, and kept only when it is the minimum of its orbit under the
+    symmetries that keep type (r, l), so no class is produced twice and no
+    dedupe is needed.  Classes are returned as their canonical forms, which
+    may have type (l, r) under row swap.
     """
     if (r + l) % 2:
         raise SizeLimit("r + l must be even")
@@ -168,7 +151,7 @@ def enumerate_type(
     if pattern is not None and not pattern:
         raise BadPattern("a stratum needs at least one singularity order")
     want = tuple(sorted(pattern, reverse=True)) if pattern is not None else None
-    return _classes(_orderly_keys(r + l, [r], want, sym)[r])
+    return _classes(_orderly_keys(r, l, want, sym))
 
 
 def stratum_types(pattern: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -185,10 +168,11 @@ def enumerate_stratum(
     """Canonical one-cylinder classes of a stratum, across all types.
 
     With row swap in the symmetry, types (r, l) and (l, r) describe the
-    same classes; only r >= l is enumerated then.  All types come from one
-    orderly pass over the words of length r + l (see :func:`enumerate_type`);
-    the result lists them type by type.  An empty result means the stratum
-    contains no one-cylinder surface, hence is empty.
+    same classes; only r >= l is enumerated then.  Each type is generated
+    as in :func:`enumerate_type`, only the pairings with the stratum's
+    cone points ever being built; the result lists the classes type by
+    type.  An empty result means the stratum contains no one-cylinder
+    surface, hence is empty.
     """
     if not pattern:
         raise BadPattern("a stratum needs at least one singularity order")
@@ -198,9 +182,8 @@ def enumerate_stratum(
         return []
     if total > size_limit:
         raise SizeLimit("stratum needs r+l = %d > guard %d" % (total, size_limit))
-    top_lengths = [r for r, l in stratum_types(want) if not (sym.swap_rows and r < l)]
-    keys = _orderly_keys(total, top_lengths, want, sym)
-    return [gp for r in top_lengths for gp in _classes(keys[r])]
+    types = [(r, l) for r, l in stratum_types(want) if not (sym.swap_rows and r < l)]
+    return [gp for r, l in types for gp in _classes(_orderly_keys(r, l, want, sym))]
 
 
 # -- handle calculus -------------------------------------------------------

@@ -62,4 +62,4 @@ class NotFoundWithinBudget(OneCylError):
 
 
 class SizeLimit(OneCylError):
-    """Enumeration request exceeds the configured size guard."""
+    """A request exceeds a size guard: an enumeration's, or a cover's square count."""

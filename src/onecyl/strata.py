@@ -15,13 +15,16 @@ through one corner walk (:func:`corner_walk`): :func:`vertex_cycles`
 returns each class as a rotationally ordered list of junctions, the
 order that angle computations consume, :func:`pattern_orders` their
 singularity orders and :func:`single_vertex` the minimal-stratum test.
+:func:`walk_pairings` runs the walk the other way round: it builds every
+pairing with given singularity orders along the walk, for the
+enumeration.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BadParameters, BadPattern, UnknownName
 from .genperm import DEFAULT_SYM, GeneralizedPermutation, SymmetryGroup
@@ -90,6 +93,105 @@ def pattern_orders(pair: Sequence[int], r: int) -> tuple[int, ...]:
 def single_vertex(pair: Sequence[int], r: int) -> bool:
     """True iff all junctions fall in one class (minimal-stratum test)."""
     return len(corner_walk(pair, r)) == len(pair)
+
+
+def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[list[int]], None]) -> None:
+    """Call ``emit(pair)`` once for each position pairing of type (r, p - r)
+    with a doubled letter in each row and singularity orders ``want``
+    (any orders for None).  ``emit`` gets the one working list, valid only
+    during the call.
+
+    The pairing is built along the corner walk from junction 0, in the
+    turning direction :func:`corner_walk` takes from a top junction: after
+    crossing into cell y the walk leaves through ``turn[y]``, the next cell
+    on top and the previous one below, so the junction classes are the
+    cycles of y -> turn[pair[y]] on cells.  A step through an unpaired cell
+    branches over its free partners; a run of paired cells is followed in
+    one jump, as a chain of steps kept with its two ends and its length.
+    Pairing d with c adds the two steps d -> turn[c] and c -> turn[d].  A
+    step that closes a chain into a junction class must give it a wanted
+    size, and a chain may not grow past the largest wanted size; a partner
+    that leaves a row without a doubled letter and with fewer than two free
+    cells is not tried either.  When the walk's own class closes it
+    restarts at the least unpaired cell.  Each pairing comes from exactly
+    one branch path, since the walk reads each choice back off the pairing.
+    """
+    if r < 2 or p - r < 2 or (want is not None and sum(k + 2 for k in want) != p):
+        return
+    pair = [-1] * p
+    need = [0] * (p + 1)  # need[m]: classes of m junctions still wanted
+    for k in want if want is not None else ():
+        need[k + 2] += 1
+    top = p if want is None else max(k + 2 for k in want)
+    turn = [*range(1, r), 0, p - 1, *range(r, p - 1)]
+    head = list(range(p))  # head[t]: first cell of the chain that ends at t
+    tail = list(range(p))  # tail[s]: last cell of the chain that starts at s
+    size = [1] * p  # size[s]: cells of the chain that starts at s
+    free = [r, p - r]  # unpaired cells of each row
+    twins = [0, 0]  # same-row pairs of each row
+
+    def join(u: int, v: int) -> int:
+        # the step u -> v from a chain's last cell to a chain's first:
+        # -1 if it closes a wanted class, 1 if it joins two chains, 0 if refused
+        s = head[u]
+        if s == v:
+            if want is not None:
+                if not need[size[s]]:
+                    return 0
+                need[size[s]] -= 1
+            return -1
+        n = size[s] + size[v]
+        if n > top:
+            return 0
+        t = tail[v]
+        tail[s], head[t], size[s] = t, s, n
+        return 1
+
+    def split(u: int, v: int, joined: int) -> None:
+        # undo join(u, v), which returned joined
+        if joined > 0:
+            s = head[u]
+            t = tail[s]
+            tail[s], head[t], size[s] = u, v, size[s] - size[v]
+        elif want is not None:
+            need[size[v]] += 1
+
+    def grow(d: int, left: int) -> None:
+        # d: the unpaired cell the walk leaves through; left: unpaired cells
+        rd = d >= r
+        free[rd] -= 1
+        pair[d] = d  # taken while its partner is chosen
+        for c in range(p):
+            if pair[c] >= 0:
+                continue
+            rc = c >= r
+            same = rd == rc
+            free[rc] -= 1
+            twins[rc] += same
+            if (twins[0] or free[0] > 1) and (twins[1] or free[1] > 1):
+                first = join(d, turn[c])
+                if first:
+                    second = join(c, turn[d])
+                    if second:
+                        pair[d], pair[c] = c, d
+                        if left == 2:
+                            emit(pair)
+                        else:
+                            # the walk goes on from the end of its chain: a start
+                            # records its chain's end, and one that gains a chain
+                            # in front keeps the record; a closed chain ends at a
+                            # paired cell, and the walk restarts
+                            end = tail[head[d]]
+                            grow(end if pair[end] < 0 else pair.index(-1), left - 2)
+                        pair[c] = -1
+                        split(c, turn[d], second)
+                    split(d, turn[c], first)
+            free[rc] += 1
+            twins[rc] -= same
+        free[rd] += 1
+        pair[d] = -1
+
+    grow(0, p)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from .errors import (
     Infeasible,
     NotSimple,
     NotSingleCylinder,
+    SizeLimit,
     TraceBudgetExceeded,
 )
 from .genperm import GeneralizedPermutation
@@ -705,16 +706,24 @@ class SquareTiledCover:
         return tuple(row), tuple(up_row), tuple(deck_row)
 
 
+#: Most squares :func:`build_cover` builds.  A cover and its ``check()``
+#: take about 400 bytes per square, so this bound keeps one under 1 GB.
+MAX_COVER_SQUARES = 1_000_000
+
+
 def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCover:
     """Square-tiled orientation double cover of the suspension.
 
     Same-side identifications connect the two sheets (the pulled-back
     one-form changes sign across a central symmetry), opposite-side ones
-    stay on a sheet.
+    stay on a sheet.  The cover has two squares per unit of circumference;
+    more than :data:`MAX_COVER_SQUARES` raises :class:`SizeLimit`.
     """
     geo = _Geometry(gp, lam)
     w = geo.w
     n = 2 * w
+    if n > MAX_COVER_SQUARES:
+        raise SizeLimit("the cover would have %d squares, more than %d" % (n, MAX_COVER_SQUARES))
     right = [0] * n
     up = [0] * n
     deck = [0] * n

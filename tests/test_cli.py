@@ -184,6 +184,12 @@ def test_orbit_cap_below_one(capsys):
         assert err.startswith("error: ") and "cap" in err
 
 
+def test_orbit_refuses_a_cover_too_large_to_build(capsys):
+    code, out, err = run(capsys, "orbit", "1 1 / 2 2", "--lengths", "1=100000000,2=100000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "400000000 squares" in err
+
+
 def test_classify_unknown_moves(capsys):
     for moves in ("vprem,orbit", ""):
         code, out, err = run(capsys, "classify", "--pattern", "8", "--moves", moves)

@@ -12,10 +12,12 @@ from onecyl import (
     red_condition,
     weak_reducibility,
 )
-from onecyl.classify import Excision, _letter_sequences, excisions
+from onecyl.classify import Excision, excisions
 from onecyl.conditions import RedDecomposition, WeakSplit, check_red_decomposition, check_weak_split
 from onecyl.errors import NotSimple
 from onecyl.suspension import germ_sector_angles
+
+from word_pass import _letter_sequences
 
 GP = GeneralizedPermutation.parse
 

@@ -18,6 +18,9 @@
   junction, through ``vertex_cycles``, ``pattern_orders`` and ``single_vertex``;
 * the classed orders table against the flat table that preceded it, kept
   verbatim as ``reference_position_orders``;
+* the word pass that preceded walk-directed generation, kept verbatim in
+  ``word_pass``, against the walk's keys for every type with p <= 12 and
+  every multiset of orders;
 * sha256 digests of class lists rendered before orderly generation;
 * every enumerated class is its own canonical form.
 """
@@ -35,9 +38,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onecyl import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
+from onecyl import classify
+from onecyl.classify import _orderly_keys
 from onecyl.genperm import DEFAULT_SYM, canonical_key, code_below, position_orders, position_pairing
 from onecyl.strata import hyperelliptic_rep
 from onecyl.strata import pattern_orders, single_vertex, vertex_cycles
+
+import word_pass
 
 ALL_SYMS = [
     SymmetryGroup(rotate_rows=rot, swap_rows=swap, reverse_rows=rev)
@@ -414,6 +421,62 @@ def test_pairing_walk_matches_vertex_cycles():
                 assert single_vertex(pair, r) == (len(orders) == 1), (top, bottom)
 
 
+def _order_multisets(p: int) -> list[tuple[int, ...]]:
+    """Every descending tuple of orders >= -1 with sum(k + 2) = p, strata or not."""
+    out = []
+
+    def grow(left: int, most: int, orders: tuple[int, ...]):
+        if not left:
+            out.append(orders)
+        for m in range(min(left, most), 0, -1):
+            grow(left - m, m, orders + (m - 2,))
+
+    grow(p, p, ())
+    return out
+
+
+@pytest.mark.parametrize("sym", [CALIBRATED_SYM, DEFAULT_SYM], ids=lambda s: s.label())
+@pytest.mark.parametrize("p", range(2, 13, 2))
+def test_walk_keys_match_the_word_pass(p, sym):
+    """Below 12 cells the word pass runs for every multiset.  At 12 it runs
+    pattern-free and for Q(6,2) and Q(3,3,-1,-1), and every other multiset
+    keeps the pattern-free keys whose class has its orders: the word pass
+    filters before its orderly test, which does not read the pattern, and
+    every member of a class has the class's orders."""
+    tops = list(range(1, p))
+    free = word_pass._orderly_keys(p, tops, None, sym)
+    for want in [None, *_order_multisets(p)]:
+        if p < 12 or want in (None, (6, 2), (3, 3, -1, -1)):
+            reference = word_pass._orderly_keys(p, tops, want, sym)
+        else:
+            reference = {
+                r: [key for key in keys if pattern_orders(position_pairing(key[0] + key[1]), len(key[0])) == want]
+                for r, keys in free.items()
+            }
+        got = {r: _orderly_keys(r, p - r, want, sym) for r in tops}
+        assert {r: sorted(keys) for r, keys in got.items()} == {r: sorted(keys) for r, keys in reference.items()}, want
+
+
+def test_each_class_is_rechecked_once_by_the_strata_readers(monkeypatch):
+    calls = Counter()
+
+    def counted(name, reader):
+        def wrapper(*args):
+            calls[name] += 1
+            return reader(*args)
+        return wrapper
+
+    monkeypatch.setattr(classify, "single_vertex", counted("single_vertex", single_vertex))
+    monkeypatch.setattr(classify, "pattern_orders", counted("pattern_orders", pattern_orders))
+    assert len(enumerate_stratum((8,))) == calls["single_vertex"] == 7
+    assert len(enumerate_stratum((-1, 9))) == calls["pattern_orders"] == 129
+
+    # a generator fault surfaces: the pillowcase 1 1 / 2 2 has four poles, not one zero
+    monkeypatch.setattr(classify, "walk_pairings", lambda r, p, want, emit: emit([1, 0, 3, 2]))
+    with pytest.raises(AssertionError):
+        enumerate_type(2, 2, pattern=(2,))
+
+
 def test_position_orders_match_the_flat_reference_table():
     for p in range(2, 17, 2):
         for r in range(1, p):
@@ -433,7 +496,9 @@ def test_position_orders_match_the_flat_reference_table():
     reference_position_orders.cache_clear()
 
 
-# sha256 of "\n".join(class renders), computed before orderly generation landed
+# sha256 of "\n".join(class renders): the first six computed before orderly
+# generation landed, the two 16-cell strata on the word pass that preceded
+# walk-directed generation
 FROZEN_CLASS_LISTS = {
     (8,): (7, "fcad311238ee0e90319594ba7506fed800035068ae835469b1c4936533c12660"),
     (-1, 5): (2, "85dca3b2a32d0ed85bcbcd6ea0e5e113bb380b67f41e1631c2d12993fe0856c0"),
@@ -441,6 +506,8 @@ FROZEN_CLASS_LISTS = {
     (-1, 9): (129, "b1136858631fc34743200e8fa467fcc261c8ab7a009f31826d149e863be19de5"),
     (12,): (725, "594cd941b7655452943f89ef1a7e9b50e12255838e7d9ce9f46b0f95e7953c35"),
     (-1, 3, 6): (460, "dd87fefac91212fbcf04bb8f51d4f2fb09ecbccc6d1fb30c5e4561beb0825134"),
+    (2, 2, 2, 2): (44, "8865209ab73cbe056699700dcd394e7802d9c8a84de2d0021e8f2248d763ecbe"),
+    (-1, 3, 3, 3): (364, "9e0ec3735cfd181182e5e2d35ffbf10c0ff2c28dc615ff2a26c7b7cf0d7f1667"),
 }
 
 

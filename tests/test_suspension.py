@@ -41,6 +41,7 @@ from onecyl.errors import (
     Infeasible,
     NotSimple,
     NotSingleCylinder,
+    SizeLimit,
     TraceBudgetExceeded,
 )
 from onecyl.strata import vertex_cycles
@@ -398,6 +399,14 @@ def test_cover_abelian_disconnected():
     cover = build_cover(GP("1 2 / 2 1"), (1, 1))
     assert not cover.connected
     assert cover.components() == 2
+
+
+def test_cover_square_bound(monkeypatch):
+    # two squares per unit of circumference: (2, 2) builds 8, (3, 3) would build 12
+    monkeypatch.setattr(suspension, "MAX_COVER_SQUARES", 8)
+    assert build_cover(GP("1 1 / 2 2"), (2, 2)).n == 8
+    with pytest.raises(SizeLimit):
+        build_cover(GP("1 1 / 2 2"), (3, 3))
 
 
 def test_orbit_pillowcase_fixed_point():

@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Paired before/after measurements of two source checkouts of onecyl.
+
+    python3 tools/paired_bench.py --before DIR --after DIR --out FILE.json \\
+        [--seed N] [--seconds S] [--report-pairs 10] [--other-pairs 3] \\
+        [--enum-pairs 3]
+
+Each DIR is the root of a checkout (with ``src/`` and ``bench/``).  Every
+measurement runs in a fresh child process, the two sides alternating
+within each pair (``--before`` first on even pairs), so that a phase of
+the machine's speed falls on both sides alike:
+
+* ``bench/run.py --trace 0`` end-to-end metrics: ``--report-pairs`` pairs
+  of the ``report`` workload, ``--other-pairs`` pairs each of ``queries``
+  and ``orbits``, all at the same seed and seconds;
+* one ``enumerate_stratum`` call per stratum and one pattern-free
+  ``enumerate_type`` call per type, ``--enum-pairs`` pairs each, with the
+  sha256 of the rendered class list, which must agree between the sides;
+* one ``bench/run.py --workload report --trace 1`` run per side, for the
+  enumeration's per-layer metrics.
+
+The output is one JSON object: raw runs, medians and quartiles per side,
+and for each end-to-end metric the number of pairs the after side won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+END_TO_END = ("setup_s", "item_ref", "p99_ref", "peak_rss_mb")
+STRATA = [(8,), (-1, 5), (2, 2), (-1, 9), (12,), (-1, 3, 6), (2, 2, 2, 2), (-1, 3, 3, 3)]
+TYPES = [(6, 6), (7, 7)]
+TRACED = (
+    "classify.enumerate_stratum.total_s",
+    "classify.enumerate_stratum.self_s",
+    "strata.single_vertex.calls",
+    "strata.pattern_orders.calls",
+    "strata.vertex_cycles.calls",
+    "genperm.canonical_key.calls",
+)
+
+# times one enumeration call in a fresh interpreter; argv: src, kind, numbers
+ENUM_PROBE = """
+import hashlib, sys, time
+sys.path.insert(0, sys.argv[1])
+from onecyl import enumerate_stratum, enumerate_type
+args = tuple(int(x) for x in sys.argv[3].split(","))
+t = time.perf_counter()
+classes = enumerate_stratum(args) if sys.argv[2] == "stratum" else enumerate_type(*args)
+seconds = time.perf_counter() - t
+text = "\\n".join(g.render() for g in classes)
+print(seconds, len(classes), hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def summary(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
+    return {"runs": runs, "median": median, "q1": q1, "q3": q3}
+
+
+def bench_run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    record = json.loads(out.strip().splitlines()[-1])
+    if record["failed"]:
+        raise SystemExit("%s: %s failed %d operations" % (root, workload, record["failed"]))
+    return {name: metric["value"] for name, metric in record["metrics"].items()}
+
+
+def enum_run(root: Path, kind: str, args: tuple[int, ...]) -> tuple[float, int, str]:
+    cmd = [sys.executable, "-c", ENUM_PROBE, str(root / "src"), kind, ",".join(map(str, args))]
+    seconds, count, digest = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.split()
+    return float(seconds), int(count), digest
+
+
+def paired(sides: dict[str, Path], pairs: int, measure) -> dict[str, list]:
+    runs: dict[str, list] = {name: [] for name in sides}
+    for i in range(pairs):
+        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+        for name in order:
+            runs[name].append(measure(sides[name]))
+            print(name, i, runs[name][-1], file=sys.stderr, flush=True)
+    return runs
+
+
+def end_to_end(sides: dict[str, Path], workload: str, pairs: int, seed: int, seconds: float) -> dict:
+    runs = paired(sides, pairs, lambda root: bench_run(root, workload, seed, seconds, 0))
+    out: dict = {}
+    for metric in END_TO_END:
+        before = [r[metric] for r in runs["before"]]
+        after = [r[metric] for r in runs["after"]]
+        out[metric] = {
+            "before": summary(before),
+            "after": summary(after),
+            "after_lower_in_pairs": sum(a < b for a, b in zip(after, before)),
+            "pairs": pairs,
+        }
+    return out
+
+
+def enumeration(sides: dict[str, Path], kind: str, args: tuple[int, ...], pairs: int) -> dict:
+    runs = paired(sides, pairs, lambda root: enum_run(root, kind, args))
+    digests = {result[1:] for side in runs.values() for result in side}
+    if len(digests) != 1:
+        raise SystemExit("%s %r: the sides disagree: %r" % (kind, args, digests))
+    (count, digest), = digests
+    return {
+        "classes": count,
+        "sha256": digest,
+        "before_s": summary([r[0] for r in runs["before"]]),
+        "after_s": summary([r[0] for r in runs["after"]]),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--after", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--report-pairs", type=int, default=10)
+    parser.add_argument("--other-pairs", type=int, default=3)
+    parser.add_argument("--enum-pairs", type=int, default=3)
+    args = parser.parse_args()
+    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+    result: dict = {
+        "machine": {"python": platform.python_version(), "implementation": platform.python_implementation(),
+                    "system": platform.system(), "machine": platform.machine()},
+        "settings": {"seed": args.seed, "seconds": args.seconds, "report_pairs": args.report_pairs,
+                     "other_pairs": args.other_pairs, "enum_pairs": args.enum_pairs},
+        "end_to_end": {},
+    }
+    for workload, pairs in (("report", args.report_pairs), ("queries", args.other_pairs), ("orbits", args.other_pairs)):
+        result["end_to_end"][workload] = end_to_end(sides, workload, pairs, args.seed, args.seconds)
+    result["enumerate_stratum"] = {
+        "Q(%s)" % ",".join(map(str, p)): enumeration(sides, "stratum", p, args.enum_pairs) for p in STRATA
+    }
+    result["enumerate_type_pattern_free"] = {
+        "(%d,%d)" % t: enumeration(sides, "type", t, args.enum_pairs) for t in TYPES
+    }
+    traced = {name: bench_run(root, "report", args.seed, args.seconds, 1) for name, root in sides.items()}
+    result["traced_report"] = {metric: {name: traced[name][metric] for name in sides} for metric in TRACED}
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
