@@ -2,7 +2,7 @@
 
 One-cylinder classes of a stratum are finite.  Enumeration is
 walk-directed and orderly.  For each type (r, l) the position pairings
-are built along the corner walk around their cone points, a branch per
+are built along the junction turn around their cone points, a branch per
 free partner of an unpaired cell, and a branch dies as soon as it closes
 a cone point of an order the stratum lacks (face-by-face map generation,
 Walsh-Lehman 1972; :func:`onecyl.strata.walk_pairings`), so only the
@@ -86,11 +86,12 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
     """Canonical keys of the type-(r, l) classes with cone point orders ``want``.
 
     :func:`onecyl.strata.walk_pairings` builds the pairings with a doubled
-    letter in each row and those orders (a one-order pattern asks only for
-    a single cone point).  A pairing survives when it is the minimum of its
+    letter in each row and those orders, and none when the orders do not
+    fill r + l junctions.  A pairing survives when it is the minimum of its
     same-type orbit; each class has exactly one such pairing, so it pays for
     exactly one full canonical key, and for one re-check of its orders by
-    the strata readers.
+    the strata readers: :func:`onecyl.strata.single_vertex` for a one-order
+    pattern, whose one order is then r + l - 2.
     """
     p = r + l
     minimal = want is not None and len(want) == 1
@@ -114,7 +115,7 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
                 word[i] = word[j] = letter
         keys.append(canonical_key(word[:r], word[r:], sym))
 
-    walk_pairings(r, p, (p - 2,) if minimal else want, leaf)
+    walk_pairings(r, p, want, leaf)
     return keys
 
 
@@ -136,7 +137,7 @@ def enumerate_type(
     Keeps only permutations with a doubled letter in each row (the
     non-orientable condition, which is also exactly admissibility here).
     Generation is walk-directed and orderly: each position pairing is
-    built along the corner walk around its cone points, with pattern
+    built along the junction turn around its cone points, with pattern
     pruning, and kept only when it is the minimum of its orbit under the
     symmetries that keep type (r, l), so no class is produced twice and no
     dedupe is needed.  Classes are returned as their canonical forms, which

@@ -10,14 +10,15 @@ m - 2 (cone angle m*pi, a simple pole for m = 1).
 Junctions carry one integer numbering, shared with the suspension
 module: cell c is position c of the rows, top row first, and junction c
 the point at its left end, so top junction j < r and bottom junction
-r + j.  Every junction query reads the position pairing of the rows
-through one corner walk (:func:`corner_walk`): :func:`vertex_cycles`
-returns each class as a rotationally ordered list of junctions, the
-order that angle computations consume, :func:`pattern_orders` their
-singularity orders and :func:`single_vertex` the minimal-stratum test.
-:func:`walk_pairings` runs the walk the other way round: it builds every
-pairing with given singularity orders along the walk, for the
-enumeration.
+r + j.  Every junction query, here and in the suspension module, reads
+one permutation, :func:`junction_turn`, which sends each junction to the
+next one around its cone point.  :func:`vertex_cycles` returns the
+classes as its cycles (by :func:`cycles`, the package's one cycle
+reader), in the rotational order that angle computations consume,
+:func:`pattern_orders` their singularity orders and :func:`single_vertex`
+the minimal-stratum test.  :func:`walk_pairings` runs the turn the other
+way round: it builds every pairing with given singularity orders along
+it, for the enumeration.
 """
 
 from __future__ import annotations
@@ -30,69 +31,52 @@ from .errors import BadParameters, BadPattern, UnknownName
 from .genperm import DEFAULT_SYM, GeneralizedPermutation, SymmetryGroup
 
 
-def corner_walk(pair: Sequence[int], r: int, start: int = 0) -> list[int]:
-    """Junctions of the cone point at junction ``start``, in rotational order.
+def junction_turn(pair: Sequence[int], r: int) -> list[int]:
+    """``turn[j]``: the junction after j around its cone point, one direction for every class.
 
     ``pair`` is the position pairing of the concatenated rows and ``r``
-    the length of the top row.  Junction j < r is the left end of top cell
-    j, junction r + j the left end of bottom cell j; the walk starts at
-    ``start`` entered from the cell to its left.
-    A walk state is a cell end just crossed: (c, 0) is the left end of
-    cell c, at junction c; (c, 1) its right end, at the next junction.
-    The germ gluing comes straight from the pairing: leaving through cell
-    d lands on its partner c, at the other end when both lie on one side
-    (central symmetry) and at the same end otherwise (translation).
+    the length of the top row.  A top junction, the left end of a cell,
+    leaves through that cell, and a bottom junction, the right end of a
+    cell, through that one.  The central symmetry of a same-side pair swaps
+    the ends and the translation of an opposite-side pair keeps them, so
+    crossing to the partner c reaches the right end of c on top and the
+    left end of c below.
     """
-    p = len(pair)
-    if start == 0:
-        c = r - 1
-    elif start == r:
-        c = p - 1
-    else:
-        c = start - 1
-    c0, e = c, 1
-    out = []
-    while True:
-        if e:
-            d = c + 1  # junction right of cell c, then leave through cell d
-            if d == r:
-                d = 0
-            elif d == p:
-                d = r
-        elif c == 0:
-            d = r - 1  # junction at cell c, then leave through the cell left of it
-        elif c == r:
-            d = p - 1
-        else:
-            d = c - 1
-        out.append(d if e else c)
-        c = pair[d]
-        e ^= (d < r) != (c < r)
-        if e and c == c0:
-            return out
+    return [c + 1 if c < r - 1 else 0 if c < r else c for c in (*pair[:r], pair[-1], *pair[r:-1])]
+
+
+def cycles(perm: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """Cycle number of each point of a permutation, and the cycles, each from its least point.
+
+    Cycles are numbered in order of their least point.
+    """
+    cycle_of = [-1] * len(perm)
+    out: list[list[int]] = []
+    for i in range(len(perm)):
+        if cycle_of[i] >= 0:
+            continue
+        cycle = []
+        while cycle_of[i] < 0:
+            cycle_of[i] = len(out)
+            cycle.append(i)
+            i = perm[i]
+        out.append(cycle)
+    return cycle_of, out
 
 
 def vertex_cycles(pair: Sequence[int], r: int) -> list[list[int]]:
-    """Every junction class, each walked from its smallest junction."""
-    seen = [False] * len(pair)
-    cycles = []
-    for start in range(len(pair)):
-        if not seen[start]:
-            cycle = corner_walk(pair, r, start)
-            for j in cycle:
-                seen[j] = True
-            cycles.append(cycle)
-    return cycles
+    """Every junction class in turning order, each read from its least junction."""
+    return cycles(junction_turn(pair, r))[1]
 
 
 def pattern_orders(pair: Sequence[int], r: int) -> tuple[int, ...]:
-    """Descending singularity orders of the rows ``pair`` encodes (see :func:`corner_walk`)."""
+    """Descending singularity orders of the rows ``pair`` encodes (see :func:`junction_turn`)."""
     return tuple(sorted((len(c) - 2 for c in vertex_cycles(pair, r)), reverse=True))
 
 
 def single_vertex(pair: Sequence[int], r: int) -> bool:
     """True iff all junctions fall in one class (minimal-stratum test)."""
-    return len(corner_walk(pair, r)) == len(pair)
+    return len(vertex_cycles(pair, r)) == 1
 
 
 def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[list[int]], None]) -> None:
@@ -101,13 +85,14 @@ def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[li
     (any orders for None).  ``emit`` gets the one working list, valid only
     during the call.
 
-    The pairing is built along the corner walk from junction 0, in the
-    turning direction :func:`corner_walk` takes from a top junction: after
+    The pairing is built along the walk around the cone point of junction
+    0, in the direction of :func:`junction_turn` read on cells: after
     crossing into cell y the walk leaves through ``turn[y]``, the next cell
-    on top and the previous one below, so the junction classes are the
-    cycles of y -> turn[pair[y]] on cells.  A step through an unpaired cell
-    branches over its free partners; a run of paired cells is followed in
-    one jump, as a chain of steps kept with its two ends and its length.
+    on top and the previous one below (the junction turn of the pairing
+    that pairs each cell with itself), so the junction classes are the
+    cycles of y -> turn[pair[y]] on cells.  A step through an unpaired
+    cell branches over its free partners; a run of paired cells is followed
+    in one jump, as a chain of steps kept with its two ends and its length.
     Pairing d with c adds the two steps d -> turn[c] and c -> turn[d].  A
     step that closes a chain into a junction class must give it a wanted
     size, and a chain may not grow past the largest wanted size; a partner
@@ -123,7 +108,7 @@ def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[li
     for k in want if want is not None else ():
         need[k + 2] += 1
     top = p if want is None else max(k + 2 for k in want)
-    turn = [*range(1, r), 0, p - 1, *range(r, p - 1)]
+    turn = junction_turn(range(p), r)
     head = list(range(p))  # head[t]: first cell of the chain that ends at t
     tail = list(range(p))  # tail[s]: last cell of the chain that starts at s
     size = [1] * p  # size[s]: cells of the chain that starts at s
@@ -221,7 +206,7 @@ class SingularityPattern:
 
 
 def singularity_pattern(gp: GeneralizedPermutation) -> SingularityPattern:
-    """Orders of the suspension cone points by the junction corner walk."""
+    """Orders of the suspension cone points, read off the junction turn."""
     return SingularityPattern.from_orders(pattern_orders(gp.pairing(), len(gp.top)))
 
 

@@ -13,10 +13,11 @@ Conventions:
   separatrix gamma (one crossing, from the bottom wrap junction to the
   top wrap junction);
 * cells and junctions share the integer numbering of
-  :func:`onecyl.strata.corner_walk`: cell c is position c of the rows,
+  :func:`onecyl.strata.junction_turn`: cell c is position c of the rows,
   top row first, and junction c its left end, so top junction j < r and
   bottom junction r + j; a germ, the vertical ray into the cylinder at a
-  junction, carries its junction's number.  Cells are read off their left
+  junction, carries its junction's number, and the germs around a cone
+  point follow one another by that turn.  Cells are read off their left
   ends, so nothing is kept per unit column outside the cover;
 * vertical lengths are crossing counts (the cylinder height is the unit);
 * arc i is the run of unit columns from the i-th singular line (a line
@@ -63,9 +64,9 @@ from .errors import (
     TraceBudgetExceeded,
 )
 from .genperm import GeneralizedPermutation
-from .strata import corner_walk, singularity_pattern, vertex_cycles
+from .strata import cycles, junction_turn, singularity_pattern
 
-Germ = int  # junction carrying the inward vertical ray, numbered as in corner_walk
+Germ = int  # junction carrying the inward vertical ray, numbered as in junction_turn
 
 
 # -- admissible vectors -------------------------------------------------
@@ -275,7 +276,9 @@ def _diagram(geo: _Geometry) -> tuple[SeparatrixSpectrum, list[int], list[Germ],
     index of g's segment and ``other[g]`` its far end.  ``start[x]``, for
     each singular line x, is the end that the segment along x reaches
     going up from x: the first in-germ of a boundary side leaving line x
-    upward.  :func:`_turn` gives the diagram's other half.
+    upward.  :func:`onecyl.strata.junction_turn` gives the diagram's other
+    half: the boundary circles are the cycles of g -> other[turn[g]], two
+    per cylinder.
     """
     n = len(geo.pair)
     seg_of = [-1] * n
@@ -299,23 +302,6 @@ def _diagram(geo: _Geometry) -> tuple[SeparatrixSpectrum, list[int], list[Germ],
     assert sum(1 for s in segments if s.is_gamma) == 1
     assert segments and min(s.crossings for s in segments if s.is_gamma) == 1
     return SeparatrixSpectrum(tuple(segments)), seg_of, other, start
-
-
-def _turn(geo: _Geometry) -> list[Germ]:
-    """``turn[g]``: the germ after g around its cone point.
-
-    The corner walk turns one way from a top junction and the other from
-    a bottom one, so a class of :func:`vertex_cycles` whose least junction
-    is a bottom one is reversed.  The boundary circles are the cycles of
-    g -> other[turn[g]], two per cylinder.
-    """
-    turn = [0] * len(geo.pair)
-    for cycle in vertex_cycles(geo.pair, geo.r):
-        if cycle[0] >= geo.r:
-            cycle.reverse()
-        for i, g in enumerate(cycle):
-            turn[cycle[i - 1]] = g
-    return turn
 
 
 def _passages(other: list[Germ], step: Sequence[Germ], g: Germ) -> Iterator[tuple[Germ, Germ]]:
@@ -389,7 +375,7 @@ def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> Cy
 
 def _decomposition(geo: _Geometry) -> CylinderDecomposition:
     spectrum, seg_of, other, start = _diagram(geo)
-    turn = _turn(geo)
+    turn = junction_turn(geo.pair, geo.r)
     singular = sorted(start)
     arc_right = {x: i for i, x in enumerate(singular)}
     back = _inv(turn)
@@ -436,12 +422,15 @@ def germ_sector_angles(
 
     Each pair is the (incoming, outgoing) junction of one boundary circle
     at the singularity; the pairs occupy adjacent wedges, and the
-    remaining wedges split into the two sectors.  One corner walk from the
-    first germ reads the singularity; sector arithmetic is mod its
-    junction count, so where the walk starts does not matter.  Raises
-    NotSimple when the germs do not sit around a single singularity.
+    remaining wedges split into the two sectors.  The singularity is the
+    cycle of :func:`onecyl.strata.junction_turn` through the first germ;
+    sector arithmetic is mod its junction count and the two sectors come
+    out as a sorted pair, so neither where the cycle starts nor which way
+    it turns changes an angle.  Raises NotSimple when the germs do not sit
+    around a single singularity.
     """
-    cycle = corner_walk(gp.pairing(), len(gp.top), side1[0])
+    cycle_of, turns = cycles(junction_turn(gp.pairing(), len(gp.top)))
+    cycle = turns[cycle_of[side1[0]]]
     germs = (*side1, *side2)
     if not all(g in cycle for g in germs):
         raise NotSimple("boundary circles meet different singularities")
@@ -497,8 +486,8 @@ def vertical_permutation(
     """
     geo = _Geometry(gp, lam)
     spectrum, seg_of, other, start = _diagram(geo)
-    turn = _turn(geo)
-    _, circles = _cycles([other[g] for g in turn])
+    turn = junction_turn(geo.pair, geo.r)
+    _, circles = cycles([other[g] for g in turn])
     assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
     if len(circles) != 2:
         raise NotSingleCylinder("vertical foliation has %d cylinders" % (len(circles) // 2))
@@ -533,25 +522,6 @@ def _inv(p: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def _cycles(p: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-    """Cycle number of each point of a permutation, and the cycles, each from its least point.
-
-    Cycles are numbered in order of their least point.
-    """
-    cycle_of = [-1] * len(p)
-    cycles: list[list[int]] = []
-    for i in range(len(p)):
-        if cycle_of[i] >= 0:
-            continue
-        cycle = []
-        while cycle_of[i] < 0:
-            cycle_of[i] = len(cycles)
-            cycle.append(i)
-            i = p[i]
-        cycles.append(cycle)
-    return cycle_of, cycles
 
 
 @dataclass(frozen=True)
@@ -617,8 +587,8 @@ class SquareTiledCover:
         vertices, numbered in order of their least square.
         """
         ri, ui = _inv(self.right), _inv(self.up)
-        vertex, cycles = _cycles(_mul(_mul(self.right, self.up), _mul(ri, ui)))
-        return vertex, [len(c) for c in cycles]
+        vertex, turns = cycles(_mul(_mul(self.right, self.up), _mul(ri, ui)))
+        return vertex, [len(c) for c in turns]
 
     def vertex_profile(self) -> tuple[int, ...]:
         """Cycle lengths of the corner turn, in descending order."""
@@ -771,7 +741,7 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
     # and above a regular gap (no singular NW/NE corner, i.e. SW of the
     # ups) lies exactly one row, so each cover cylinder is the chain of
     # rows climbed from its bottom row up to its first singular gap
-    row_of, rows = _cycles(r)
+    row_of, rows = cycles(r)
     bottom = [any(singular[q] for q in row) for row in rows]
     cylinder_of = [-1] * len(rows)
     ends: list[tuple[int, int]] = []  # (bottom row, top row) of each cover cylinder

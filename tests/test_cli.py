@@ -68,6 +68,13 @@ def test_enumerate_pattern(capsys):
     assert out.strip().endswith("7 classes")
 
 
+def test_enumerate_one_order_pattern_that_does_not_fill_the_type(capsys):
+    # Q(4) has 6 junctions: no class of type (5,5), which Q(8) fills
+    code, out, _ = run(capsys, "enumerate", "--type", "5,5", "--pattern", "4")
+    assert code == 0
+    assert out.strip() == "0 classes"
+
+
 def test_enumerate_needs_type_or_pattern(capsys):
     code, out, err = run(capsys, "enumerate")
     assert code == 2 and out == ""

@@ -10,12 +10,15 @@
 * a hypothesis property: the key ignores each enabled symmetry generator
   and relabeling;
 * a brute-force reference: every relabeled word, filtered by cone points
-  read off the germ-gluing-table walk, keyed by ``reference_canonical_key``
-  and deduplicated in a set;
+  read off the germ-gluing-table walk of ``germ_gluing``, keyed by
+  ``reference_canonical_key`` and deduplicated in a set;
 * a Burnside (Cauchy-Frobenius) count of classes that counts the words
   each symmetry fixes, with no canonical key at all;
-* the pairing corner walk against a germ-gluing-table walk, junction by
-  junction, through ``vertex_cycles``, ``pattern_orders`` and ``single_vertex``;
+* the junction turn on the position pairing against the germ-gluing-table
+  walk, junction by junction, through ``vertex_cycles``, ``pattern_orders``
+  and ``single_vertex``;
+* a one-order pattern that does not fill the type's junctions against
+  the empty list;
 * the classed orders table against the flat table that preceded it, kept
   verbatim as ``reference_position_orders``;
 * the word pass that preceded walk-directed generation, kept verbatim in
@@ -45,6 +48,7 @@ from onecyl.strata import hyperelliptic_rep
 from onecyl.strata import pattern_orders, single_vertex, vertex_cycles
 
 import word_pass
+from germ_gluing import numbered_vertex_cycles, reference_vertex_cycles
 
 ALL_SYMS = [
     SymmetryGroup(rotate_rows=rot, swap_rows=swap, reverse_rows=rev)
@@ -169,56 +173,6 @@ def _words(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def reference_vertex_cycles(top, bottom):
-    """Junction classes by a germ-gluing table: the pre-pairing corner walk."""
-    r, l = len(top), len(bottom)
-    cells = list(top) + list(bottom)
-    where = {}
-    for c, letter in enumerate(cells):
-        where.setdefault(letter, []).append(c)
-    glue = [0] * (2 * len(cells))
-    for c1, c2 in where.values():
-        if (c1 < r) == (c2 < r):  # same side: central symmetry
-            glue[2 * c1], glue[2 * c1 + 1] = 2 * c2 + 1, 2 * c2
-            glue[2 * c2], glue[2 * c2 + 1] = 2 * c1 + 1, 2 * c1
-        else:  # opposite sides: translation
-            glue[2 * c1], glue[2 * c1 + 1] = 2 * c2, 2 * c2 + 1
-            glue[2 * c2], glue[2 * c2 + 1] = 2 * c1, 2 * c1 + 1
-
-    def halves(j):
-        # (right end of the cell to the left, left end of the cell at j)
-        side, i = j
-        if side == "T":
-            return 2 * ((i - 1) % r) + 1, 2 * i
-        return 2 * (r + (i - 1) % l) + 1, 2 * (r + i)
-
-    def junction_of(germ):
-        cell, end = divmod(germ, 2)
-        if cell < r:
-            return ("T", cell if end == 0 else (cell + 1) % r)
-        return ("B", cell - r if end == 0 else (cell - r + 1) % l)
-
-    seen = set()
-    cycles = []
-    for start in [("T", i) for i in range(r)] + [("B", j) for j in range(l)]:
-        if start in seen:
-            continue
-        cycle = []
-        j = start
-        entry = start_entry = halves(j)[0]
-        while True:
-            cycle.append(j)
-            seen.add(j)
-            h = halves(j)
-            entry = glue[h[1] if entry == h[0] else h[0]]
-            j = junction_of(entry)
-            if j == start and entry == start_entry:
-                break
-            assert len(cycle) <= r + l
-        cycles.append(cycle)
-    return cycles
-
-
 @cache
 def _junction_orders(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted((len(c) - 2 for c in reference_vertex_cycles(top, bottom)), reverse=True))
@@ -227,8 +181,8 @@ def _junction_orders(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[int
 def reference_enumerate_type(r, l, pattern, sym):
     """Key every surviving word, then dedupe: the pre-orderly algorithm.
 
-    A one-zero pattern asks only for a single cone point, as the
-    enumeration's minimal-stratum filter does.
+    A pattern keeps the words whose junction classes have exactly its
+    orders, so one whose orders do not fill r + l junctions keeps none.
     """
     want = tuple(sorted(pattern, reverse=True)) if pattern is not None else None
     seen = set()
@@ -237,12 +191,8 @@ def reference_enumerate_type(r, l, pattern, sym):
         top, bottom = word[:r], word[r:]
         if len(set(top)) == r or len(set(bottom)) == l:
             continue
-        if want is not None:
-            orders = _junction_orders(top, bottom)
-            if len(want) == 1 and len(orders) != 1:
-                continue
-            if len(want) > 1 and orders != want:
-                continue
+        if want is not None and _junction_orders(top, bottom) != want:
+            continue
         key = reference_canonical_key(top, bottom, sym)
         if key in seen:
             continue
@@ -406,14 +356,19 @@ def test_burnside_class_counts(swap):
             assert len(enumerate_type(r, p - r, sym=sym)) == fixed // len(group), (r, p - r)
 
 
+def test_one_order_pattern_that_does_not_fill_the_type_has_no_classes():
+    # a one-zero surface of type (5,5) lies in Q(8); Q(4) has 6 junctions
+    assert enumerate_type(5, 5, pattern=(4,)) == [] == reference_enumerate_type(5, 5, (4,), CALIBRATED_SYM)
+
+
 def test_pairing_walk_matches_vertex_cycles():
+    # the reference turns the other way around a class whose least junction
+    # is a bottom one: reversed after that junction, the two agree exactly
     for p in range(2, 13, 2):
         for word in _words(p):
             for r in range(1, p):
                 top, bottom = word[:r], word[r:]
-                junction = {("T", i): i for i in range(r)}
-                junction.update({("B", j): r + j for j in range(p - r)})
-                reference = [[junction[j] for j in c] for c in reference_vertex_cycles(top, bottom)]
+                reference = [c if c[0] < r else c[:1] + c[:0:-1] for c in numbered_vertex_cycles(top, bottom)]
                 orders = tuple(sorted((len(c) - 2 for c in reference), reverse=True))
                 pair = position_pairing(word)
                 assert vertex_cycles(pair, r) == reference, (top, bottom)

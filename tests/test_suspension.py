@@ -44,7 +44,7 @@ from onecyl.errors import (
     SizeLimit,
     TraceBudgetExceeded,
 )
-from onecyl.strata import vertex_cycles
+from onecyl.strata import junction_turn, vertex_cycles
 from onecyl.suspension import (
     Cylinder,
     CylinderDecomposition,
@@ -59,6 +59,8 @@ from onecyl.suspension import (
     lam_from_positions,
     orbit_forms,
 )
+
+from germ_gluing import numbered_vertex_cycles
 
 GP = GeneralizedPermutation.parse
 
@@ -721,8 +723,12 @@ def reference_germ_sector_angles(
     side1: tuple[int, int],
     side2: tuple[int, int],
 ) -> tuple[int, int]:
-    """The sector angles read off every junction class, before one corner walk replaced them; kept verbatim."""
-    cycles = vertex_cycles(gp.pairing(), len(gp.top))
+    """The sector angles read off every junction class, before one corner walk replaced them.
+
+    Kept verbatim but for the classes, which come from the germ-gluing walk
+    and not from the code under test.
+    """
+    cycles = numbered_vertex_cycles(gp.top, gp.bottom)
     position = [(0, 0)] * gp.size
     for ci, cycle in enumerate(cycles):
         for pos, junction in enumerate(cycle):
@@ -1306,7 +1312,7 @@ def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monke
 
 
 def test_separatrix_diagram_counts_two_boundary_circles_per_cylinder():
-    # both explicit cases are misread when a class of bottom junctions only is not reversed
+    # both explicit cases are misread when a class of bottom junctions only turns the other way
     explicit = [
         (GP("1 2 3 2 3 4 1 4 / 5 6 5 6"), (1, 1, 1, 1, 2, 2)),
         (GP("1 2 3 1 2 4 / 5 6 6 7 8 7 5 3 8 4"), (2, 2, 2, 2, 1, 1, 1, 1)),
@@ -1315,21 +1321,34 @@ def test_separatrix_diagram_counts_two_boundary_circles_per_cylinder():
     for gp, lam in explicit + [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()] + list(reference_pairs()):
         geo = suspension._Geometry(gp, lam)
         _, _, other, _ = suspension._diagram(geo)
-        circles = suspension._cycles([other[g] for g in suspension._turn(geo)])[1]
+        circles = strata.cycles([other[g] for g in junction_turn(geo.pair, geo.r)])[1]
         assert len(circles) == 2 * len(reference_cylinder_decomposition(gp, lam).cylinders)
 
 
+def test_every_side_passage_is_one_step_of_the_junction_turn():
+    # a side passes each cone point from one germ to the next around it, either way
+    passages = 0
+    for gp, lam in [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()] + list(reference_pairs()):
+        turn = junction_turn(gp.pairing(), len(gp.top))
+        for cylinder in cylinder_decomposition(gp, lam).cylinders:
+            for side in cylinder.sides:
+                for g_in, g_out in side.passages:
+                    assert turn[g_in] == g_out or turn[g_out] == g_in, (gp.render(), lam, side)
+                    passages += 1
+    assert passages > 1000
+
+
 def test_only_the_cylinder_readings_turn_germs(monkeypatch):
-    # strata.vertex_cycles wherever it is bound, as bench/tracing.py wraps it
+    # strata.junction_turn wherever it is bound
     calls = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return vertex_cycles(*args)
+        return junction_turn(*args)
 
-    monkeypatch.setattr(strata, "vertex_cycles", counted)
-    monkeypatch.setattr(suspension, "vertex_cycles", counted)
+    monkeypatch.setattr(strata, "junction_turn", counted)
+    monkeypatch.setattr(suspension, "junction_turn", counted)
     for gp, lam in itertools.islice(reference_pairs(), 40):
         seen = []
         for reading in (separatrix_spectrum, cylinder_decomposition, vertical_permutation):
