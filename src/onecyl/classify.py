@@ -11,7 +11,13 @@ lexicographically minimal among its images under the symmetries that
 keep its type is kept, so each class is met exactly once and
 canonicalized once (Read 1978; McKay 1998).  The images are the orders
 of :func:`onecyl.genperm.position_orders`, compared by the same code as
-the canonical key.  Classes merge when a geometric move
+the canonical key.  With row rotations the walk breaks the symmetry as
+it pairs cell 0: its partner is the top cell delta, the least cyclic
+distance between twin cells of the top row, and no closer same-row pair
+follows, because the rotation that moves a closest twin pair to cells
+(0, delta) reads 0 at code entry delta, below the identity unless
+``pair[0] == delta``.  Only pairings that would fail the minimality test
+are skipped.  Classes merge when a geometric move
 certifies they lie in one connected component:
 
 * re-reading a single-vertical-cylinder suspension along the vertical
@@ -87,11 +93,15 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
 
     :func:`onecyl.strata.walk_pairings` builds the pairings with a doubled
     letter in each row and those orders, and none when the orders do not
-    fill r + l junctions.  A pairing survives when it is the minimum of its
-    same-type orbit; each class has exactly one such pairing, so it pays for
-    exactly one full canonical key, and for one re-check of its orders by
-    the strata readers: :func:`onecyl.strata.single_vertex` for a one-order
-    pattern, whose one order is then r + l - 2.
+    fill r + l junctions.  Given ``sym``, it builds only those whose cell 0
+    pairs with the closest twins when ``sym`` rotates the rows: the top
+    rotation that moves a closest twin pair of the top row to cells
+    (0, delta) reads 0 at code entry delta, so the identity can be least
+    only if ``pair[0] == delta``.  A pairing survives when it is the minimum
+    of its same-type orbit; each class has exactly one such pairing, so it
+    pays for exactly one full canonical key, and for one re-check of its
+    orders by the strata readers: :func:`onecyl.strata.single_vertex` for a
+    one-order pattern, whose one order is then r + l - 2.
     """
     p = r + l
     minimal = want is not None and len(want) == 1
@@ -115,7 +125,7 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
                 word[i] = word[j] = letter
         keys.append(canonical_key(word[:r], word[r:], sym))
 
-    walk_pairings(r, p, want, leaf)
+    walk_pairings(r, p, want, leaf, sym)
     return keys
 
 

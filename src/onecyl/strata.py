@@ -18,7 +18,8 @@ reader), in the rotational order that angle computations consume,
 :func:`pattern_orders` their singularity orders and :func:`single_vertex`
 the minimal-stratum test.  :func:`walk_pairings` runs the turn the other
 way round: it builds every pairing with given singularity orders along
-it, for the enumeration.
+it, for the enumeration, or, given a symmetry group with row rotations,
+only those whose cell 0 pairs with the closest twins of the top row.
 """
 
 from __future__ import annotations
@@ -75,11 +76,25 @@ def pattern_orders(pair: Sequence[int], r: int) -> tuple[int, ...]:
 
 
 def single_vertex(pair: Sequence[int], r: int) -> bool:
-    """True iff all junctions fall in one class (minimal-stratum test)."""
-    return len(vertex_cycles(pair, r)) == 1
+    """True iff all junctions fall in one class (minimal-stratum test).
+
+    Follows :func:`junction_turn` from junction 0 until its class closes,
+    and compares the class size with the number of junctions.
+    """
+    turn = junction_turn(pair, r)
+    j, size = turn[0], 1
+    while j:
+        j, size = turn[j], size + 1
+    return size == len(pair)
 
 
-def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[list[int]], None]) -> None:
+def walk_pairings(
+    r: int,
+    p: int,
+    want: Sequence[int] | None,
+    emit: Callable[[list[int]], None],
+    sym: SymmetryGroup | None = None,
+) -> None:
     """Call ``emit(pair)`` once for each position pairing of type (r, p - r)
     with a doubled letter in each row and singularity orders ``want``
     (any orders for None).  ``emit`` gets the one working list, valid only
@@ -100,6 +115,21 @@ def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[li
     cells is not tried either.  When the walk's own class closes it
     restarts at the least unpaired cell.  Each pairing comes from exactly
     one branch path, since the walk reads each choice back off the pairing.
+
+    With a symmetry group ``sym`` that rotates the rows, only the pairings
+    that can pass the orderly test against the part of ``sym`` that keeps
+    the type are built: cell 0 pairs with the closest twins.  Let delta be
+    the least cyclic distance between two twin cells of the top row.  The
+    identity's code (see :func:`onecyl.genperm.code_below`) reads i at
+    entries 0 .. delta - 1, and so does the top rotation that moves a
+    closest twin pair to cells (0, delta), which reads 0 at entry delta;
+    the identity reads ``pair[delta]`` there if that is below delta, so it
+    is least only if ``pair[0] == delta``.  The walk's first branch pairs
+    cell 0, so it tries only top partners c with 2c <= r, and after that
+    no top-top pair at cyclic distance below c.  With row swap and
+    r == p - r the swapped orders keep the type and read the bottom row
+    first, so the same holds for bottom-bottom pairs.  Without ``sym``, or
+    without rotations, every pairing is built.
     """
     if r < 2 or p - r < 2 or (want is not None and sum(k + 2 for k in want) != p):
         return
@@ -114,6 +144,11 @@ def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[li
     size = [1] * p  # size[s]: cells of the chain that starts at s
     free = [r, p - r]  # unpaired cells of each row
     twins = [0, 0]  # same-row pairs of each row
+    # closest twins: a same-row pair of a guarded row is at least pair[0]
+    # apart around its row (pair[0] is 0 until cell 0 has its partner)
+    rotate = sym is not None and sym.rotate_rows
+    guard = (rotate, rotate and sym.swap_rows and 2 * r == p)
+    span = (r, p - r)
 
     def join(u: int, v: int) -> int:
         # the step u -> v from a chain's last cell to a chain's first:
@@ -141,16 +176,20 @@ def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[li
         elif want is not None:
             need[size[v]] += 1
 
-    def grow(d: int, left: int) -> None:
+    def grow(d: int, left: int, partners: range = range(p)) -> None:
         # d: the unpaired cell the walk leaves through; left: unpaired cells
         rd = d >= r
         free[rd] -= 1
         pair[d] = d  # taken while its partner is chosen
-        for c in range(p):
+        for c in partners:
             if pair[c] >= 0:
                 continue
             rc = c >= r
             same = rd == rc
+            if same and guard[rc]:
+                gap = c - d if c > d else d - c
+                if gap < pair[0] or span[rc] - gap < pair[0]:
+                    continue
             free[rc] -= 1
             twins[rc] += same
             if (twins[0] or free[0] > 1) and (twins[1] or free[1] > 1):
@@ -176,7 +215,7 @@ def walk_pairings(r: int, p: int, want: Sequence[int] | None, emit: Callable[[li
         free[rd] += 1
         pair[d] = -1
 
-    grow(0, p)
+    grow(0, p, range(r // 2 + 1) if rotate else range(p))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@
 * the word pass that preceded walk-directed generation, kept verbatim in
   ``word_pass``, against the walk's keys for every type with p <= 12 and
   every multiset of orders;
+* the walk with no group, which builds every pairing, against the walk
+  given each of the eight groups: the closest-twin rule, read off each
+  whole pairing, keeps every pairing that passes the orderly test, and
+  the walk given the group emits exactly the pairings that keep it;
 * sha256 digests of class lists rendered before orderly generation;
 * every enumerated class is its own canonical form.
 """
@@ -45,7 +49,7 @@ from onecyl import classify
 from onecyl.classify import _orderly_keys
 from onecyl.genperm import DEFAULT_SYM, canonical_key, code_below, position_orders, position_pairing
 from onecyl.strata import hyperelliptic_rep
-from onecyl.strata import pattern_orders, single_vertex, vertex_cycles
+from onecyl.strata import pattern_orders, single_vertex, vertex_cycles, walk_pairings
 
 import word_pass
 from germ_gluing import numbered_vertex_cycles, reference_vertex_cycles
@@ -390,14 +394,22 @@ def _order_multisets(p: int) -> list[tuple[int, ...]]:
     return out
 
 
-@pytest.mark.parametrize("sym", [CALIBRATED_SYM, DEFAULT_SYM], ids=lambda s: s.label())
-@pytest.mark.parametrize("p", range(2, 13, 2))
+@pytest.mark.parametrize(
+    "p, sym",
+    [
+        pytest.param(p, sym, id="%d-%s" % (p, sym.label()))
+        for p in range(2, 13, 2)
+        for sym in (ALL_SYMS if p < 12 else [CALIBRATED_SYM, DEFAULT_SYM])
+    ],
+)
 def test_walk_keys_match_the_word_pass(p, sym):
-    """Below 12 cells the word pass runs for every multiset.  At 12 it runs
-    pattern-free and for Q(6,2) and Q(3,3,-1,-1), and every other multiset
-    keeps the pattern-free keys whose class has its orders: the word pass
-    filters before its orderly test, which does not read the pattern, and
-    every member of a class has the class's orders."""
+    """Below 12 cells the word pass runs for every multiset and every one
+    of the eight groups, since the walk's pruning reads the rotate and swap
+    flags.  At 12 it runs for two groups, pattern-free and for Q(6,2) and
+    Q(3,3,-1,-1), and every other multiset keeps the pattern-free keys
+    whose class has its orders: the word pass filters before its orderly
+    test, which does not read the pattern, and every member of a class has
+    the class's orders."""
     tops = list(range(1, p))
     free = word_pass._orderly_keys(p, tops, None, sym)
     for want in [None, *_order_multisets(p)]:
@@ -410,6 +422,47 @@ def test_walk_keys_match_the_word_pass(p, sym):
             }
         got = {r: _orderly_keys(r, p - r, want, sym) for r in tops}
         assert {r: sorted(keys) for r, keys in got.items()} == {r: sorted(keys) for r, keys in reference.items()}, want
+
+
+def _keeps_closest_twins(pair: Sequence[int], r: int, sym: SymmetryGroup) -> bool:
+    """The closest-twin rule read off a whole pairing: with rotations, cell 0
+    pairs at the least cyclic distance between twin cells of the top row,
+    and with row swap on a square type no bottom twins lie closer."""
+    if not sym.rotate_rows:
+        return True
+    l = len(pair) - r
+
+    def least(start: int, n: int) -> int:
+        gaps = [abs(pair[i] - i) for i in range(start, start + n) if start <= pair[i] < start + n]
+        return min(min(g, n - g) for g in gaps)
+
+    top = least(0, r)
+    return pair[0] == top and not (sym.swap_rows and r == l and least(r, l) < top)
+
+
+@pytest.mark.parametrize("p", range(4, 13, 2))
+def test_the_pruned_walk_emits_the_closest_twin_pairings(p):
+    """The walk with no group builds every pairing of each type with p
+    cells, pattern-free and, below 12 cells, for each multiset of orders.
+    Under each of the eight groups, every pairing that passes the orderly
+    test keeps the closest-twin rule, and the walk given the group emits
+    exactly the pairings that keep it, in the same order."""
+    built = pruned = 0
+    for r in range(1, p):
+        for want in [None, *_order_multisets(p)] if p < 12 else [None]:
+            every: list = []
+            walk_pairings(r, p, want, lambda pair: every.append(tuple(pair)))
+            for sym in ALL_SYMS:
+                got: list = []
+                walk_pairings(r, p, want, lambda pair: got.append(tuple(pair)), sym)
+                assert got == [pair for pair in every if _keeps_closest_twins(pair, r, sym)], (r, want, sym)
+                if want is None:
+                    built, pruned = built + len(every), pruned + len(every) - len(got)
+                    moves = [m for entry in position_orders(r, p - r, sym)[r] for m in entry[2]][1:]
+                    for pair in set(every).difference(got):
+                        code = [j if j < i else i for i, j in enumerate(pair)]
+                        assert any(code_below(pair, order, inverse, code) for order, inverse in moves), (pair, r, sym)
+    assert 0 < pruned < built or p == 4
 
 
 def test_each_class_is_rechecked_once_by_the_strata_readers(monkeypatch):
@@ -427,7 +480,7 @@ def test_each_class_is_rechecked_once_by_the_strata_readers(monkeypatch):
     assert len(enumerate_stratum((-1, 9))) == calls["pattern_orders"] == 129
 
     # a generator fault surfaces: the pillowcase 1 1 / 2 2 has four poles, not one zero
-    monkeypatch.setattr(classify, "walk_pairings", lambda r, p, want, emit: emit([1, 0, 3, 2]))
+    monkeypatch.setattr(classify, "walk_pairings", lambda r, p, want, emit, sym: emit([1, 0, 3, 2]))
     with pytest.raises(AssertionError):
         enumerate_type(2, 2, pattern=(2,))
 
