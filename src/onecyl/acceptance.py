@@ -96,7 +96,6 @@ class _Memo:
             lambda_bound=8,
             use_orbits=False,
             use_excisions=True,
-            substratum_connected=True,
             orbit_decode_cap=3000,
             citations=("Zorich: the two components of Q(12) are distinct",),
         )

@@ -24,10 +24,10 @@ certifies they lie in one connected component:
   (a sampled-length move within the stratum);
 * membership of all-ones square-tiled suspensions in one orbit of the
   shear/quarter-turn action;
-* for minimal-type strata, excising a simple cylinder of angle s*pi with
-  an irreducible restriction: the class then lies in the handle-sum of
-  the (connected) smaller minimal stratum, so the label s alone
-  identifies its component;
+* excising a simple cylinder of angle s*pi next to a zero of order k,
+  with an irreducible restriction: the class lies in a handle sum over
+  the stratum with one k replaced by k - 4, and when that smaller
+  stratum is connected the pair (k, s) alone identifies its component;
 * for a class still alone, the shear/quarter-turn orbit of its minimal
   suspension, whose forms decode back to one-cylinder classes.
 
@@ -382,13 +382,18 @@ ORBIT_CAP = 4000  # forms kept per orbit of an all-ones suspension
 
 @dataclass(frozen=True)
 class MoveConfig:
-    """Which moves :func:`component_report` runs besides vperm, and how widely."""
+    """Which moves :func:`component_report` runs besides vperm, and how widely.
+
+    Excisions label by (zero order, angle) only into a stratum whose default
+    report reads one group: one-cylinder surfaces meet every component, so it
+    is connected.  ``substratum_connected`` is unread; benchmarks still pass it.
+    """
 
     lambda_samples: int = 8  # re-reading: vectors of seeds 0..lambda_samples
     lambda_bound: int = 12
     use_orbits: bool = True
     use_excisions: bool = False
-    substratum_connected: bool = False  # certified by a smaller report
+    substratum_connected: bool = False  # unread; see the class docstring
     orbit_decode_cap: int = 0  # orbit walk with base decoding for stragglers
     size_limit: int = 16
     citations: tuple[str, ...] = ()
@@ -489,18 +494,34 @@ def _orbit_pairs(classes, index, config, sym, find):
             yield "orbit", i, j, j, "word=%s" % (word or "id")
             continue
         result = sl2z_orbit(gp, all_ones(gp), cap=ORBIT_CAP)
-        for k in result.keys:
+        for k in result.keys:  # the start form's key, among them, has word ""
             owner.setdefault(k, (i, result.words[k]))
-        owner[key] = (i, "")
 
 
 def _excise_pairs(classes, index, config, sym, find):
-    """Excisions into a connected smaller minimal stratum: a class pairs
-    with the slot of each certified angle s, ``len(classes) + s``."""
+    """Certified excisions into a connected smaller stratum: a class pairs
+    with the slot of (k, s) for each certified excision of angle s next to
+    a zero of order k = angle + complement.  Collapsing the seam lands in
+    the stratum with one k replaced by k - 4 and order-0 entries dropped (a
+    marked point does not change the component count).  The slot opens
+    only when k - 4 >= -1, that stratum is not empty and its default report,
+    which never excises, reads one group.  Sound because every component
+    holds a one-cylinder surface, so one group of certified merges means a
+    connected stratum, and the handle sums of a connected stratum at one
+    angle lie in one component (Kontsevich-Zorich 2003, section 4)."""
+    orders = list(singularity_pattern(classes[0]).orders) if classes else []
+    base: dict = {}  # k -> slot of (k, 0), past the o + 2 slots of each larger order; None if not connected
     for i, gp in enumerate(classes):
-        for exc in excisions(gp):
-            if exc.restricted_irreducible:
-                yield "excise", i, len(classes) + exc.angle, ("angle", exc.angle), "s=%d" % exc.angle
+        for exc in (e for e in excisions(gp) if e.restricted_irreducible):
+            k = exc.angle + exc.complement
+            if k not in base:
+                at = orders.index(k)
+                smaller = tuple(o for o in orders[:at] + [k - 4] + orders[at + 1 :] if o)
+                one = k - 4 >= -1 and bool(smaller)
+                one = one and component_report(smaller, MoveConfig(size_limit=config.size_limit), sym).upper_bound == 1
+                base[k] = len(classes) + sum(o + 2 for o in orders[:at]) if one else None
+            if base[k] is not None:
+                yield "excise", i, base[k] + exc.angle, ("angle", exc.angle), "s=%d" % exc.angle
 
 
 def _decode_pairs(classes, index, config, sym, find):
@@ -530,8 +551,6 @@ def component_report(
 ) -> ComponentReport:
     """Enumerate a stratum and merge classes along certified moves: one loop
     merges the candidates of each pass that ``config`` turns on, in order."""
-    if config.use_excisions and not config.substratum_connected:
-        raise BadParameters("excision labels need a certified connected substratum")
     if config.lambda_bound < 1 or config.lambda_samples < 0:
         raise BadParameters(
             "need lambda_bound >= 1 and lambda_samples >= 0, got %d and %d"
@@ -543,7 +562,7 @@ def component_report(
     classes = enumerate_stratum(spattern.orders, sym=sym, size_limit=config.size_limit)
     # enumerated classes are canonical forms under sym: their rows are their keys
     index: dict = {gp.rows(): i for i, gp in enumerate(classes)}
-    # class indices, then one slot per excision angle (below the stratum size)
+    # class indices, then one slot per (order, angle) of an excision (below the stratum size)
     merger = _UnionFind(len(classes) + sum(k + 2 for k in spattern.orders))
     passes = [_vperm_pairs]
     passes += [_orbit_pairs] if config.use_orbits else []

@@ -312,7 +312,6 @@ def _dispatch(args) -> int:
         config = MoveConfig(
             use_orbits="orbit" in moves,
             use_excisions="excise" in moves,
-            substratum_connected="excise" in moves,
             orbit_decode_cap=3000 if "decode" in moves else 0,
             size_limit=args.limit,
         )

@@ -292,7 +292,7 @@ def hyperelliptic_rep(kind: str, r: int, l: int, a: int | None = None) -> Genera
     """
     if r < 1 or l < 1:
         raise BadParameters("need r, l >= 1, got (%d, %d)" % (r, l))
-    if kind == "pi1":
+    if kind in ("pi1", "pi1a"):
         top = ["0_1"] + [str(i) for i in range(1, r + 1)] + ["0_1"] + [str(i) for i in range(r + 1, r + l + 1)]
         bottom = (
             [str(i) for i in range(r + l, r, -1)]
@@ -300,26 +300,14 @@ def hyperelliptic_rep(kind: str, r: int, l: int, a: int | None = None) -> Genera
             + [str(i) for i in range(r, 0, -1)]
             + ["0_2"]
         )
+        if kind == "pi1a":
+            if a is None or not 2 <= a <= r + 1:
+                raise BadParameters("pi1a needs 2 <= a <= r+1, got a=%r" % (a,))
+            top.insert(1, "0_3")  # after 0_1
+            bottom.insert(r + l + 2 - a, "0_3")  # between a and a - 1
     elif kind == "pi2":
         top = [str(i) for i in range(1, r + 1)] * 2
         bottom = [str(i) for i in range(r + 1, r + l + 1)] * 2
-    elif kind == "pi1a":
-        if a is None or not 2 <= a <= r + 1:
-            raise BadParameters("pi1a needs 2 <= a <= r+1, got a=%r" % (a,))
-        top = (
-            ["0_1", "0_3"]
-            + [str(i) for i in range(1, r + 1)]
-            + ["0_1"]
-            + [str(i) for i in range(r + 1, r + l + 1)]
-        )
-        bottom = (
-            [str(i) for i in range(r + l, r, -1)]
-            + ["0_2"]
-            + [str(i) for i in range(r, a - 1, -1)]
-            + ["0_3"]
-            + [str(i) for i in range(a - 1, 0, -1)]
-            + ["0_2"]
-        )
     else:
         raise BadParameters("unknown family kind %r" % (kind,))
     return GeneralizedPermutation.from_tokens(top, bottom)

@@ -396,16 +396,43 @@ def test_pass_loop_matches_the_inline_blocks_on_larger_strata(pattern, config):
         assert "s=1" in details and "decoded after word=TS" in details
 
 
-def test_excisions_need_a_connected_substratum(monkeypatch):
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("the config is checked before enumeration")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(classify, "enumerate_stratum", no_enumeration)
-        with pytest.raises(BadParameters):
-            component_report((8,), MoveConfig(use_excisions=True))
+def test_excisions_need_a_connected_substratum():
+    # every excision of Q(8) collapses into Q(4), which is empty: no slot opens
+    report = component_report((8,), MoveConfig(use_excisions=True))
+    assert report.classes and not [e for e in report.edges if e.kind == "excise"]
     with pytest.raises(SizeLimit):
         reference_component_report((8,), MoveConfig(use_excisions=True))
+
+
+def test_excise_premise_is_read_per_zero_order():
+    # Q(-1,3,6): an order-6 handle collapses into Q(3,2,-1), an order-3 one
+    # into Q(6,-1,-1) (with a marked point dropped)
+    assert component_report((3, 2, -1)).upper_bound == 1
+    assert component_report((6, -1, -1)).upper_bound == 2
+    classes = enumerate_stratum((-1, 3, 6))
+    index = {gp.rows(): i for i, gp in enumerate(classes)}
+    certified = [
+        (i, e.angle + e.complement, e.angle)
+        for i, gp in enumerate(classes)
+        for e in excisions(gp)
+        if e.restricted_irreducible
+    ]
+    assert {k for _, k, _ in certified} == {3, 6}
+    pairs = classify._excise_pairs(classes, index, FOUR_MOVES, CALIBRATED_SYM, lambda i: i)
+    # the orders read (6, 3, -1), so the slots of order 6 come first
+    assert {(i, j) for _, i, j, _, _ in pairs} == {(i, len(classes) + s) for i, k, s in certified if k == 6}
+
+
+CLI_MOVES = MoveConfig(use_excisions=True, orbit_decode_cap=3000)  # vperm,orbit,excise,decode
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [(-1, 9), (12,), (-1, 3, 6), (-1, 3, 3, 3)],
+    ids=lambda pattern: "Q(%s)" % ",".join(map(str, pattern)),
+)
+def test_exceptional_strata_keep_two_groups_under_every_move(pattern):
+    assert component_report(pattern, CLI_MOVES).upper_bound == 2
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -202,6 +203,16 @@ def test_classify_unknown_moves(capsys):
         code, out, err = run(capsys, "classify", "--pattern", "8", "--moves", moves)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "vperm,orbit,excise,decode" in err
+
+
+@pytest.mark.parametrize("pattern", ["-1,3,6", "-1,3,3,3"])
+def test_classify_with_excise_keeps_exceptional_strata_apart(capsys, pattern):
+    # both strata have two components; an excise slot into a disconnected
+    # smaller stratum would join them
+    code, out, _ = run(capsys, "classify", "--pattern=" + pattern, "--moves", "vperm,orbit,excise,decode", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["lower_bound"], payload["upper_bound"]) == (1, 2)
 
 
 def test_enumerate_sym_sensitivity(capsys):

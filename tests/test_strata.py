@@ -86,6 +86,33 @@ def test_rep_families_validation():
         irreducible_rep("Q(17)")
 
 
+def literal_pi1a(r: int, l: int, a: int) -> GeneralizedPermutation:
+    """The pi1a rows written out token by token, as first defined."""
+    top = (
+        ["0_1", "0_3"]
+        + [str(i) for i in range(1, r + 1)]
+        + ["0_1"]
+        + [str(i) for i in range(r + 1, r + l + 1)]
+    )
+    bottom = (
+        [str(i) for i in range(r + l, r, -1)]
+        + ["0_2"]
+        + [str(i) for i in range(r, a - 1, -1)]
+        + ["0_3"]
+        + [str(i) for i in range(a - 1, 0, -1)]
+        + ["0_2"]
+    )
+    return GeneralizedPermutation.from_tokens(top, bottom)
+
+
+def test_pi1a_is_pi1_with_a_threaded_letter():
+    for r in range(1, 12):
+        for l in range(1, 12):
+            for a in range(2, r + 2):
+                got, want = hyperelliptic_rep("pi1a", r, l, a), literal_pi1a(r, l, a)
+                assert (got.top, got.bottom, got.names) == (want.top, want.bottom, want.names), (r, l, a)
+
+
 def test_irreducible_rep_tables():
     assert irreducible_rep("(-1,9)").render() == "0 1 2 3 4 0 / 4 3 2 5 1 5"
     assert irreducible_rep("12-II").render() == "1 2 3 4 3 5 6 / 1 5 7 4 2 6 7"
