@@ -107,6 +107,18 @@ class _Memo:
         return {gp.rows(): i for i, gp in enumerate(self.q12.classes)}
 
     @functools.cached_property
+    def q12_groups(self) -> tuple[int, int]:
+        keys = (irreducible_rep(name).canonical_key(CALIBRATED_SYM) for name in ("12-I", "12-II"))
+        return tuple(self.q12.groups[self.q12_index[key]] for key in keys)
+
+    @functools.cached_property
+    def a1_orbit(self) -> tuple:
+        # the printed Q(8) table, its unit cover keys and the orbit of the first
+        gps = [GP(t) for t in A1_TABLE]
+        covers = [build_cover(g, all_ones(g)).canonical_key() for g in gps]
+        return gps, covers, sl2z_orbit(gps[0], all_ones(gps[0]), cap=20000)
+
+    @functools.cached_property
     def corpus66(self) -> list[GeneralizedPermutation]:
         classes: list[GeneralizedPermutation] = []
         for r in range(1, 7):
@@ -279,9 +291,7 @@ def _q8_one_orbit(memo):
     # Stated in the source as an easy check; the shear/quarter-turn walk
     # refutes it: the four unit suspensions split into two disjoint
     # orbits (see q8-orbit-structure).  Kept verbatim and left failing.
-    gps = [GP(t) for t in A1_TABLE]
-    covers = [build_cover(g, all_ones(g)).canonical_key() for g in gps]
-    orbit = sl2z_orbit(gps[0], all_ones(gps[0]), cap=20000)
+    _, covers, orbit = memo.a1_orbit
     return (4, False), (sum(k in orbit.keys for k in covers), orbit.truncated)
 
 
@@ -289,9 +299,7 @@ def _q8_one_orbit(memo):
 def _q8_orbit_structure(memo):
     # frozen truth behind the q8-one-orbit failure: membership pattern
     # and orbit sizes of the four printed suspensions
-    gps = [GP(t) for t in A1_TABLE]
-    covers = [build_cover(g, all_ones(g)).canonical_key() for g in gps]
-    first = sl2z_orbit(gps[0], all_ones(gps[0]), cap=20000)
+    gps, covers, first = memo.a1_orbit
     second = sl2z_orbit(gps[1], all_ones(gps[1]), cap=20000)
     members_first = tuple(i for i, k in enumerate(covers) if k in first.keys)
     members_second = tuple(i for i, k in enumerate(covers) if k in second.keys)
@@ -377,9 +385,7 @@ def _q12_quoted_angles(memo):
 def _q12_two_components(memo):
     rep = memo.q12
     has_citation = any("Zorich" in c for c in rep.citations)
-    idx = memo.q12_index
-    g1 = rep.groups[idx[irreducible_rep("12-I").canonical_key(CALIBRATED_SYM)]]
-    g2 = rep.groups[idx[irreducible_rep("12-II").canonical_key(CALIBRATED_SYM)]]
+    g1, g2 = memo.q12_groups
     return (2, True, True, 1), (rep.upper_bound, has_citation, g1 != g2, rep.lower_bound)
 
 
@@ -578,8 +584,7 @@ def _oplus_components(memo):
     # matching component of Q(12)
     rep = memo.q12
     idx = memo.q12_index
-    group_I = rep.groups[idx[irreducible_rep("12-I").canonical_key(CALIBRATED_SYM)]]
-    group_II = rep.groups[idx[irreducible_rep("12-II").canonical_key(CALIBRATED_SYM)]]
+    group_I, group_II = memo.q12_groups
     got = {}
     for s in range(1, 7):
         landed = set()

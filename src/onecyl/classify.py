@@ -103,7 +103,6 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
     orders by the strata readers: :func:`onecyl.strata.single_vertex` for a
     one-order pattern, whose one order is then r + l - 2.
     """
-    p = r + l
     minimal = want is not None and len(want) == 1
     # group r of the orders table is the part of the sym group that keeps
     # type (r, l); the first member of its first class is the identity
@@ -117,15 +116,9 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
                 return
         if not (single_vertex(pair, r) if minimal else want is None or pattern_orders(pair, r) == want):
             raise AssertionError("walk_pairings gave %r, not of orders %r" % (pair, want))
-        word = [0] * p
-        letter = 0
-        for i, j in enumerate(pair):
-            if j > i:
-                letter += 1
-                word[i] = word[j] = letter
-        keys.append(canonical_key(word[:r], word[r:], sym))
+        keys.append(canonical_key(pair, r, sym))
 
-    walk_pairings(r, p, want, leaf, sym)
+    walk_pairings(r, r + l, want, leaf, sym)
     return keys
 
 
@@ -165,12 +158,6 @@ def enumerate_type(
     return _classes(_orderly_keys(r, l, want, sym))
 
 
-def stratum_types(pattern: tuple[int, ...]) -> list[tuple[int, int]]:
-    """All (r, l) with r + l = sum(k + 2) over the pattern."""
-    total = sum(k + 2 for k in pattern)
-    return [(r, total - r) for r in range(1, total) if (total - r) >= 1 and total % 2 == 0]
-
-
 def enumerate_stratum(
     pattern: tuple[int, ...],
     sym: SymmetryGroup = CALIBRATED_SYM,
@@ -193,8 +180,9 @@ def enumerate_stratum(
         return []
     if total > size_limit:
         raise SizeLimit("stratum needs r+l = %d > guard %d" % (total, size_limit))
-    types = [(r, l) for r, l in stratum_types(want) if not (sym.swap_rows and r < l)]
-    return [gp for r, l in types for gp in _classes(_orderly_keys(r, l, want, sym))]
+    # both rows nonempty, and r >= l under row swap (total is even here)
+    tops = range(total // 2 if sym.swap_rows else 1, total)
+    return [gp for r in tops for gp in _classes(_orderly_keys(r, total - r, want, sym))]
 
 
 # -- handle calculus -------------------------------------------------------

@@ -10,6 +10,8 @@ of the r + l cell positions.
 Letters are stored internally as integers 1..k numbered by first
 appearance (top row scanned first); the original tokens are kept for
 rendering, so ``parse`` / ``render`` round-trip letter-for-letter.
+Letters become a pairing only in :func:`position_pairing`; everything
+after it, the canonical key included, reads the pairing.
 
 The symmetry group acts on cell positions, and :func:`position_orders`
 is the one table of that action: its orders come grouped by the length
@@ -170,25 +172,22 @@ def _keep_least(pair: Sequence[int], live: Sequence[tuple], start: int, stop: in
 
 
 def canonical_key(
-    top: Sequence[int], bottom: Sequence[int], sym: SymmetryGroup = DEFAULT_SYM
+    pair: Sequence[int], r: int, sym: SymmetryGroup = DEFAULT_SYM
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lexicographically minimal relabeled row pair over the sym orbit.
+    """Lexicographically minimal relabeled row pair over the sym orbit of
+    the type-(r, len(pair) - r) permutation with position pairing ``pair``.
 
-    This is the hashable core of :meth:`GeneralizedPermutation.canonical_form`,
-    usable directly on raw row tuples during large enumerations.  Codes
-    order the words of one top length as their relabeled rows do, so the
-    key is the smaller of the least-code words (:func:`_keep_least`) of
-    the (at most two) top-length groups of :func:`position_orders`.
-    Every letter must occur exactly twice.
+    Codes order the words of one top length as their relabeled rows do, so
+    the key is the smaller of the least-code words (:func:`_keep_least`)
+    of the (at most two) top-length groups of :func:`position_orders`,
+    each cell named by the lesser position of its letter.
     """
-    word = tuple(top) + tuple(bottom)
-    pair = position_pairing(word)
     best = None
-    for n, classes in position_orders(len(top), len(bottom), sym).items():
+    for n, classes in position_orders(r, len(pair) - r, sym).items():
         # entry 0 is 0 for every order, and below n a class reads as one order
         live = _keep_least(pair, classes, 1, n)
-        live = _keep_least(pair, [member for entry in live for member in entry[2]], n, len(word))
-        cells = [word[pos] for pos in live[0][0]]
+        live = _keep_least(pair, [member for entry in live for member in entry[2]], n, len(pair))
+        cells = [min(pos, pair[pos]) for pos in live[0][0]]
         key = _relabel_key(cells[:n], cells[n:])
         if best is None or key < best:
             best = key
@@ -215,26 +214,16 @@ class GeneralizedPermutation:
         if not top or not bottom:
             raise EmptyRow("both rows must contain at least one letter")
         mapping: dict[str, int] = {}
-        names: list[str] = []
-        rows: list[list[int]] = []
-        for tokens in (top, bottom):
-            row = []
-            for tok in tokens:
-                code = mapping.get(tok)
-                if code is None:
-                    code = len(names) + 1
-                    mapping[tok] = code
-                    names.append(tok)
-                row.append(code)
-            rows.append(row)
-        counts = [0] * (len(names) + 1)
-        for row in rows:
-            for letter in row:
-                counts[letter] += 1
-        bad = [names[i - 1] for i in range(1, len(names) + 1) if counts[i] != 2]
-        if bad:
-            raise LetterCountError("letters not appearing exactly twice: %s" % ", ".join(bad))
-        return GeneralizedPermutation(tuple(rows[0]), tuple(rows[1]), tuple(names))
+        cells = [mapping.setdefault(tok, len(mapping) + 1) for tok in (*top, *bottom)]
+        try:
+            pair = position_pairing(cells)
+        except LetterCountError:
+            bad = [tok for tok, letter in mapping.items() if cells.count(letter) != 2]
+            raise LetterCountError("letters not appearing exactly twice: %s" % ", ".join(bad)) from None
+        r = len(top)
+        gp = GeneralizedPermutation(tuple(cells[:r]), tuple(cells[r:]), tuple(mapping))
+        gp.__dict__["_pairing"] = tuple(pair)  # the cache behind pairing()
+        return gp
 
     @staticmethod
     def from_rows(top: Sequence[int], bottom: Sequence[int]) -> "GeneralizedPermutation":
@@ -337,11 +326,11 @@ class GeneralizedPermutation:
 
     def canonical_form(self, sym: SymmetryGroup = DEFAULT_SYM) -> "GeneralizedPermutation":
         """Minimal representative of the sym orbit, letters renamed 1..k."""
-        t, b = canonical_key(self.top, self.bottom, sym)
+        t, b = canonical_key(self.pairing(), len(self.top), sym)
         return GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, len(self.names) + 1)))
 
     def canonical_key(self, sym: SymmetryGroup = DEFAULT_SYM) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return canonical_key(self.top, self.bottom, sym)
+        return canonical_key(self.pairing(), len(self.top), sym)
 
     def equivalent(self, other: "GeneralizedPermutation", sym: SymmetryGroup = DEFAULT_SYM) -> bool:
         return self.canonical_key(sym) == other.canonical_key(sym)

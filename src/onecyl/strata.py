@@ -323,8 +323,9 @@ IRREDUCIBLE_REPS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def irreducible_rep(name: str) -> GeneralizedPermutation:
-    """Table representative of a sporadic (irreducible) component."""
+    """Table representative of a sporadic (irreducible) component, parsed once."""
     try:
         text = IRREDUCIBLE_REPS[name]
     except KeyError:

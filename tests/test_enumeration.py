@@ -45,7 +45,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onecyl import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
-from onecyl import classify
+from onecyl import classify, genperm
 from onecyl.classify import _orderly_keys
 from onecyl.genperm import DEFAULT_SYM, canonical_key, code_below, position_orders, position_pairing
 from onecyl.strata import hyperelliptic_rep
@@ -151,6 +151,11 @@ def sequential_canonical_key(
     return best
 
 
+def row_key(top, bottom, sym):
+    """The canonical key of the permutation with rows ``top`` / ``bottom``."""
+    return canonical_key(position_pairing([*top, *bottom]), len(top), sym)
+
+
 # one multi-zero pattern per size with classes in some type (sum of k + 2 is p)
 MULTI_ZERO = {2: (-1, -1), 4: (-1, -1, -1, -1), 6: (2, -1, -1), 8: (-1, 5), 10: (2, 2, -1, -1)}
 
@@ -213,7 +218,7 @@ def test_canonical_key_matches_reference_on_every_split(p):
             for sym in ALL_SYMS:
                 top, bottom = word[:r], word[r:]
                 want = reference_canonical_key(top, bottom, sym)
-                assert canonical_key(top, bottom, sym) == want, (top, bottom, sym)
+                assert row_key(top, bottom, sym) == want, (top, bottom, sym)
 
 
 def test_canonical_key_matches_reference_on_random_long_words():
@@ -226,7 +231,7 @@ def test_canonical_key_matches_reference_on_random_long_words():
             for sym in ALL_SYMS:
                 top, bottom = cells[:r], cells[r:]
                 want = reference_canonical_key(top, bottom, sym)
-                assert canonical_key(top, bottom, sym) == want, (top, bottom, sym)
+                assert row_key(top, bottom, sym) == want, (top, bottom, sym)
 
 
 # the diagonal, and off-diagonal types of either orientation
@@ -241,7 +246,7 @@ def test_lockstep_key_matches_sequential_key_on_hyperelliptic_reps(kind):
         for sym in ALL_SYMS if gp.size <= 16 else LARGE_SYMS:
             want = sequential_canonical_key(gp.top, gp.bottom, sym)
             assert want == reference_canonical_key(gp.top, gp.bottom, sym)
-            assert canonical_key(gp.top, gp.bottom, sym) == want, (kind, r, l, sym)
+            assert row_key(gp.top, gp.bottom, sym) == want, (kind, r, l, sym)
             assert gp.canonical_key(sym) == want, (kind, r, l, sym)
     position_orders.cache_clear()  # the large tables are for this test only
     reference_position_orders.cache_clear()
@@ -258,7 +263,7 @@ def test_lockstep_key_matches_sequential_key_on_seeded_words():
         for sym in ALL_SYMS:
             want = sequential_canonical_key(top, bottom, sym)
             assert want == reference_canonical_key(top, bottom, sym)
-            assert canonical_key(top, bottom, sym) == want, (top, bottom, sym)
+            assert row_key(top, bottom, sym) == want, (top, bottom, sym)
 
 
 @settings(max_examples=200, deadline=None)
@@ -270,7 +275,7 @@ def test_canonical_key_ignores_each_generator(data):
     names = data.draw(st.permutations(range(10, 10 + k)), label="relabel")
     top, bottom = tuple(cells[:r]), tuple(cells[r:])
     for sym in ALL_SYMS:
-        key = canonical_key(top, bottom, sym)
+        key = row_key(top, bottom, sym)
         images = [(tuple(names[x - 1] for x in top), tuple(names[x - 1] for x in bottom))]
         if sym.rotate_rows:
             images += [(top[1:] + top[:1], bottom), (top, bottom[1:] + bottom[:1])]
@@ -279,7 +284,7 @@ def test_canonical_key_ignores_each_generator(data):
         if sym.swap_rows:
             images.append((bottom, top))
         for image in images:
-            assert canonical_key(*image, sym) == key, (top, bottom, image, sym)
+            assert row_key(*image, sym) == key, (top, bottom, image, sym)
 
 
 @pytest.mark.parametrize("sym", ALL_SYMS, ids=lambda s: s.label())
@@ -483,6 +488,21 @@ def test_each_class_is_rechecked_once_by_the_strata_readers(monkeypatch):
     monkeypatch.setattr(classify, "walk_pairings", lambda r, p, want, emit, sym: emit([1, 0, 3, 2]))
     with pytest.raises(AssertionError):
         enumerate_type(2, 2, pattern=(2,))
+
+
+def test_each_class_builds_one_pairing(monkeypatch):
+    # the walk's pairings are keyed as they stand; only the class's
+    # GeneralizedPermutation pairs its letters, once, as it is built
+    built = Counter()
+
+    def counted(cells):
+        built[len(cells)] += 1
+        return position_pairing(cells)
+
+    monkeypatch.setattr(genperm, "position_pairing", counted)
+    classes = enumerate_stratum((12,))
+    assert len(classes) == 725 and built == {14: 725}
+    assert all(len(gp.pairing()) == 14 for gp in classes) and built == {14: 725}
 
 
 def test_position_orders_match_the_flat_reference_table():

@@ -10,7 +10,8 @@ from onecyl import (
     singularity_pattern,
 )
 from onecyl.errors import EmptyRow, LetterCountError, MalformedText, NotRestrictable
-from onecyl.genperm import canonical_key
+from onecyl import genperm
+from onecyl.genperm import position_pairing
 
 GP = GeneralizedPermutation.parse
 
@@ -60,8 +61,31 @@ def test_integer_rows_need_each_letter_exactly_twice():
     for top, bottom in [((1, 1, 1, 1), (2, 2)), ((1, 2, 1), (3,)), ((1, 2, 2), (1, 3))]:
         with pytest.raises(LetterCountError):
             GeneralizedPermutation.from_rows(top, bottom)
+        # the one place letters become a pairing
         with pytest.raises(LetterCountError):
-            canonical_key(top, bottom, CALIBRATED_SYM)
+            position_pairing(top + bottom)
+
+
+def test_a_bad_letter_count_names_its_tokens_in_first_appearance_order():
+    for text, bad in [("a b c / a c c d", "b, c, d"), ("x x / x x y y", "x"), ("7 7 3 / 3 9", "9")]:
+        with pytest.raises(LetterCountError, match="^letters not appearing exactly twice: %s$" % bad):
+            GP(text)
+
+
+def test_keys_and_forms_read_the_cached_pairing(monkeypatch):
+    gps = [GP(EXAMPLE), GP("7 7 3 / 3 9 9"), GeneralizedPermutation.from_rows((5, 3, 5, 2, 4), (1, 2, 1, 3, 4))]
+    gps += [random_gp(random.Random(seed), max_letters=8) for seed in range(20)]
+    built = []
+
+    def counted(cells):
+        built.append(tuple(cells))
+        return position_pairing(cells)
+
+    monkeypatch.setattr(genperm, "position_pairing", counted)
+    for gp in gps:
+        for sym in (DEFAULT_SYM, CALIBRATED_SYM, SymmetryGroup(True, True, True)):
+            assert gp.canonical_form(sym).rows() == gp.canonical_key(sym)
+    assert built == []
 
 
 def test_render_round_trip():

@@ -67,5 +67,5 @@ def _orderly_keys(
                 continue
             code = [j if j < i else i for i, j in enumerate(pair)]  # the identity's code
             if not any(code_below(pair, order, inverse, code) for order, inverse in moves[r]):
-                keys[r].append(canonical_key(word[:r], word[r:], sym))
+                keys[r].append(canonical_key(pair, r, sym))
     return keys
