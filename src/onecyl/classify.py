@@ -21,7 +21,8 @@ are skipped.  Classes merge when a geometric move
 certifies they lie in one connected component:
 
 * re-reading a single-vertical-cylinder suspension along the vertical
-  (a sampled-length move within the stratum);
+  (a sampled-length move within the stratum; the lengths are drawn once
+  per sampling signature, since the draw reads nothing else of a class);
 * membership of all-ones square-tiled suspensions in one orbit of the
   shear/quarter-turn action;
 * excising a simple cylinder of angle s*pi next to a zero of order k,
@@ -451,15 +452,27 @@ class _UnionFind:
 # Each move reads (classes, index, config, sym, find) and yields candidates
 # (kind, i, j, target, detail): class i and slot j lie in one component.
 def _vperm_pairs(classes, index, config, sym, find):
-    """Vertical re-readings over sampled admissible vectors."""
+    """Vertical re-readings over sampled admissible vectors.
+
+    The vectors of seeds 0..lambda_samples depend on a class only through
+    its sampling signature (letter count, top- and bottom-doubled
+    letters; see :func:`onecyl.suspension.sample_admissible`), so the
+    first class of each signature draws them and every later class of it
+    reads at the same sorted list.  Its first class is also where
+    ``Infeasible`` is raised when no positive vector exists.
+    """
+    drawn: dict = {}  # sampling signature -> sorted distinct vectors, for this pass only
     for i, gp in enumerate(classes):
-        lams = []
-        for seed in range(config.lambda_samples + 1):
-            try:
-                lams.append(sample_admissible(gp, seed=seed, bound=config.lambda_bound))
-            except BoundTooSmall:
-                continue
-        for lam in sorted(set(lams)):
+        signature = (gp.num_letters, gp.top_doubled(), gp.bottom_doubled())
+        if signature not in drawn:
+            lams = []
+            for seed in range(config.lambda_samples + 1):
+                try:
+                    lams.append(sample_admissible(gp, seed=seed, bound=config.lambda_bound))
+                except BoundTooSmall:
+                    continue
+            drawn[signature] = sorted(set(lams))
+        for lam in drawn[signature]:
             try:
                 vg, _ = vertical_permutation(gp, lam)
             except NotSingleCylinder:

@@ -136,6 +136,10 @@ def sample_admissible(gp: GeneralizedPermutation, seed: int = 0, bound: int = 20
 
     Each entry is drawn as ``random.Random.randint(1, bound)`` draws it, a
     ``getrandbits`` rejection loop, inlined so the stream is unchanged.
+    The draw reads only the sampling signature of ``gp``: its letter
+    count and its top- and bottom-doubled letters.  So for one signature,
+    seed and bound it always returns the same vector or always raises
+    ``BoundTooSmall``, and a caller may draw once per signature.
     """
     if bound < 1:
         raise BadParameters("lambda bound must be at least 1, got %d" % bound)

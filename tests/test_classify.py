@@ -385,8 +385,8 @@ def test_pass_loop_matches_the_inline_blocks(config):
 
 @pytest.mark.parametrize(
     "pattern, config",
-    [((3, 1, 1, -1), FOUR_MOVES), ((-1, 9), MoveConfig())],
-    ids=["Q(3,1,1,-1)-four-moves", "Q(-1,9)-defaults"],
+    [((3, 1, 1, -1), FOUR_MOVES), ((-1, 9), MoveConfig()), ((12,), Q12_MOVES)],
+    ids=["Q(3,1,1,-1)-four-moves", "Q(-1,9)-defaults", "Q(12)-q12-moves"],
 )
 def test_pass_loop_matches_the_inline_blocks_on_larger_strata(pattern, config):
     report = component_report(pattern, config)
@@ -394,6 +394,47 @@ def test_pass_loop_matches_the_inline_blocks_on_larger_strata(pattern, config):
     if pattern == (3, 1, 1, -1):
         details = {e.detail for e in report.edges}
         assert "s=1" in details and "decoded after word=TS" in details
+
+
+def sampling_signature(gp: GeneralizedPermutation) -> tuple:
+    return gp.num_letters, gp.top_doubled(), gp.bottom_doubled()
+
+
+def test_sample_admissible_reads_only_the_sampling_signature():
+    groups: dict = {}
+    for pattern in nonempty_strata(12):
+        for gp in enumerate_stratum(pattern):
+            groups.setdefault(sampling_signature(gp), []).append(gp)
+    assert len(groups) < sum(map(len, groups.values()))
+    for members in groups.values():
+        for seed in range(9):
+            for bound in (1, 2, 8, 12, 20):
+                readings = set()
+                for gp in members:
+                    try:
+                        readings.add(sample_admissible(gp, seed=seed, bound=bound))
+                    except BoundTooSmall:
+                        readings.add(None)
+                assert len(readings) == 1, (members[0], seed, bound, readings)
+
+
+@pytest.mark.parametrize(
+    "pattern, config, calls",
+    # Q(12): 22 signatures x 7 seeds, plus 4 x 9 for the excise move's
+    # default report of Q(8); Q(-1,9): 18 signatures x 9 seeds
+    [((12,), Q12_MOVES, 22 * 7 + 4 * 9), ((-1, 9), MoveConfig(), 18 * 9)],
+    ids=["Q(12)-q12-moves", "Q(-1,9)-defaults"],
+)
+def test_vperm_pass_draws_once_per_sampling_signature(monkeypatch, pattern, config, calls):
+    drawn = []
+
+    def counting(gp, seed=0, bound=20):
+        drawn.append((sampling_signature(gp), seed, bound))
+        return sample_admissible(gp, seed=seed, bound=bound)
+
+    monkeypatch.setattr(classify, "sample_admissible", counting)
+    component_report(pattern, config)
+    assert len(drawn) == len(set(drawn)) == calls
 
 
 def test_excisions_need_a_connected_substratum():

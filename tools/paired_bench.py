@@ -13,11 +13,13 @@ the machine's speed falls on both sides alike:
 * ``bench/run.py --trace 0`` end-to-end metrics: ``--report-pairs`` pairs
   of the ``report`` workload, ``--other-pairs`` pairs each of ``queries``
   and ``orbits``, all at the same seed and seconds;
-* one ``enumerate_stratum`` call per stratum and one pattern-free
-  ``enumerate_type`` call per type, ``--enum-pairs`` pairs each, with the
-  sha256 of the rendered class list, which must agree between the sides;
+* ``enumerate_stratum`` per stratum and pattern-free ``enumerate_type``
+  per type, ``--enum-pairs`` pairs each: each process times its first
+  call, which builds the tables, and the best of 5 calls, since one call
+  per process reads bimodal; the summaries are of the best-of figures,
+  and the sha256 of the rendered class list must agree between the sides;
 * one ``bench/run.py --workload report --trace 1`` run per side, for the
-  enumeration's per-layer metrics.
+  enumeration's and the vperm pass's per-layer metrics.
 
 The output is one JSON object: raw runs, medians and quartiles per side,
 and for each end-to-end metric the number of pairs the after side won.
@@ -43,19 +45,25 @@ TRACED = (
     "strata.pattern_orders.calls",
     "strata.vertex_cycles.calls",
     "genperm.canonical_key.calls",
+    "suspension.sample_admissible.calls",
+    "suspension.vertical_permutation.calls",
 )
+ENUM_CALLS = 5  # enumeration calls per process; the first is also kept alone
 
-# times one enumeration call in a fresh interpreter; argv: src, kind, numbers
+# times enumeration calls in a fresh interpreter: the first, and the best
+# of all of them; argv: src, kind, numbers, calls
 ENUM_PROBE = """
 import hashlib, sys, time
 sys.path.insert(0, sys.argv[1])
 from onecyl import enumerate_stratum, enumerate_type
 args = tuple(int(x) for x in sys.argv[3].split(","))
-t = time.perf_counter()
-classes = enumerate_stratum(args) if sys.argv[2] == "stratum" else enumerate_type(*args)
-seconds = time.perf_counter() - t
+times = []
+for _ in range(int(sys.argv[4])):
+    t = time.perf_counter()
+    classes = enumerate_stratum(args) if sys.argv[2] == "stratum" else enumerate_type(*args)
+    times.append(time.perf_counter() - t)
 text = "\\n".join(g.render() for g in classes)
-print(seconds, len(classes), hashlib.sha256(text.encode()).hexdigest())
+print(times[0], min(times), len(classes), hashlib.sha256(text.encode()).hexdigest())
 """
 
 
@@ -74,10 +82,10 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return {name: metric["value"] for name, metric in record["metrics"].items()}
 
 
-def enum_run(root: Path, kind: str, args: tuple[int, ...]) -> tuple[float, int, str]:
-    cmd = [sys.executable, "-c", ENUM_PROBE, str(root / "src"), kind, ",".join(map(str, args))]
-    seconds, count, digest = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.split()
-    return float(seconds), int(count), digest
+def enum_run(root: Path, kind: str, args: tuple[int, ...]) -> tuple[float, float, int, str]:
+    cmd = [sys.executable, "-c", ENUM_PROBE, str(root / "src"), kind, ",".join(map(str, args)), str(ENUM_CALLS)]
+    first, best, count, digest = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.split()
+    return float(first), float(best), int(count), digest
 
 
 def paired(sides: dict[str, Path], pairs: int, measure) -> dict[str, list]:
@@ -107,15 +115,18 @@ def end_to_end(sides: dict[str, Path], workload: str, pairs: int, seed: int, sec
 
 def enumeration(sides: dict[str, Path], kind: str, args: tuple[int, ...], pairs: int) -> dict:
     runs = paired(sides, pairs, lambda root: enum_run(root, kind, args))
-    digests = {result[1:] for side in runs.values() for result in side}
+    digests = {result[2:] for side in runs.values() for result in side}
     if len(digests) != 1:
         raise SystemExit("%s %r: the sides disagree: %r" % (kind, args, digests))
     (count, digest), = digests
     return {
         "classes": count,
         "sha256": digest,
-        "before_s": summary([r[0] for r in runs["before"]]),
-        "after_s": summary([r[0] for r in runs["after"]]),
+        "calls_per_process": ENUM_CALLS,
+        "before_s": summary([r[1] for r in runs["before"]]),
+        "after_s": summary([r[1] for r in runs["after"]]),
+        "before_first_s": summary([r[0] for r in runs["before"]]),
+        "after_first_s": summary([r[0] for r in runs["after"]]),
     }
 
 
