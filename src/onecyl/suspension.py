@@ -31,7 +31,15 @@ Conventions:
   the two sides of a cylinder are the two circles beside the same arcs;
 * going up through a top interval glued by translation re-enters the
   bottom going up; glued to another top interval it re-enters that
-  interval going down with reflected offset, and symmetrically below.
+  interval going down with reflected offset, and symmetrically below;
+* one line holds both circles, bottom point x at x + w.  A segment is
+  traced by one integer loop on it: a crossing bisects the cells' left
+  ends and moves the point by its cell's translation or central symmetry.
+  The diagram is flat arrays (ends, crossings and lines per segment, the
+  segment and far end of each germ, the first end above each singular
+  line) shared by the spectrum, the decomposition and the vertical
+  re-reading; only the first two build ``Segment`` objects.  The cover
+  reads its up map off the same cell arrays, one run of columns per cell.
 
 The orientation double cover is a square-tiled surface of n = 2w unit
 squares: square c < w lies over base column c on the upright sheet,
@@ -64,7 +72,7 @@ from .errors import (
     TraceBudgetExceeded,
 )
 from .genperm import GeneralizedPermutation
-from .strata import cycles, junction_turn, singularity_pattern
+from .strata import cycles, junction_turn, pattern_orders, singularity_pattern
 
 Germ = int  # junction carrying the inward vertical ray, numbered as in junction_turn
 
@@ -86,14 +94,14 @@ def check_admissible(gp: GeneralizedPermutation, lam: Sequence[int]) -> tuple[in
     """Validate a per-letter length vector and return it as a tuple of ints."""
     given = tuple(lam)
     try:
-        lam = tuple(int(v) for v in given)
+        lam = tuple(map(int, given))
     except (TypeError, ValueError):
         lam = ()
     if lam != given:
         raise Infeasible("lengths must be integers, got %r" % (given,))
     if len(lam) != gp.num_letters:
         raise Infeasible("expected %d lengths, got %d" % (gp.num_letters, len(lam)))
-    if any(v <= 0 for v in lam):
+    if min(lam) <= 0:
         raise Infeasible("lengths must be positive integers")
     if sum(lam[x - 1] for x in gp.top) != sum(lam[x - 1] for x in gp.bottom):
         raise Infeasible("row sums differ; vector is not admissible")
@@ -176,45 +184,35 @@ def sample_admissible(gp: GeneralizedPermutation, seed: int = 0, bound: int = 20
 
 
 class _Geometry:
-    """Cell and junction arrays of an integer suspension, shared by all traces.
+    """Cell arrays of an integer suspension, shared by all traces and the cover.
 
     Cell c is position c of the rows, top row first, with partner
-    ``pair[c]``; junction c is its left end, at ``left[c]`` on side 0 (the
-    top circle) for c < r and on side 1 (the bottom circle) otherwise.
-    Cells are read off their left ends, with nothing kept per unit column:
-    ``cells[s]`` is side s's slice of ``left`` and ``junction_at[s]`` maps
-    its junction points to junctions.  A vertical ray about to cross
-    circle s travels up when s = 0 and down when s = 1.
+    ``pair[c]``; junction c is its left end.  Both circles lie on one line:
+    point x of the top circle is x and of the bottom circle x + w, and the
+    unit column right of point y is column y, so ``edge``, the cells' left
+    ends there, ascends and ``junction`` maps each junction point back to
+    its junction.  Nothing is kept per unit column.  A vertical ray about
+    to cross the top circle travels up, one about to cross the bottom down.
+
+    Crossing cell c moves point or column y to ``y + shift[c]`` when the
+    partner lies on the other circle: a translation, which keeps the
+    direction, so the next crossing is on the same circle; ``mirror[c]``
+    is then 0.  When the partner lies on the same circle, a central
+    symmetry moves point y to ``mirror[c] - y`` and column y to column
+    ``mirror[c] - y - 1``, and reverses the direction.
     """
 
     def __init__(self, gp: GeneralizedPermutation, lam: Sequence[int]):
         lam = check_admissible(gp, lam)
         self.r = r = len(gp.top)
-        self.pair = gp.pairing()
-        self.length = [lam[x - 1] for x in gp.top + gp.bottom]
-        self.w = sum(self.length[:r])
-        self.left = [0, *accumulate(self.length[: r - 1]), 0, *accumulate(self.length[r:-1])]
-        self.cells = ((0, r), (r, len(self.length)))
-        self.junction_at = tuple({self.left[c]: c for c in range(*span)} for span in self.cells)
-
-    def glue(self, s: int, X: int) -> tuple[int, int]:
-        """Cross side s at doubled coordinate X: (next side, image of X).
-
-        Doubled coordinates put point x at 2x and unit column x at 2x + 1;
-        X is a column or a point that is not a junction.  The crossing
-        passes through the cell over X to its partner.  A translation
-        (partner on the other side) keeps the travel direction, so the
-        next crossing is at side s again; a central symmetry (partner on
-        side s) reflects X within the partner and reverses the direction.
-        """
-        left = self.left
-        lo, hi = self.cells[s]
-        c = bisect_right(left, X >> 1, lo, hi) - 1  # the last of side s to start at or before X
-        d = self.pair[c]
-        X -= 2 * left[c]
-        if (d >= self.r) == s:
-            return s ^ 1, 2 * (left[d] + self.length[d]) - X
-        return s, 2 * left[d] + X
+        self.pair = pair = gp.pairing()
+        length = [lam[x - 1] for x in gp.top + gp.bottom]
+        self.w = w = sum(length[:r])
+        left = [0, *accumulate(length[: r - 1]), 0, *accumulate(length[r:-1])]  # on each circle
+        self.edge = edge = left[:r] + [x + w for x in left[r:]]
+        self.junction = {y: c for c, y in enumerate(edge)}
+        self.shift = [left[d] - left[c] for c, d in enumerate(pair)]
+        self.mirror = [0 if (c < r) != (d < r) else w + left[c] + left[d] + length[d] for c, d in enumerate(pair)]
 
 
 # -- separatrix spectrum --------------------------------------------------
@@ -247,65 +245,80 @@ class SeparatrixSpectrum:
         return [{"len": s.crossings, "is_gamma": s.is_gamma} for s in self.segments]
 
 
-def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, tuple[int, ...], list[bool]]:
+def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, list[int]]:
     """Follow the vertical ray from a junction until it hits a junction.
 
-    Returns the junction hit, the line of each crossing, and whether the
-    ray goes up at each crossing.
+    Returns the junction hit and the point of each crossing on the line of
+    ``geo.edge``: y < w crosses line y going up, y >= w line y - w going down.
     """
-    s = int(germ < geo.r)  # a top ray travels down and first reaches the bottom
-    X = 2 * geo.left[germ]
-    budget = 2 * geo.w + 2
-    lines, rising = [], []
-    junction_at, glue = geo.junction_at, geo.glue
-    while True:
-        lines.append(X >> 1)
-        rising.append(not s)
-        if len(lines) > budget:
-            raise TraceBudgetExceeded("separatrix trace exceeded %d crossings" % budget)
-        if X >> 1 in junction_at[s]:
-            return junction_at[s][X >> 1], tuple(lines), rising
-        s, X = glue(s, X)
+    w, edge, junction, shift, mirror = geo.w, geo.edge, geo.junction, geo.shift, geo.mirror
+    y = edge[germ] + w if germ < geo.r else edge[germ] - w  # a top ray first crosses the bottom
+    points = [y]
+    for _ in range(2 * w + 2):  # the crossing budget
+        if y in junction:
+            return junction[y], points
+        c = bisect_right(edge, y) - 1  # the last cell to start at or before y
+        m = mirror[c]
+        y = m - y if m else y + shift[c]
+        points.append(y)
+    raise TraceBudgetExceeded("separatrix trace exceeded %d crossings" % (2 * w + 2))
 
 
 def separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> SeparatrixSpectrum:
     """All compact vertical separatrices, as a perfect matching on germs."""
-    return _diagram(_Geometry(gp, lam))[0]
+    return _spectrum(*_diagram(_Geometry(gp, lam))[:3])
 
 
-def _diagram(geo: _Geometry) -> tuple[SeparatrixSpectrum, list[int], list[Germ], dict[int, Germ]]:
-    """The segments of the separatrix diagram: (spectrum, seg_of, other, start).
+def _spectrum(ends: list[tuple[Germ, Germ]], crossings: list[int], lines: list[tuple[int, ...]]) -> SeparatrixSpectrum:
+    # segment 0, from junction 0 to junction r, is gamma (see _diagram)
+    return SeparatrixSpectrum(tuple(Segment(*seg, i == 0) for i, seg in enumerate(zip(ends, crossings, lines))))
 
-    Each segment is traced once, from its least germ; ``seg_of[g]`` is the
-    index of g's segment and ``other[g]`` its far end.  ``start[x]``, for
-    each singular line x, is the end that the segment along x reaches
-    going up from x: the first in-germ of a boundary side leaving line x
-    upward.  :func:`onecyl.strata.junction_turn` gives the diagram's other
-    half: the boundary circles are the cycles of g -> other[turn[g]], two
-    per cylinder.
+
+def _diagram(geo: _Geometry) -> tuple[list, list, list, list[int], list[Germ], dict[int, Germ]]:
+    """The separatrix diagram as flat arrays: (ends, crossings, lines, seg_of, other, start).
+
+    Each segment is traced once, from its least germ: segment i joins the
+    germs ``ends[i]`` and crosses the cylinder ``crossings[i]`` times, at
+    ``lines[i]`` in trace order.  ``seg_of[g]`` is the index of g's segment
+    and ``other[g]`` its far end.  ``start[x]``, for each singular line x,
+    is the end that the segment along x reaches going up from x: the first
+    in-germ of a boundary side leaving line x upward.
+    :func:`onecyl.strata.junction_turn` gives the diagram's other half:
+    the boundary circles are the cycles of g -> other[turn[g]], two per
+    cylinder.
     """
-    n = len(geo.pair)
+    n, w = len(geo.pair), geo.w
     seg_of = [-1] * n
     other = [0] * n
     start: dict[int, Germ] = {}
-    segments: list[Segment] = []
+    ends: list[tuple[Germ, Germ]] = []
+    crossings: list[int] = []
+    lines: list[tuple[int, ...]] = []
     for g in range(n):
         if seg_of[g] >= 0:
             continue
-        end, lines, rising = _trace_segment(geo, g)
-        # glue is a bijection on crossing states, so a trace back from end
-        # would return to g exactly when end is a new germ and no line is
-        # crossed twice; every germ below g is claimed, so end > g
+        end, points = _trace_segment(geo, g)
+        # a crossing is a bijection on crossing states, so a trace back from
+        # end would return to g exactly when end is a new germ and no line
+        # is crossed twice; every germ below g is claimed, so end > g
         assert end != g and seg_of[end] < 0, "segment pairing broke"
-        seg_of[g] = seg_of[end] = len(segments)
+        seg_of[g] = seg_of[end] = len(ends)
         other[g], other[end] = end, g
-        for x, up in zip(lines, rising):
-            assert x not in start, "two segments cross line %d" % x
-            start[x] = end if up else g
-        segments.append(Segment((g, end), len(lines), lines, {g, end} == {0, geo.r}))
-    assert sum(1 for s in segments if s.is_gamma) == 1
-    assert segments and min(s.crossings for s in segments if s.is_gamma) == 1
-    return SeparatrixSpectrum(tuple(segments)), seg_of, other, start
+        ends.append((g, end))
+        crossings.append(len(points))
+        xs = []
+        for y in points:
+            if y < w:
+                start[y] = end
+            else:
+                y -= w
+                start[y] = g
+            xs.append(y)
+        lines.append(tuple(xs))
+    assert len(start) == sum(crossings), "two segments cross one line"
+    # gamma, the one segment between the seam's ends 0 and r, crosses once
+    assert other[0] == geo.r and crossings[0] == 1, "the seam does not carry gamma"
+    return ends, crossings, lines, seg_of, other, start
 
 
 def _passages(other: list[Germ], step: Sequence[Germ], g: Germ) -> Iterator[tuple[Germ, Germ]]:
@@ -378,7 +391,7 @@ def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> Cy
 
 
 def _decomposition(geo: _Geometry) -> CylinderDecomposition:
-    spectrum, seg_of, other, start = _diagram(geo)
+    ends, crossings, lines, seg_of, other, start = _diagram(geo)
     turn = junction_turn(geo.pair, geo.r)
     singular = sorted(start)
     arc_right = {x: i for i, x in enumerate(singular)}
@@ -397,7 +410,7 @@ def _decomposition(geo: _Geometry) -> CylinderDecomposition:
                 continue
             passages = tuple(_passages(other, turn if sigma > 0 else back, start[x]))
             visited = [(v, sigma if start[v] == other[out] else -sigma)
-                       for _, out in passages for v in spectrum.segments[seg_of[out]].lines]
+                       for _, out in passages for v in lines[seg_of[out]]]
             seen.update(visited)
             arcs = sorted((arc_right[v] if t > 0 else arc_right[v] - 1) % len(singular) for v, t in visited)
             sides_of.setdefault(tuple(arcs), []).append(Side(passages, len(visited)))
@@ -414,7 +427,7 @@ def _decomposition(geo: _Geometry) -> CylinderDecomposition:
         simple = all(len(s.passages) == 1 for s in sides)
         width = bounds[arcs[0] + 1] - bounds[arcs[0]]
         cylinders.append(Cylinder(tuple(bounds[a] for a in arcs), width, len(arcs), simple, (sides[0], sides[1])))
-    return CylinderDecomposition(tuple(cylinders), spectrum, geo.w)
+    return CylinderDecomposition(tuple(cylinders), _spectrum(ends, crossings, lines), geo.w)
 
 
 def germ_sector_angles(
@@ -489,7 +502,7 @@ def vertical_permutation(
     read off its two circles.
     """
     geo = _Geometry(gp, lam)
-    spectrum, seg_of, other, start = _diagram(geo)
+    _, crossings, _, seg_of, other, start = _diagram(geo)
     turn = junction_turn(geo.pair, geo.r)
     _, circles = cycles([other[g] for g in turn])
     assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
@@ -501,15 +514,14 @@ def vertical_permutation(
     singular = sorted(start)
     top = [seg_of[out] for _, out in _passages(other, turn, start[0])]
     bottom = [seg_of[out] for _, out in _passages(other, _inv(turn), start[singular[1 % len(singular)]])]
-    segments = spectrum.segments
     # the two sides of the one cylinder hug every singular line on both sides
-    assert sum(segments[i].crossings for i in top + bottom) == 2 * len(singular), "cylinder without two sides"
+    assert sum(crossings[i] for i in top + bottom) == 2 * len(singular), "cylinder without two sides"
 
     # from_rows checks that every segment occurs twice and renumbers by
     # first appearance, the order of dict.fromkeys
     new_gp = GeneralizedPermutation.from_rows(top, bottom)
-    new_lam_t = check_admissible(new_gp, [segments[i].crossings for i in dict.fromkeys(top + bottom)])
-    assert singularity_pattern(new_gp).orders == singularity_pattern(gp).orders
+    new_lam_t = check_admissible(new_gp, [crossings[i] for i in dict.fromkeys(top + bottom)])
+    assert pattern_orders(new_gp.pairing(), len(new_gp.top)) == pattern_orders(geo.pair, geo.r), "stratum changed"
     return new_gp, new_lam_t
 
 
@@ -698,18 +710,14 @@ def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCo
     n = 2 * w
     if n > MAX_COVER_SQUARES:
         raise SizeLimit("the cover would have %d squares, more than %d" % (n, MAX_COVER_SQUARES))
-    right = [0] * n
-    up = [0] * n
-    deck = [0] * n
-    for c in range(w):
-        right[c] = (c + 1) % w
-        right[w + c] = w + (c - 1) % w
-        deck[c] = w + c
-        deck[w + c] = c
-        # square s*w + c crosses side s of column c: up on the upright sheet
-        for s in (0, 1):
-            t, z = geo.glue(s, 2 * c + 1)
-            up[s * w + c] = t * w + (z >> 1)
+    right = [*range(1, w), 0, n - 1, *range(w, n - 1)]
+    deck = [*range(w, n), *range(w)]
+    # square y, on column y of the line of geo.edge, crosses the circle there:
+    # up on the upright sheet, down on the half-turned one
+    up: list[int] = []
+    for c, (a, b) in enumerate(zip(geo.edge, geo.edge[1:] + [n])):
+        m = geo.mirror[c]
+        up += range(m - a - 1, m - b - 1, -1) if m else range(a + geo.shift[c], b + geo.shift[c])
     connected = not gp.is_abelian()
     cover = SquareTiledCover(tuple(right), tuple(up), tuple(deck), connected)
     assert cover.components() == (1 if connected else 2)

@@ -17,11 +17,11 @@ RUNTIME_BUDGETS = {
     "pi1a-family": 1.0,
     "q8-": 5.0,
     "qm15-": 5.0,
-    "q12-": 15.0,
+    "q12-": 5.0,
     "empty-strata": 10.0,
     "q22-": 10.0,
     "bridge-": 5.0,
-    "invariants-500": 10.0,
+    "invariants-500": 3.0,
     "oplus-": 5.0,
 }
 

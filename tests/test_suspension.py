@@ -32,7 +32,7 @@ from onecyl import (
     smooth_marked_points,
     vertical_permutation,
 )
-from onecyl import strata, suspension
+from onecyl import MoveConfig, classify, component_report, strata, suspension
 from onecyl.acceptance import A1_TABLE
 from onecyl.classify import _UnionFind
 from onecyl.errors import (
@@ -63,6 +63,7 @@ from onecyl.suspension import (
 from germ_gluing import numbered_vertex_cycles
 
 GP = GeneralizedPermutation.parse
+EXAMPLE_14 = "1 2 3 4 2 5 6 / 1 4 5 7 6 7 3"
 
 
 def random_gp(rng, max_letters=5):
@@ -1255,9 +1256,10 @@ def test_arc_cylinders_match_reference_on_seeded_corpus():
 def reference_leaf_cylinders(geo, singular: list[int]) -> tuple[list[int], list[list[int]]]:
     """Owning cylinder of each arc, and the arcs of each cylinder, ascending.
 
-    The bare leaf walk the first side traces replaced, kept verbatim: one
-    leaf walk per cylinder, up the first column of its least arc, claims
-    the arc of every column the leaf crosses.
+    The bare leaf walk the first side traces replaced: one leaf walk per
+    cylinder, up the first column of its least arc, claims the arc of every
+    column the leaf crosses.  It steps (column, direction) by the string-keyed
+    reference's ``_column_step``.
     """
     assert singular[0] == 0
     bounds = singular + [geo.w]
@@ -1267,13 +1269,13 @@ def reference_leaf_cylinders(geo, singular: list[int]) -> tuple[list[int], list[
         if owner[i] >= 0:
             continue
         arcs: list[int] = []
-        start = state = (0, 2 * singular[i] + 1)
+        start = state = (singular[i], 1)
         while True:
-            a = bisect_right(singular, state[1] >> 1) - 1
+            a = bisect_right(singular, state[0]) - 1
             assert owner[a] < 0, "leaf crosses an arc twice"
             owner[a] = len(arcs_of)
             arcs.append(a)
-            state = geo.glue(*state)
+            state = _column_step(geo, *state)
             if state == start:
                 break
         assert len({bounds[a + 1] - bounds[a] for a in arcs}) == 1, "cylinder arcs differ in width"
@@ -1300,9 +1302,8 @@ def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monke
         traces = 0
         dec = cylinder_decomposition(gp, lam)
         assert traces == len(spectrum.segments)
-        geo = suspension._Geometry(gp, lam)
         arcs_of = [[bisect_right(singular, x) - 1 for x in c.arcs] for c in dec.cylinders]
-        assert arcs_of == reference_leaf_cylinders(geo, singular)[1]
+        assert arcs_of == reference_leaf_cylinders(_Geometry(gp, lam), singular)[1]
         # the vertical reading reads its rows off the diagram, with no second trace
         traces = 0
         vperm_outcome(vertical_permutation, gp, lam)
@@ -1320,9 +1321,57 @@ def test_separatrix_diagram_counts_two_boundary_circles_per_cylinder():
     assert [len(reference_cylinder_decomposition(*case).cylinders) for case in explicit] == [1, 3]
     for gp, lam in explicit + [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()] + list(reference_pairs()):
         geo = suspension._Geometry(gp, lam)
-        _, _, other, _ = suspension._diagram(geo)
+        other = suspension._diagram(geo)[4]
         circles = strata.cycles([other[g] for g in junction_turn(geo.pair, geo.r)])[1]
         assert len(circles) == 2 * len(reference_cylinder_decomposition(gp, lam).cylinders)
+
+
+def assert_diagram_matches_reference(gp: GeneralizedPermutation, lam: Sequence[int]) -> None:
+    """The flat diagram against the string-keyed reference's segment traces and side traces."""
+    r = len(gp.top)
+    junction = {("T", i): i for i in range(r)}
+    junction.update({("B", j): r + j for j in range(len(gp.bottom))})
+    ref_geo = _Geometry(gp, lam)
+    ref = _spectrum(ref_geo).segments
+    ends, crossings, lines, seg_of, other, start = suspension._diagram(suspension._Geometry(gp, lam))
+    assert ends == [tuple(sorted(map(junction.get, s.germs))) for s in ref]
+    assert crossings == [s.crossings for s in ref]
+    assert lines == [s.lines for s in ref]
+    owner = {junction[g]: (i, junction[h]) for i, s in enumerate(ref) for g, h in (s.germs, s.germs[::-1])}
+    assert seg_of == [owner[g][0] for g in range(len(owner))]
+    assert other == [owner[g][1] for g in range(len(owner))]
+    # start[x] is where both reference sides that hug line x, going up from it, first meet a junction
+    singular = sorted(set().union(*(s.lines for s in ref)))
+    for sigma in (1, -1):
+        assert start == {x: junction[_side_trace(ref_geo, x, sigma)[0].passages[0][0]] for x in singular}
+
+
+def test_flat_diagram_matches_the_reference_on_the_seeded_corpus():
+    for _, gp, lam in seeded_cylinder_corpus():
+        assert_diagram_matches_reference(gp, lam)
+    for gp, lam in reference_pairs():
+        assert_diagram_matches_reference(gp, lam)
+
+
+def test_flat_diagram_matches_the_reference_on_the_qm19_vperm_pass(monkeypatch):
+    # every (class, lambda) that the default Q(-1,9) report re-reads
+    read = []
+
+    def recorded(gp, lam):
+        read.append((gp, lam))
+        return vertical_permutation(gp, lam)
+
+    monkeypatch.setattr(classify, "vertical_permutation", recorded)
+    assert component_report((-1, 9), MoveConfig()).upper_bound == 2
+    assert len(read) == 1161  # the 129 classes, each at its signature's distinct vectors
+    for gp, lam in read:
+        assert_diagram_matches_reference(gp, lam)
+
+
+@pytest.mark.parametrize("c", [10**3, 10**6])
+def test_flat_diagram_matches_the_reference_at_scale(c):
+    gp = GP(EXAMPLE_14)
+    assert_diagram_matches_reference(gp, (c,) * gp.num_letters)
 
 
 def test_every_side_passage_is_one_step_of_the_junction_turn():
@@ -1357,9 +1406,6 @@ def test_only_the_cylinder_readings_turn_germs(monkeypatch):
                 reading(gp, lam)
             seen.append(calls)
         assert seen[:2] == [0, 1] and seen[2] >= 1, seen
-
-
-EXAMPLE_14 = "1 2 3 4 2 5 6 / 1 4 5 7 6 7 3"
 
 
 @pytest.mark.parametrize("c", [3, 10**6])

@@ -3,7 +3,7 @@
 
     python3 tools/paired_bench.py --before DIR --after DIR --out FILE.json \\
         [--seed N] [--seconds S] [--report-pairs 10] [--other-pairs 3] \\
-        [--enum-pairs 3]
+        [--enum-pairs 5]
 
 Each DIR is the root of a checkout (with ``src/`` and ``bench/``).  Every
 measurement runs in a fresh child process, the two sides alternating
@@ -18,6 +18,15 @@ the machine's speed falls on both sides alike:
   call, which builds the tables, and the best of 5 calls, since one call
   per process reads bimodal; the summaries are of the best-of figures,
   and the sha256 of the rendered class list must agree between the sides;
+* ``vertical_permutation``, ``separatrix_spectrum`` and
+  ``cylinder_decomposition`` per call, 5 pairs: each
+  process rebuilds two input sets through the public API, the report's
+  vperm inputs (every class of the report strata at the distinct vectors
+  of seeds 0..``lambda_samples`` of its move configuration) and the
+  seed-0 ``queries`` pairs that get lengths, and times the best of 5
+  passes of each layer over each set; the sha256 of the outputs (the
+  ``repr`` of each result, or the ``NotSingleCylinder`` message) must
+  agree between the sides;
 * one ``bench/run.py --workload report --trace 1`` run per side, for the
   enumeration's and the vperm pass's per-layer metrics.
 
@@ -66,6 +75,62 @@ text = "\\n".join(g.render() for g in classes)
 print(times[0], min(times), len(classes), hashlib.sha256(text.encode()).hexdigest())
 """
 
+LAYER_PAIRS = 5  # fresh-process pairs of the layer probe
+LAYER_PASSES = 5  # passes per layer and input set in each process; the best is kept
+
+# times the suspension layers per call in a fresh interpreter; argv: checkout root, passes
+LAYER_PROBE = """
+import hashlib, json, sys, time
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+import onecyl, workloads
+from onecyl.errors import BoundTooSmall, NotSingleCylinder
+
+def report_inputs():
+    out = []
+    for pattern in workloads.REPORT_STRATA:
+        config = onecyl.MoveConfig(**workloads.Q12_CONFIG) if pattern == (12,) else onecyl.MoveConfig()
+        for gp in onecyl.enumerate_stratum(pattern):
+            lams = set()
+            for seed in range(config.lambda_samples + 1):
+                try:
+                    lams.add(onecyl.sample_admissible(gp, seed=seed, bound=config.lambda_bound))
+                except BoundTooSmall:
+                    pass
+            out += [(gp, lam) for lam in sorted(lams)]
+    return out
+
+def query_inputs():
+    out = []
+    for text, lam_seed, _ in workloads.Queries(onecyl, workloads.FROZEN_SEED, False).setup_inputs():
+        gp = onecyl.GeneralizedPermutation.parse(text)
+        try:
+            out.append((gp, onecyl.sample_admissible(gp, seed=lam_seed)))
+        except BoundTooSmall:
+            pass
+    return out
+
+def vperm(gp, lam):
+    try:
+        return repr(onecyl.vertical_permutation(gp, lam))
+    except NotSingleCylinder as exc:
+        return str(exc)
+
+layers = {"vertical_permutation": vperm,
+          "separatrix_spectrum": lambda gp, lam: repr(onecyl.separatrix_spectrum(gp, lam)),
+          "cylinder_decomposition": lambda gp, lam: repr(onecyl.cylinder_decomposition(gp, lam))}
+result = {}
+for name, inputs in (("report", report_inputs()), ("queries", query_inputs())):
+    for layer, call in layers.items():
+        best = float("inf")
+        for _ in range(int(sys.argv[2])):
+            t = time.perf_counter()
+            outputs = [call(gp, lam) for gp, lam in inputs]
+            best = min(best, time.perf_counter() - t)
+        digest = hashlib.sha256("\\n".join(outputs).encode()).hexdigest()
+        result["%s %s" % (name, layer)] = [best / len(inputs) * 1e6, len(inputs), digest]
+print(json.dumps(result))
+"""
+
 
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
@@ -86,6 +151,11 @@ def enum_run(root: Path, kind: str, args: tuple[int, ...]) -> tuple[float, float
     cmd = [sys.executable, "-c", ENUM_PROBE, str(root / "src"), kind, ",".join(map(str, args)), str(ENUM_CALLS)]
     first, best, count, digest = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.split()
     return float(first), float(best), int(count), digest
+
+
+def layer_run(root: Path) -> dict:
+    cmd = [sys.executable, "-c", LAYER_PROBE, str(root), str(LAYER_PASSES)]
+    return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
 
 
 def paired(sides: dict[str, Path], pairs: int, measure) -> dict[str, list]:
@@ -130,6 +200,24 @@ def enumeration(sides: dict[str, Path], kind: str, args: tuple[int, ...], pairs:
     }
 
 
+def layers(sides: dict[str, Path]) -> dict:
+    runs = paired(sides, LAYER_PAIRS, layer_run)
+    out: dict = {}
+    for key in runs["before"][0]:
+        digests = {tuple(run[key][1:]) for side in runs.values() for run in side}
+        if len(digests) != 1:
+            raise SystemExit("%s: the sides disagree: %r" % (key, digests))
+        (calls, digest), = digests
+        out[key] = {
+            "calls": calls,
+            "sha256": digest,
+            "passes_per_process": LAYER_PASSES,
+            "before_us": summary([run[key][0] for run in runs["before"]]),
+            "after_us": summary([run[key][0] for run in runs["after"]]),
+        }
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -139,7 +227,7 @@ def main() -> None:
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--report-pairs", type=int, default=10)
     parser.add_argument("--other-pairs", type=int, default=3)
-    parser.add_argument("--enum-pairs", type=int, default=3)
+    parser.add_argument("--enum-pairs", type=int, default=5)
     args = parser.parse_args()
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     result: dict = {
@@ -157,6 +245,7 @@ def main() -> None:
     result["enumerate_type_pattern_free"] = {
         "(%d,%d)" % t: enumeration(sides, "type", t, args.enum_pairs) for t in TYPES
     }
+    result["layers_per_call_us"] = layers(sides)
     traced = {name: bench_run(root, "report", args.seed, args.seconds, 1) for name, root in sides.items()}
     result["traced_report"] = {metric: {name: traced[name][metric] for name in sides} for metric in TRACED}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
