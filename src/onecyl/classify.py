@@ -66,6 +66,8 @@ from .genperm import (
 from .strata import (
     ComponentTag,
     SingularityPattern,
+    cycles,
+    junction_turn,
     match_component,
     pattern_orders,
     single_vertex,
@@ -77,7 +79,7 @@ from .suspension import (
     all_ones,
     build_cover,
     decode_one_cylinder,
-    germ_sector_angles,
+    junction_sector_angles,
     minimal_admissible,
     orbit_forms,
     sample_admissible,
@@ -200,6 +202,29 @@ class Excision:
     restricted_irreducible: bool
 
 
+def _head_cylinders(gp: GeneralizedPermutation):
+    """((a, b), angle, complement) of each simple head cylinder, not yet restricted.
+
+    The junction turn commutes with row rotation: the head germs (0, r), (1, r + 1) of
+    ``gp.rotated(a, b)`` are (a, r + b), (a + 1, r + b + 1) of ``gp`` mod the row lengths.
+    """
+    r, l = gp.type
+    if r < 2 or l < 2:
+        return
+    pair = gp.pairing()
+    cycle_of, turns = cycles(junction_turn(pair, r))
+    # rotating top cell a and its bottom mate to the heads shares a letter
+    for a in range(r):
+        b = pair[a] - r
+        if b < 0:
+            continue
+        try:
+            s, comp = junction_sector_angles(cycle_of, turns, (a, r + b), ((a + 1) % r, r + (b + 1) % l))
+        except NotSimple:
+            continue
+        yield (a, b), s, comp
+
+
 def excisions(gp: GeneralizedPermutation) -> list[Excision]:
     """Every simple-cylinder excision over all head rotations.
 
@@ -207,22 +232,9 @@ def excisions(gp: GeneralizedPermutation) -> list[Excision]:
     admissible vector, with boundary passages (T0 -> B0) and (T1 -> B1);
     its sector angle is purely combinatorial.
     """
-    r, l = gp.type
-    if r < 2 or l < 2:
-        return []
     out = []
-    pair = gp.pairing()
-    # rotating top cell a and its bottom mate to the heads shares a letter
-    for a in range(r):
-        b = pair[a] - r
-        if b < 0:
-            continue
-        rot = gp.rotated(a, b)
-        try:
-            s, comp = germ_sector_angles(rot, (0, r), (1, r + 1))
-        except NotSimple:
-            continue
-        restricted = rot.restrict()
+    for (a, b), s, comp in _head_cylinders(gp):
+        restricted = gp.rotated(a, b).restrict()
         out.append(Excision((a, b), restricted, s, comp, is_irreducible(restricted).irreducible))
     return out
 
@@ -238,9 +250,10 @@ def excise_simple_cylinder(gp: GeneralizedPermutation) -> tuple[GeneralizedPermu
     stratum, and when one of them is a marked point
     :func:`onecyl.strata.smooth_marked_points` performs the collapse.
     """
-    for exc in excisions(gp):
-        if exc.restricted_irreducible:
-            return exc.restricted, exc.angle
+    for (a, b), s, _ in _head_cylinders(gp):
+        restricted = gp.rotated(a, b).restrict()
+        if is_irreducible(restricted).irreducible:
+            return restricted, s
     raise NoSimpleCylinderForm(
         "no rotation exposes a certified simple head cylinder: %s" % gp.render()
     )
@@ -513,8 +526,11 @@ def _excise_pairs(classes, index, config, sym, find):
     orders = list(singularity_pattern(classes[0]).orders) if classes else []
     base: dict = {}  # k -> slot of (k, 0), past the o + 2 slots of each larger order; None if not connected
     for i, gp in enumerate(classes):
-        for exc in (e for e in excisions(gp) if e.restricted_irreducible):
-            k = exc.angle + exc.complement
+        for (a, b), s, comp in _head_cylinders(gp):
+            k = s + comp
+            idle = k in base and (base[k] is None or find(i) == find(base[k] + s))  # can add no edge
+            if idle or not is_irreducible(gp.rotated(a, b).restrict()).irreducible:
+                continue
             if k not in base:
                 at = orders.index(k)
                 smaller = tuple(o for o in orders[:at] + [k - 4] + orders[at + 1 :] if o)
@@ -522,7 +538,7 @@ def _excise_pairs(classes, index, config, sym, find):
                 one = one and component_report(smaller, MoveConfig(size_limit=config.size_limit), sym).upper_bound == 1
                 base[k] = len(classes) + sum(o + 2 for o in orders[:at]) if one else None
             if base[k] is not None:
-                yield "excise", i, base[k] + exc.angle, ("angle", exc.angle), "s=%d" % exc.angle
+                yield "excise", i, base[k] + s, ("angle", s), "s=%d" % s
 
 
 def _decode_pairs(classes, index, config, sym, find):

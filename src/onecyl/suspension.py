@@ -446,7 +446,13 @@ def germ_sector_angles(
     it turns changes an angle.  Raises NotSimple when the germs do not sit
     around a single singularity.
     """
-    cycle_of, turns = cycles(junction_turn(gp.pairing(), len(gp.top)))
+    return junction_sector_angles(*cycles(junction_turn(gp.pairing(), len(gp.top))), side1, side2)
+
+
+def junction_sector_angles(
+    cycle_of: list[int], turns: list[list[int]], side1: tuple[Germ, Germ], side2: tuple[Germ, Germ]
+) -> tuple[int, int]:
+    """:func:`germ_sector_angles` off the class's ``cycles(junction_turn(...))``, read once per class."""
     cycle = turns[cycle_of[side1[0]]]
     germs = (*side1, *side2)
     if not all(g in cycle for g in germs):

@@ -27,12 +27,14 @@ from onecyl.classify import (
     collapse_letter,
     insert_split_letter,
 )
+from onecyl.conditions import is_irreducible
 from onecyl.errors import (
     BadParameters,
     BadPattern,
     BoundTooSmall,
     NoSimpleCylinderForm,
     NotFoundWithinBudget,
+    NotSimple,
     NotSingleCylinder,
     SizeLimit,
 )
@@ -42,12 +44,14 @@ from onecyl.suspension import (
     all_ones,
     build_cover,
     decode_one_cylinder,
+    germ_sector_angles,
     minimal_admissible,
     orbit_forms,
     sample_admissible,
     sl2z_orbit,
     vertical_permutation,
 )
+from test_conditions import shuffled_perms
 
 GP = GeneralizedPermutation.parse
 
@@ -493,3 +497,78 @@ def test_component_report_rejects_bad_lambda_settings(monkeypatch, config):
     monkeypatch.setattr(classify, "enumerate_stratum", no_enumeration)
     with pytest.raises(BadParameters):
         component_report((8,), config)
+
+
+# Kept verbatim (renamed) from the eager excise pass that restricted and
+# tested every head cylinder of every class before reading the merger.
+def eager_excise_pairs(classes, index, config, sym, find):
+    """Certified excisions into a connected smaller stratum: a class pairs
+    with the slot of (k, s) for each certified excision of angle s next to
+    a zero of order k = angle + complement.  Collapsing the seam lands in
+    the stratum with one k replaced by k - 4 and order-0 entries dropped (a
+    marked point does not change the component count).  The slot opens
+    only when k - 4 >= -1, that stratum is not empty and its default report,
+    which never excises, reads one group.  Sound because every component
+    holds a one-cylinder surface, so one group of certified merges means a
+    connected stratum, and the handle sums of a connected stratum at one
+    angle lie in one component (Kontsevich-Zorich 2003, section 4)."""
+    orders = list(singularity_pattern(classes[0]).orders) if classes else []
+    base: dict = {}  # k -> slot of (k, 0), past the o + 2 slots of each larger order; None if not connected
+    for i, gp in enumerate(classes):
+        for exc in (e for e in excisions(gp) if e.restricted_irreducible):
+            k = exc.angle + exc.complement
+            if k not in base:
+                at = orders.index(k)
+                smaller = tuple(o for o in orders[:at] + [k - 4] + orders[at + 1 :] if o)
+                one = k - 4 >= -1 and bool(smaller)
+                one = one and component_report(smaller, MoveConfig(size_limit=config.size_limit), sym).upper_bound == 1
+                base[k] = len(classes) + sum(o + 2 for o in orders[:at]) if one else None
+            if base[k] is not None:
+                yield "excise", i, base[k] + exc.angle, ("angle", exc.angle), "s=%d" % exc.angle
+
+
+def test_lazy_excise_pass_matches_the_eager_one(monkeypatch):
+    runs = [((12,), Q12_MOVES)]
+    runs += [(pattern, CLI_MOVES) for pattern in [(-1, 3, 6), (-1, 3, 3, 3), (-1, 9), (3, 1, 1, -1)]]
+    runs += [(pattern, SPARSE_MOVES) for pattern in nonempty_strata(12)]
+    lazy = [component_report(pattern, config).as_json() for pattern, config in runs]
+    monkeypatch.setattr(classify, "_excise_pairs", eager_excise_pairs)
+    for (pattern, config), report in zip(runs, lazy):
+        assert report == component_report(pattern, config).as_json(), pattern
+    assert any(e["kind"] == "excise" for report in lazy for e in report["edges"])
+
+
+@pytest.mark.parametrize(
+    "pattern, config, calls",
+    # the eager pass made 2,393 and 597 calls: one per simple head cylinder
+    [((12,), Q12_MOVES, 378), ((-1, 3, 6), CLI_MOVES, 39)],
+    ids=["Q(12)-q12-moves", "Q(-1,3,6)-cli-moves"],
+)
+def test_excise_pass_tests_only_cylinders_that_can_add_an_edge(monkeypatch, pattern, config, calls):
+    tested = []
+
+    def counting(gp):
+        tested.append(gp)
+        return is_irreducible(gp)
+
+    monkeypatch.setattr(classify, "is_irreducible", counting)
+    component_report(pattern, config)
+    assert len(tested) == calls
+
+
+def test_head_cylinders_match_the_rotated_presentations():
+    corpus = [gp for pattern in nonempty_strata(12) for gp in enumerate_stratum(pattern)] + shuffled_perms()
+    skipped = 0
+    for gp in corpus:
+        r, l = gp.type
+        expected = []
+        for a in range(r) if r > 1 and l > 1 else ():  # a one-cell row cannot be restricted
+            b = gp.pairing()[a] - r
+            if b < 0:
+                continue
+            try:
+                expected.append(((a, b), *germ_sector_angles(gp.rotated(a, b), (0, r), (1, r + 1))))
+            except NotSimple:
+                skipped += 1
+        assert list(classify._head_cylinders(gp)) == expected, gp.render()
+    assert skipped

@@ -27,6 +27,9 @@ the machine's speed falls on both sides alike:
   passes of each layer over each set; the sha256 of the outputs (the
   ``repr`` of each result, or the ``NotSingleCylinder`` message) must
   agree between the sides;
+* in the same processes, ``excisions`` and ``excise_simple_cylinder`` per
+  call over the Q(12) classes, and ``bubble`` over the report's bubbles
+  (every Q(8) class at angles 1-6), their outputs digested likewise;
 * one ``bench/run.py --workload report --trace 1`` run per side, for the
   enumeration's and the vperm pass's per-layer metrics.
 
@@ -56,6 +59,8 @@ TRACED = (
     "genperm.canonical_key.calls",
     "suspension.sample_admissible.calls",
     "suspension.vertical_permutation.calls",
+    "conditions.is_irreducible.calls",
+    "classify.excisions.calls",
 )
 ENUM_CALLS = 5  # enumeration calls per process; the first is also kept alone
 
@@ -78,12 +83,13 @@ print(times[0], min(times), len(classes), hashlib.sha256(text.encode()).hexdiges
 LAYER_PAIRS = 5  # fresh-process pairs of the layer probe
 LAYER_PASSES = 5  # passes per layer and input set in each process; the best is kept
 
-# times the suspension layers per call in a fresh interpreter; argv: checkout root, passes
+# times the suspension layers, the excise move and bubble per call in a fresh
+# interpreter; argv: checkout root, passes
 LAYER_PROBE = """
 import hashlib, json, sys, time
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
 import onecyl, workloads
-from onecyl.errors import BoundTooSmall, NotSingleCylinder
+from onecyl.errors import BoundTooSmall, NoSimpleCylinderForm, NotFoundWithinBudget, NotSingleCylinder
 
 def report_inputs():
     out = []
@@ -109,22 +115,30 @@ def query_inputs():
             pass
     return out
 
-def vperm(gp, lam):
+def outcome(call, *args):
     try:
-        return repr(onecyl.vertical_permutation(gp, lam))
-    except NotSingleCylinder as exc:
+        return repr(call(*args))
+    except (NotSingleCylinder, NoSimpleCylinderForm, NotFoundWithinBudget) as exc:
         return str(exc)
 
-layers = {"vertical_permutation": vperm,
+layers = {"vertical_permutation": lambda gp, lam: outcome(onecyl.vertical_permutation, gp, lam),
           "separatrix_spectrum": lambda gp, lam: repr(onecyl.separatrix_spectrum(gp, lam)),
           "cylinder_decomposition": lambda gp, lam: repr(onecyl.cylinder_decomposition(gp, lam))}
+q12 = [(gp,) for gp in onecyl.enumerate_stratum((12,))]
+q8 = onecyl.enumerate_stratum((8,))
+excise_layers = {"excisions": lambda gp: repr(onecyl.excisions(gp)),
+                 "excise_simple_cylinder": lambda gp: outcome(onecyl.excise_simple_cylinder, gp)}
+probes = [(name, inputs, layers) for name, inputs in (("report", report_inputs()), ("queries", query_inputs()))]
+probes += [("q12", q12, excise_layers),
+           ("bubbles", [(gp, s) for gp in q8 for s in workloads.BUBBLE_ANGLES],
+            {"bubble": lambda gp, s: outcome(onecyl.bubble, gp, s)})]
 result = {}
-for name, inputs in (("report", report_inputs()), ("queries", query_inputs())):
-    for layer, call in layers.items():
+for name, inputs, calls in probes:
+    for layer, call in calls.items():
         best = float("inf")
         for _ in range(int(sys.argv[2])):
             t = time.perf_counter()
-            outputs = [call(gp, lam) for gp, lam in inputs]
+            outputs = [call(*x) for x in inputs]
             best = min(best, time.perf_counter() - t)
         digest = hashlib.sha256("\\n".join(outputs).encode()).hexdigest()
         result["%s %s" % (name, layer)] = [best / len(inputs) * 1e6, len(inputs), digest]
