@@ -56,6 +56,7 @@ the cover works on flat integer arrays:
 
 from __future__ import annotations
 
+import functools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -608,7 +609,7 @@ class SquareTiledCover:
         up and right around the lower-left corner; its cycles are the
         vertices, numbered in order of their least square.
         """
-        ri, ui = _inv(self.right), _inv(self.up)
+        ri, ui = self._inverses
         vertex, turns = cycles(_mul(_mul(self.right, self.up), _mul(ri, ui)))
         return vertex, [len(c) for c in turns]
 
@@ -622,16 +623,25 @@ class SquareTiledCover:
         assert excess % 2 == 0
         return excess // 2 + 1
 
+    @functools.cached_property
+    def _inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """right^-1 and up^-1, cached outside the dataclass fields; T and S hand them to their images."""
+        return _inv(self.right), _inv(self.up)
+
     def apply_T(self) -> "SquareTiledCover":
         """Unit horizontal shear, re-squared."""
-        out = SquareTiledCover(self.right, _mul(self.up, _inv(self.right)), _mul(self.right, self.deck), self.connected)
+        right_inv, up_inv = self._inverses
+        out = SquareTiledCover(self.right, _mul(self.up, right_inv), _mul(self.right, self.deck), self.connected)
         out.check()
+        out.__dict__["_inverses"] = right_inv, _mul(self.right, up_inv)
         return out
 
     def apply_S(self) -> "SquareTiledCover":
         """Quarter turn: new right is old down, new up is old right."""
-        out = SquareTiledCover(_inv(self.up), self.right, self.deck, self.connected)
+        right_inv, up_inv = self._inverses
+        out = SquareTiledCover(up_inv, self.right, self.deck, self.connected)
         out.check()
+        out.__dict__["_inverses"] = self.up, right_inv
         return out
 
     def canonical_key(self) -> tuple:
@@ -645,16 +655,49 @@ class SquareTiledCover:
         Row i of a relabeled permutation is the label of the image of
         ``order[i]``.
 
-        All starts walk in lockstep: step i labels the neighbours of each
-        live start's ``order[i]``, which fixes entry i of its right row,
-        and only the starts at the least entry stay live. The starts left
-        share the least right row and are ranked by up row, then deck row,
-        so the result is the same triple as the full minimum.
+        Entries 0 and 1 of a start's right row are functions of the
+        start's step-0 neighbourhood, so they are settled before any label
+        list exists. Step 0 labels s with 0, then right s, up s, right^-1 s
+        and up^-1 s in turn where they are new. Entry 0 is 0 exactly when
+        right s is s. If right fixes no square, step 1 reads right s, so
+        entry 1 is the label right^2 s got at step 0, or the next new
+        label: 0 on a 2-cycle of right, else 2 plus the new squares step 0
+        labels before right^2 s. Only the fixed points of right, if there
+        are any, else the starts at the least entry 1, can reach the least
+        right row; every other start already has a larger prefix.
+
+        Those starts walk in lockstep: step i labels the neighbours of
+        each live start's ``order[i]``, which fixes entry i of its right
+        row, and only the starts at the least entry stay live. The starts
+        left share the least right row and are ranked by up row, then deck
+        row, so the result is the same triple as the full minimum.
         """
         n = self.n
         right, up, deck = self.right, self.up, self.deck
-        right_inv, up_inv = _inv(right), _inv(up)
-        live = [(start, [-1] * n, [start]) for start in range(n)]  # (start, label, order) still at the minimum
+        right_inv, up_inv = self._inverses
+        starts = [s for s in range(n) if right[s] == s]  # entry 0 is 0
+        if not starts:  # entry 0 is 1 everywhere, and right^2 s is never right s
+            least = n
+            for s in range(n):
+                a = right[s]
+                t = right[a]  # entry 1 is its label
+                v = 0 if t == s else 2  # else labels 0 and 1 are s and right s
+                if v and up[s] != t:  # each square step 0 labels before right^2 s takes the next label
+                    u = up[s]
+                    if u != s and u != a:
+                        v += 1
+                    b = right_inv[s]  # not s, nor right s since right^2 s is not s
+                    if b != t:
+                        if b != u:
+                            v += 1
+                        d = up_inv[s]
+                        if d != t and d != s and d != a and d != u and d != b:
+                            v += 1
+                if v < least:
+                    least, starts = v, [s]
+                elif v == least:
+                    starts.append(s)
+        live = [(start, [-1] * n, [start]) for start in starts]  # (start, label, order) still at the minimum
         for start, label, _ in live:
             label[start] = 0
         row = []
@@ -699,7 +742,11 @@ class SquareTiledCover:
 
 
 #: Most squares :func:`build_cover` builds.  A cover and its ``check()``
-#: take about 400 bytes per square, so this bound keeps one under 1 GB.
+#: take about 390 bytes per square, so this bound keeps one under 1 GB.
+#: ``canonical_key`` adds one label list of 8 bytes per square for each
+#: start that passes its test of the first two key entries: 20 MB for the
+#: 4,200 squares of ``1 2 3 4 2 5 6 / 1 4 5 7 6 7 3`` at lengths 300,
+#: where one start in seven ties, and 225 MB at 14,000 squares.
 MAX_COVER_SQUARES = 1_000_000
 
 

@@ -1796,16 +1796,167 @@ def test_s_image_of_an_s_image_repeats_its_grandparent_key():
 def test_lockstep_key_matches_both_searches_on_orbit_forms():
     for cover in width_covers(83, per_width=1):
         for _, key, form, _ in itertools.islice(orbit_forms(cover), 0, 120, 6):
-            assert key == reference_cover_key(form) == pruned_cover_key(form)
+            assert key == reference_cover_key(form) == pruned_cover_key(form) == lockstep_cover_key(form)
 
 
 def test_lockstep_key_matches_the_pruned_search_on_disconnected_covers():
     rng = random.Random(89)
     for cover in disconnected_covers():
         for _, key, form, _ in itertools.islice(orbit_forms(cover), 40):
-            assert key == pruned_cover_key(form)
+            assert key == pruned_cover_key(form) == lockstep_cover_key(form)
             other = shuffled(form, rng)
-            assert other.canonical_key() == pruned_cover_key(other)
+            assert other.canonical_key() == pruned_cover_key(other) == lockstep_cover_key(other)
+
+
+def lockstep_cover_key(self) -> tuple:
+    """The lockstep cover key before it settled entries 0 and 1 up front, kept verbatim.
+
+    Every start square gets a label list and walks from step 0; the
+    starts at the least entry of each step stay live.
+    """
+    n = self.n
+    right, up, deck = self.right, self.up, self.deck
+    right_inv, up_inv = _inv(right), _inv(up)
+    live = [(start, [-1] * n, [start]) for start in range(n)]  # (start, label, order) still at the minimum
+    for start, label, _ in live:
+        label[start] = 0
+    row = []
+    for i in range(n):
+        best = n
+        survivors = []
+        for walk in live:
+            start, label, order = walk
+            if i == len(order):  # disconnected cover: jump to the other sheet
+                s = deck[start] if label[deck[start]] < 0 else label.index(-1)
+                label[s] = i
+                order.append(s)
+            cur = order[i]
+            # the four generators unrolled; the right neighbour's label is entry i
+            t = right[cur]
+            v = label[t]
+            if v < 0:
+                v = label[t] = len(order)
+                order.append(t)
+            t = up[cur]
+            if label[t] < 0:
+                label[t] = len(order)
+                order.append(t)
+            t = right_inv[cur]
+            if label[t] < 0:
+                label[t] = len(order)
+                order.append(t)
+            t = up_inv[cur]
+            if label[t] < 0:
+                label[t] = len(order)
+                order.append(t)
+            if v < best:
+                best, survivors = v, [walk]
+            elif v == best:
+                survivors.append(walk)
+        row.append(best)
+        live = survivors
+    up_row, deck_row = min(
+        ([label[up[q]] for q in order], [label[deck[q]] for q in order]) for _, label, order in live
+    )
+    return tuple(row), tuple(up_row), tuple(deck_row)
+
+
+def doubled(right: Sequence[int], up: Sequence[int]) -> SquareTiledCover:
+    """Two copies of the square-tiled surface (right, up), the second with both inverted, swapped by deck."""
+    m = len(right)
+    return SquareTiledCover(
+        tuple(right) + tuple(m + q for q in _inv(right)),
+        tuple(up) + tuple(m + q for q in _inv(up)),
+        (*range(m, 2 * m), *range(m)),
+        False,
+    )
+
+
+def prefix_case(cover: SquareTiledCover) -> int:
+    """Which case of the cover key's entry 0 and 1 count settles the least (entry 0, entry 1).
+
+    Read off the first two steps of every start's breadth-first walk, not
+    off the count: 1 when some entry 0 is 0 (a fixed point of right),
+    2 when some entry 1 is 0 (a 2-cycle), 3 when some entry 1 is 2, else 4.
+    """
+    gens = (cover.right, cover.up, _inv(cover.right), _inv(cover.up))
+    prefixes = []
+    for start in range(cover.n):
+        label, order = {start: 0}, [start]
+        for i in range(2):
+            if i == len(order):  # a square that right and up both fix
+                break
+            for g in gens:
+                t = g[order[i]]
+                if t not in label:
+                    label[t] = len(order)
+                    order.append(t)
+        prefixes.append(tuple(label[cover.right[q]] for q in order[:2]))
+    least = min(prefixes)
+    return 1 if least[0] == 0 else 2 if least[1] == 0 else 3 if least[1] == 2 else 4
+
+
+# (case, right, up): small square-tiled surfaces whose doubled covers reach
+# each case of the count, both ways of entry 1 = 2 among them
+PREFIX_SURFACES = [
+    (1, (0, 2, 1), (1, 2, 0)),  # right fixes 0
+    (2, (1, 0, 3, 4, 2), (2, 3, 4, 0, 1)),  # right swaps 0 and 1 and fixes nothing
+    (3, (1, 2, 0), (2, 0, 1)),  # up s is right^2 s everywhere
+    (3, (1, 2, 0, 4, 5, 3), (0, 4, 2, 5, 1, 3)),  # up s is s at 0 and 2, right s at 5, right^2 s at 3
+    (3, (1, 2, 0, 4, 5, 6, 3), (0, 3, 6, 5, 2, 1, 4)),  # up 0 is 0; up s is right^2 s at 3 and 6
+    (3, (1, 2, 0, 4, 5, 6, 7, 3), (1, 3, 5, 4, 2, 7, 0, 6)),  # up 0 is right 0; up 5 is right^2 5
+    (4, (1, 2, 3, 0), (0, 1, 2, 3)),  # every start ties at entry 1 = 3
+    (4, (1, 2, 3, 0, 5, 6, 7, 8, 4), (0, 5, 7, 4, 3, 8, 1, 2, 6)),
+]
+
+
+def test_prefix_surfaces_reach_every_case():
+    for case, right, up in PREFIX_SURFACES:
+        cover = doubled(right, up)
+        cover.check()
+        assert prefix_case(cover) == case
+        assert cover.canonical_key() == lockstep_cover_key(cover) == pruned_cover_key(cover)
+    assert {case for case, _, _ in PREFIX_SURFACES} == {1, 2, 3, 4}
+
+
+def seeded_surfaces(rng, count: int):
+    """Random (right, up) pairs on 3 to 8 squares; nothing keeps them connected, so the doubled covers may jump."""
+    for _ in range(count):
+        m = rng.randint(3, 8)
+        right, up = list(range(m)), list(range(m))
+        rng.shuffle(right)
+        rng.shuffle(up)
+        yield right, up
+
+
+def test_settled_key_matches_both_earlier_keys_in_every_case():
+    rng = random.Random(103)
+    cases = Counter()
+    forms = [form for cover in width_covers(107, per_width=1) for _, _, form, _ in itertools.islice(orbit_forms(cover), 60)]
+    forms += [form for cover in disconnected_covers() for _, _, form, _ in itertools.islice(orbit_forms(cover), 30)]
+    surfaces = [(right, up) for _, right, up in PREFIX_SURFACES] + list(seeded_surfaces(rng, 300))
+    forms += [doubled(right, up) for right, up in surfaces]
+    for form in forms:
+        case = prefix_case(form)
+        for cover in (form, shuffled(form, rng), shuffled(form, rng)):
+            assert cover.canonical_key() == lockstep_cover_key(cover) == pruned_cover_key(cover), case
+        cases[case] += 1
+    assert min(cases[c] for c in (1, 2, 3, 4)) >= 20, cases
+
+
+def test_cover_key_gives_label_lists_only_to_tied_starts():
+    # 4,200 squares; a label list for every start would take ~140 MB
+    gp = GP(EXAMPLE_14)
+    cover = build_cover(gp, (300,) * gp.num_letters)
+    assert cover.n == 4200
+    tracemalloc.start()
+    try:
+        key = cover.canonical_key()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(key[0]) == cover.n
+    assert peak < 40 * 10**6, peak
 
 
 def _reference_mul(p, q):

@@ -30,6 +30,11 @@ the machine's speed falls on both sides alike:
 * in the same processes, ``excisions`` and ``excise_simple_cylinder`` per
   call over the Q(12) classes, and ``bubble`` over the report's bubbles
   (every Q(8) class at angles 1-6), their outputs digested likewise;
+* the cover layer per call, 5 pairs in processes of its own: each process
+  walks the seed-0 ``orbits`` inputs to their first ``ORBIT_CAP`` forms and
+  times the best of 5 passes of ``SquareTiledCover.canonical_key``,
+  ``apply_T`` and ``apply_S`` over every form; the sha256 of the keys, and
+  of the images' rows, must agree between the sides;
 * one ``bench/run.py --workload report --trace 1`` run per side, for the
   enumeration's and the vperm pass's per-layer metrics.
 
@@ -145,6 +150,33 @@ for name, inputs, calls in probes:
 print(json.dumps(result))
 """
 
+# times the cover layer per call over every form of the seed-0 orbits in a
+# fresh interpreter; argv: checkout root, passes
+COVER_PROBE = """
+import hashlib, itertools, json, sys, time
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+import onecyl, workloads
+from onecyl.suspension import SquareTiledCover, orbit_forms
+
+forms = []
+for text in workloads.Orbits(onecyl, workloads.FROZEN_SEED, False).setup_inputs():
+    gp = onecyl.GeneralizedPermutation.parse(text)
+    walk = orbit_forms(onecyl.build_cover(gp, onecyl.minimal_admissible(gp)))
+    forms += [form for _, _, form, _ in itertools.islice(walk, workloads.ORBIT_CAP)]
+result = {}
+for layer in ("canonical_key", "apply_T", "apply_S"):
+    call = getattr(SquareTiledCover, layer)
+    best = float("inf")
+    for _ in range(int(sys.argv[2])):
+        t = time.perf_counter()
+        outputs = [call(form) for form in forms]
+        best = min(best, time.perf_counter() - t)
+    rows = outputs if layer == "canonical_key" else [(c.right, c.up, c.deck) for c in outputs]
+    digest = hashlib.sha256("\\n".join(map(repr, rows)).encode()).hexdigest()
+    result["orbits %s" % layer] = [best / len(forms) * 1e6, len(forms), digest]
+print(json.dumps(result))
+"""
+
 
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
@@ -167,8 +199,8 @@ def enum_run(root: Path, kind: str, args: tuple[int, ...]) -> tuple[float, float
     return float(first), float(best), int(count), digest
 
 
-def layer_run(root: Path) -> dict:
-    cmd = [sys.executable, "-c", LAYER_PROBE, str(root), str(LAYER_PASSES)]
+def layer_run(root: Path, probe: str) -> dict:
+    cmd = [sys.executable, "-c", probe, str(root), str(LAYER_PASSES)]
     return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
 
 
@@ -214,8 +246,8 @@ def enumeration(sides: dict[str, Path], kind: str, args: tuple[int, ...], pairs:
     }
 
 
-def layers(sides: dict[str, Path]) -> dict:
-    runs = paired(sides, LAYER_PAIRS, layer_run)
+def layers(sides: dict[str, Path], probe: str) -> dict:
+    runs = paired(sides, LAYER_PAIRS, lambda root: layer_run(root, probe))
     out: dict = {}
     for key in runs["before"][0]:
         digests = {tuple(run[key][1:]) for side in runs.values() for run in side}
@@ -259,7 +291,8 @@ def main() -> None:
     result["enumerate_type_pattern_free"] = {
         "(%d,%d)" % t: enumeration(sides, "type", t, args.enum_pairs) for t in TYPES
     }
-    result["layers_per_call_us"] = layers(sides)
+    result["layers_per_call_us"] = layers(sides, LAYER_PROBE)
+    result["cover_layers_per_call_us"] = layers(sides, COVER_PROBE)
     traced = {name: bench_run(root, "report", args.seed, args.seconds, 1) for name, root in sides.items()}
     result["traced_report"] = {metric: {name: traced[name][metric] for name in sides} for metric in TRACED}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
