@@ -39,7 +39,14 @@ Conventions:
   segment and far end of each germ, the first end above each singular
   line) shared by the spectrum, the decomposition and the vertical
   re-reading; only the first two build ``Segment`` objects.  The cover
-  reads its up map off the same cell arrays, one run of columns per cell.
+  reads its up map off the same cell arrays, one run of columns per cell;
+* the last reading, geometry and diagram, is kept for the next entry
+  point called on the same permutation object and lengths, so a query
+  that reads one suspension through the spectrum, the decomposition, the
+  vertical re-reading and the cover traces it once.  The spectrum and
+  the decomposition store their reading; the vertical re-reading and the
+  cover only reuse it, since a pass of re-readings never reads one
+  suspension twice.  No reader mutates the shared arrays.
 
 The orientation double cover is a square-tiled surface of n = 2w unit
 squares: square c < w lies over base column c on the upright sheet,
@@ -203,8 +210,8 @@ class _Geometry:
     ``mirror[c] - y - 1``, and reverses the direction.
     """
 
-    def __init__(self, gp: GeneralizedPermutation, lam: Sequence[int]):
-        lam = check_admissible(gp, lam)
+    def __init__(self, gp: GeneralizedPermutation, lam: tuple[int, ...]):
+        """``lam`` is the tuple :func:`check_admissible` returned."""
         self.r = r = len(gp.top)
         self.pair = pair = gp.pairing()
         length = [lam[x - 1] for x in gp.top + gp.bottom]
@@ -214,6 +221,29 @@ class _Geometry:
         self.junction = {y: c for c, y in enumerate(edge)}
         self.shift = [left[d] - left[c] for c, d in enumerate(pair)]
         self.mirror = [0 if (c < r) != (d < r) else w + left[c] + left[d] + length[d] for c, d in enumerate(pair)]
+
+
+# The last reading, (gp, lam, geometry, diagram), keyed by the identity of gp
+# and the checked lengths and replaced whole, so a reader sees one consistent
+# entry.  The vertical re-reading and the cover test the key inline: a call
+# level costs each miss of a pass of re-readings ~1 us.
+_last: tuple = (None, None, None, None)
+
+
+def _reading(gp: GeneralizedPermutation, lam: Sequence[int]) -> tuple[_Geometry, tuple]:
+    """Geometry and diagram of (gp, lam), the last reading's or a fresh one, stored.
+
+    The lengths are checked on every call, so bad ones raise even right
+    after a reading of the same permutation.
+    """
+    global _last
+    lam = check_admissible(gp, lam)
+    last_gp, last_lam, geo, diagram = _last
+    if last_gp is not gp or last_lam != lam:
+        geo = _Geometry(gp, lam)
+        diagram = _diagram(geo)
+        _last = gp, lam, geo, diagram
+    return geo, diagram
 
 
 # -- separatrix spectrum --------------------------------------------------
@@ -267,7 +297,7 @@ def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, list[int]]:
 
 def separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> SeparatrixSpectrum:
     """All compact vertical separatrices, as a perfect matching on germs."""
-    return _spectrum(*_diagram(_Geometry(gp, lam))[:3])
+    return _spectrum(*_reading(gp, lam)[1][:3])
 
 
 def _spectrum(ends: list[tuple[Germ, Germ]], crossings: list[int], lines: list[tuple[int, ...]]) -> SeparatrixSpectrum:
@@ -388,35 +418,48 @@ class CylinderDecomposition:
 
 def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> CylinderDecomposition:
     """Vertical cylinders of the suspension, with boundary structure."""
-    return _decomposition(_Geometry(gp, lam))
+    return _decomposition(*_reading(gp, lam))
 
 
-def _decomposition(geo: _Geometry) -> CylinderDecomposition:
-    ends, crossings, lines, seg_of, other, start = _diagram(geo)
+def _decomposition(geo: _Geometry, diagram: tuple) -> CylinderDecomposition:
+    ends, crossings, lines, seg_of, other, start = diagram
     turn = junction_turn(geo.pair, geo.r)
     singular = sorted(start)
-    arc_right = {x: i for i, x in enumerate(singular)}
+    count = len(singular)
+    rank = {x: i for i, x in enumerate(singular)}
     back = _inv(turn)
     # boundary sides in scan order, each read once off its diagram circle
     # from the first start it visits.  A side leaving line x upward at
     # offset sigma visits the lines of its outgoing segments: at sigma where
     # it goes up, toward start[v], and at -sigma where it goes down; a visit
-    # (x, +1) claims the arc right of line x and (x, -1) the arc left of
-    # it, and a cylinder's two sides claim its arcs
+    # up line i claims arc i, right of the line, and a visit down it arc
+    # i - 1, left of it, and a cylinder's two sides claim its arcs.
+    # ups[i] and downs[i] count the visits to singular line i
+    ups = [0] * count
+    downs = [0] * count
     sides_of: dict[tuple[int, ...], list[Side]] = {}
-    seen: set[tuple[int, int]] = set()
-    for x in singular:
-        for sigma in (1, -1):
-            if (x, sigma) in seen:
+    for i, x in enumerate(singular):
+        for sigma, visits in ((1, ups), (-1, downs)):
+            if visits[i]:
                 continue
             passages = tuple(_passages(other, turn if sigma > 0 else back, start[x]))
-            visited = [(v, sigma if start[v] == other[out] else -sigma)
-                       for _, out in passages for v in lines[seg_of[out]]]
-            seen.update(visited)
-            arcs = sorted((arc_right[v] if t > 0 else arc_right[v] - 1) % len(singular) for v, t in visited)
-            sides_of.setdefault(tuple(arcs), []).append(Side(passages, len(visited)))
+            arcs = []
+            for _, out in passages:
+                g = other[out]
+                for v in lines[seg_of[out]]:
+                    j = rank[v]
+                    if (start[v] == g) == (sigma > 0):
+                        ups[j] += 1
+                        arcs.append(j)
+                    else:
+                        downs[j] += 1
+                        arcs.append(j - 1 if j else count - 1)
+            arcs.sort()
+            sides_of.setdefault(tuple(arcs), []).append(Side(passages, len(arcs)))
+    # each side of each line visited once: 2 * count claims, two per arc
+    assert ups.count(1) == downs.count(1) == count, "a line visited twice from one side"
     # every arc in one cylinder, claimed once by each of its sides
-    assert sorted(a for arcs in sides_of for a in arcs) == list(range(len(singular))), "arcs not partitioned"
+    assert sorted(a for arcs in sides_of for a in arcs) == list(range(count)), "arcs not partitioned"
 
     # cylinders in order of their least arc (the seam is singular line 0);
     # the arcs' number is the circumference and their length the width
@@ -508,8 +551,12 @@ def vertical_permutation(
     The separatrix diagram counts the cylinders first, and the rows are
     read off its two circles.
     """
-    geo = _Geometry(gp, lam)
-    _, crossings, _, seg_of, other, start = _diagram(geo)
+    lam = check_admissible(gp, lam)
+    last_gp, last_lam, geo, diagram = _last
+    if last_gp is not gp or last_lam != lam:
+        geo = _Geometry(gp, lam)
+        diagram = _diagram(geo)
+    _, crossings, _, seg_of, other, start = diagram
     turn = junction_turn(geo.pair, geo.r)
     _, circles = cycles([other[g] for g in turn])
     assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
@@ -602,20 +649,23 @@ class SquareTiledCover:
                         stack.append(t)
         return count
 
+    @functools.cached_property
     def _vertices(self) -> tuple[list[int], list[int]]:
         """Vertex of each square's lower-left corner, and each vertex's corner-turn cycle length.
 
         The corner turn, the commutator of right and up, goes down, left,
         up and right around the lower-left corner; its cycles are the
-        vertices, numbered in order of their least square.
+        vertices, numbered in order of their least square.  Cached outside
+        the dataclass fields, as ``_inverses`` is; T and S do not hand it on.
         """
+        right, up = self.right, self.up
         ri, ui = self._inverses
-        vertex, turns = cycles(_mul(_mul(self.right, self.up), _mul(ri, ui)))
+        vertex, turns = cycles([right[up[ri[q]]] for q in ui])
         return vertex, [len(c) for c in turns]
 
     def vertex_profile(self) -> tuple[int, ...]:
         """Cycle lengths of the corner turn, in descending order."""
-        return tuple(sorted(self._vertices()[1], reverse=True))
+        return tuple(sorted(self._vertices[1], reverse=True))
 
     def genus(self) -> int:
         assert self.connected
@@ -741,8 +791,10 @@ class SquareTiledCover:
         return tuple(row), tuple(up_row), tuple(deck_row)
 
 
-#: Most squares :func:`build_cover` builds.  A cover and its ``check()``
-#: take about 390 bytes per square, so this bound keeps one under 1 GB.
+#: Most squares :func:`build_cover` builds.  Building a cover peaks at about
+#: 390 bytes per square, and a built connected cover keeps about 235 with its
+#: inverses and its corner-turn vertices cached (190 without the vertices),
+#: so this bound keeps one under 1 GB.
 #: ``canonical_key`` adds one label list of 8 bytes per square for each
 #: start that passes its test of the first two key entries: 20 MB for the
 #: 4,200 squares of ``1 2 3 4 2 5 6 / 1 4 5 7 6 7 3`` at lengths 300,
@@ -758,7 +810,10 @@ def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCo
     stay on a sheet.  The cover has two squares per unit of circumference;
     more than :data:`MAX_COVER_SQUARES` raises :class:`SizeLimit`.
     """
-    geo = _Geometry(gp, lam)
+    lam = check_admissible(gp, lam)
+    last_gp, last_lam, geo, _ = _last
+    if last_gp is not gp or last_lam != lam:
+        geo = _Geometry(gp, lam)
     w = geo.w
     n = 2 * w
     if n > MAX_COVER_SQUARES:
@@ -796,7 +851,7 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
         return None
     n = cover.n
     r, u, deck = cover.right, cover.up, cover.deck
-    vertex, lengths = cover._vertices()
+    vertex, lengths = cover._vertices
     # singular downstairs at the lower-left corner of q: cone angle above
     # 2*pi, or a branch point (a pole's lift is a deck-fixed regular-looking
     # vertex); deck maps the lower-left corner of q to the upper-right of deck(q)
@@ -834,7 +889,7 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
     for q in top_row:
         p = u[q]
         partner[q] = n + p if in_k[p] else deck[p]
-    u_inv = _inv(u)
+    u_inv = cover._inverses[1]
     for q in bottom_row:
         p = u_inv[q]
         partner[n + q] = p if in_k[p] else n + deck[p]

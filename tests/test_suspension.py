@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -1294,22 +1296,143 @@ def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monke
 
     monkeypatch.setattr(suspension, "_trace_segment", counted)
     three = 0
-    for _, gp, lam in seeded_cylinder_corpus():
+    for i, (_, gp, lam) in enumerate(seeded_cylinder_corpus()):
+        # the first reading of (gp, lam), through the spectrum or the decomposition, traces each segment once
+        monkeypatch.setattr(suspension, "_last", (None, None, None, None))
         traces = 0
-        spectrum = separatrix_spectrum(gp, lam)
-        assert traces == len(spectrum.segments)
-        singular = sorted(spectrum.singular_lines())
+        if i % 2:
+            dec = cylinder_decomposition(gp, lam)
+            spectrum = dec.spectrum
+        else:
+            spectrum = separatrix_spectrum(gp, lam)
+        segments = len(spectrum.segments)
+        assert traces == segments
+        # a second reading, through any entry point and with the lengths as a list, traces nothing
         traces = 0
+        assert separatrix_spectrum(gp, list(lam)) == spectrum
         dec = cylinder_decomposition(gp, lam)
-        assert traces == len(spectrum.segments)
+        assert dec.spectrum == spectrum
+        vperm_outcome(vertical_permutation, gp, lam)
+        build_cover(gp, lam)
+        assert traces == 0
+        singular = sorted(spectrum.singular_lines())
         arcs_of = [[bisect_right(singular, x) - 1 for x in c.arcs] for c in dec.cylinders]
         assert arcs_of == reference_leaf_cylinders(_Geometry(gp, lam), singular)[1]
-        # the vertical reading reads its rows off the diagram, with no second trace
-        traces = 0
-        vperm_outcome(vertical_permutation, gp, lam)
-        assert traces == len(spectrum.segments)
+        # an equal-rows copy and other lengths trace afresh
+        twin = GeneralizedPermutation.from_rows(gp.top, gp.bottom)
+        assert twin is not gp and twin.rows() == gp.rows()
+        doubled = tuple(2 * v for v in lam)
+        for reading, g, l in ((separatrix_spectrum, twin, lam), (cylinder_decomposition, gp, doubled)):
+            traces = 0
+            reading(g, l)
+            assert traces == segments
+        # the vertical reading and the cover reuse the last reading but store none of their own
+        tripled = tuple(3 * v for v in lam)
+        for _ in range(2):
+            traces = 0
+            vperm_outcome(vertical_permutation, gp, tripled)
+            build_cover(gp, tripled)
+            assert traces == segments
+        assert suspension._last[0] is gp and suspension._last[1] == doubled
         three += len(dec.cylinders) == 3
     assert three == 69
+
+
+def invalid_lengths(gp: GeneralizedPermutation, lam: tuple[int, ...]) -> list[list]:
+    """A zero, a fractional and an unbalanced (or short) variant of an admissible vector."""
+    zero, fraction, unbalanced = list(lam), list(lam), list(lam)
+    zero[0] = 0
+    fraction[0] += 0.5
+    doubled = gp.top_doubled() or gp.bottom_doubled()
+    if doubled:
+        unbalanced[doubled[0] - 1] += 1
+    else:  # every letter crosses, so every positive vector balances
+        unbalanced.pop()
+    return [zero, fraction, unbalanced]
+
+
+def test_shared_reading_matches_cold_calls_and_the_references(monkeypatch):
+    entry_points = {
+        "spectrum": separatrix_spectrum,
+        "decomposition": cylinder_decomposition,
+        "vperm": lambda gp, lam: vperm_outcome(vertical_permutation, gp, lam),
+        "cover": build_cover,
+    }
+    corpus = [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()]
+    # every entry point on every pair in a cleared state, and the string-keyed references
+    cold = {}
+    for i, (gp, lam) in enumerate(corpus):
+        for name, call in entry_points.items():
+            monkeypatch.setattr(suspension, "_last", (None, None, None, None))
+            cold[i, name] = call(gp, lam)
+        reference = integer_reference_decomposition(gp, lam)
+        assert cold[i, "decomposition"] == reference
+        assert cold[i, "spectrum"] == reference.spectrum
+        assert cold[i, "vperm"] == vperm_outcome(reference_vertical_permutation, gp, lam)
+    # then shuffled within runs of five pairs, so the same permutation object meets
+    # other lengths, equal-rows copies and bad lengths between its readings
+    rng = random.Random(71)
+    hits = Counter()
+    for run in range(0, len(corpus), 5):
+        calls = []
+        for i in range(run, min(run + 5, len(corpus))):
+            gp, lam = corpus[i]
+            twin = GeneralizedPermutation.from_rows(gp.top, gp.bottom)
+            calls += [(i, name, g, l) for name in entry_points for g in (gp, gp, twin) for l in (lam, list(lam))]
+            calls += [(i, None, gp, bad) for bad in invalid_lengths(gp, lam)]
+        rng.shuffle(calls)
+        for i, name, gp, lam in calls:
+            if name is None:
+                # bad lengths raise even right after a reading of the same permutation, and leave it in place
+                good = corpus[i][1]
+                separatrix_spectrum(gp, good)
+                for call in (separatrix_spectrum, cylinder_decomposition, vertical_permutation, build_cover):
+                    with pytest.raises(Infeasible):
+                        call(gp, lam)
+                assert suspension._last[0] is gp and suspension._last[1] == good
+                continue
+            last_gp, last_lam, geo, diagram = suspension._last
+            hits[name] += last_gp is gp and last_lam == tuple(lam)
+            before = repr((vars(geo) if geo else None, diagram))
+            assert entry_points[name](gp, lam) == cold[i, name], (name, gp.render(), lam)
+            # no reader mutates the arrays it shares
+            assert repr((vars(geo) if geo else None, diagram)) == before
+    assert min(hits.values()) > 100, hits
+
+
+def test_shared_reading_is_consistent_across_threads():
+    # more threads than cores, switching often, each on its own pairs: a
+    # reader sees one whole entry of the slot, so every result is a cold one
+    corpus = [(gp, lam) for _, gp, lam in itertools.islice(seeded_cylinder_corpus(), 60)]
+
+    def readings(gp, lam):
+        return (separatrix_spectrum(gp, lam), cylinder_decomposition(gp, lam),
+                vperm_outcome(vertical_permutation, gp, lam), build_cover(gp, lam))
+
+    expected = [readings(gp, lam) for gp, lam in corpus]
+    failures = []
+
+    def work(offset):
+        try:
+            for k in range(2 * len(corpus)):
+                i = (offset + k) % len(corpus)
+                if readings(*corpus[i]) != expected[i]:
+                    failures.append(i)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 def test_separatrix_diagram_counts_two_boundary_circles_per_cylinder():
@@ -1631,11 +1754,35 @@ def test_corner_turn_vertices_match_union_find():
     assert not all(cover.connected for cover in covers)
     for cover in covers:
         counts, roots = reference_cover_vertices(cover)
-        vertex, lengths = cover._vertices()
+        vertex, lengths = cover._vertices
         # the two labellings induce the same partition of the squares
         assert len({(roots[q], vertex[q]) for q in range(cover.n)}) == len(lengths) == len(set(roots.values()))
         assert all(counts[roots[q]] == 4 * lengths[vertex[q]] for q in range(cover.n))
         assert cover.vertex_profile() == tuple(sorted(lengths, reverse=True))
+
+
+def reference_corner_turn(cover: SquareTiledCover) -> tuple[list[int], list[int]]:
+    """Vertices as the corner turn read them before it was cached: three compositions, fresh inverses."""
+    mul = suspension._mul
+    vertex, turns = strata.cycles(mul(mul(cover.right, cover.up), mul(_inv(cover.right), _inv(cover.up))))
+    return vertex, [len(c) for c in turns]
+
+
+def test_cached_vertices_match_the_corner_turn_and_decode_alike():
+    cover_forms = (form for cover in width_covers(0) for _, _, form, _ in itertools.islice(orbit_forms(cover), 200))
+    for form in itertools.chain(seeded_orbit_forms(), cover_forms):
+        assert form._vertices == reference_corner_turn(form)
+    decoded = 0
+    for _, gp, lam in seeded_cylinder_corpus():
+        cover = build_cover(gp, lam)
+        fresh = SquareTiledCover(cover.right, cover.up, cover.deck, cover.connected)
+        # the genus check of a connected cover caches its vertices; an equal cover built fresh has none
+        assert ("_vertices" in vars(cover)) == cover.connected and "_vertices" not in vars(fresh)
+        got, want = decode_one_cylinder(cover), decode_one_cylinder(fresh)
+        assert (got and got.rows()) == (want and want.rows())
+        assert cover._vertices == fresh._vertices == reference_corner_turn(cover)
+        decoded += got is not None
+    assert decoded > 300, decoded
 
 
 # -- orbit walk, cover key and cover check against the code they replaced -----

@@ -35,6 +35,14 @@ the machine's speed falls on both sides alike:
   times the best of 5 passes of ``SquareTiledCover.canonical_key``,
   ``apply_T`` and ``apply_S`` over every form; the sha256 of the keys, and
   of the images' rows, must agree between the sides;
+* the query chain per pair, 5 pairs in processes of its own: each
+  process reads each seed-0 ``queries`` pair with lengths as the
+  ``queries`` workload does, ``separatrix_spectrum``, then
+  ``cylinder_decomposition``, ``vertical_permutation`` on one cylinder,
+  ``build_cover`` and ``decode_one_cylinder``, one pair after another,
+  and times the best of 5 passes; where the layer probe times each
+  layer on its own, this one lets a layer reuse what the one before it
+  read.  The sha256 of the outputs must agree between the sides;
 * one ``bench/run.py --workload report --trace 1`` run per side, for the
   enumeration's and the vperm pass's per-layer metrics.
 
@@ -88,6 +96,19 @@ print(times[0], min(times), len(classes), hashlib.sha256(text.encode()).hexdiges
 LAYER_PAIRS = 5  # fresh-process pairs of the layer probe
 LAYER_PASSES = 5  # passes per layer and input set in each process; the best is kept
 
+# the seed-0 queries pairs that get lengths, shared by the layer and chain probes
+QUERY_INPUTS = """
+def query_inputs():
+    out = []
+    for text, lam_seed, _ in workloads.Queries(onecyl, workloads.FROZEN_SEED, False).setup_inputs():
+        gp = onecyl.GeneralizedPermutation.parse(text)
+        try:
+            out.append((gp, onecyl.sample_admissible(gp, seed=lam_seed)))
+        except BoundTooSmall:
+            pass
+    return out
+"""
+
 # times the suspension layers, the excise move and bubble per call in a fresh
 # interpreter; argv: checkout root, passes
 LAYER_PROBE = """
@@ -109,17 +130,7 @@ def report_inputs():
                     pass
             out += [(gp, lam) for lam in sorted(lams)]
     return out
-
-def query_inputs():
-    out = []
-    for text, lam_seed, _ in workloads.Queries(onecyl, workloads.FROZEN_SEED, False).setup_inputs():
-        gp = onecyl.GeneralizedPermutation.parse(text)
-        try:
-            out.append((gp, onecyl.sample_admissible(gp, seed=lam_seed)))
-        except BoundTooSmall:
-            pass
-    return out
-
+""" + QUERY_INPUTS + """
 def outcome(call, *args):
     try:
         return repr(call(*args))
@@ -175,6 +186,31 @@ for layer in ("canonical_key", "apply_T", "apply_S"):
     digest = hashlib.sha256("\\n".join(map(repr, rows)).encode()).hexdigest()
     result["orbits %s" % layer] = [best / len(forms) * 1e6, len(forms), digest]
 print(json.dumps(result))
+"""
+
+# times the query chain per pair in a fresh interpreter, each layer handed the
+# same gp object and lengths as in the queries workload; argv: checkout root, passes
+CHAIN_PROBE = """
+import hashlib, json, sys, time
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+import onecyl, workloads
+from onecyl.errors import BoundTooSmall
+""" + QUERY_INPUTS + """
+def chain(gp, lam):
+    spectrum = onecyl.separatrix_spectrum(gp, lam)
+    dec = onecyl.cylinder_decomposition(gp, lam)
+    vperm = onecyl.vertical_permutation(gp, lam) if len(dec.cylinders) == 1 else None
+    decoded = onecyl.suspension.decode_one_cylinder(onecyl.build_cover(gp, lam))
+    return repr((spectrum, dec, vperm, decoded))
+
+inputs = query_inputs()
+best = float("inf")
+for _ in range(int(sys.argv[2])):
+    t = time.perf_counter()
+    outputs = [chain(gp, lam) for gp, lam in inputs]
+    best = min(best, time.perf_counter() - t)
+digest = hashlib.sha256("\\n".join(outputs).encode()).hexdigest()
+print(json.dumps({"queries chain": [best / len(inputs) * 1e6, len(inputs), digest]}))
 """
 
 
@@ -293,6 +329,7 @@ def main() -> None:
     }
     result["layers_per_call_us"] = layers(sides, LAYER_PROBE)
     result["cover_layers_per_call_us"] = layers(sides, COVER_PROBE)
+    result["query_chain_per_pair_us"] = layers(sides, CHAIN_PROBE)
     traced = {name: bench_run(root, "report", args.seed, args.seconds, 1) for name, root in sides.items()}
     result["traced_report"] = {metric: {name: traced[name][metric] for name in sides} for metric in TRACED}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
