@@ -32,21 +32,26 @@ Conventions:
 * going up through a top interval glued by translation re-enters the
   bottom going up; glued to another top interval it re-enters that
   interval going down with reflected offset, and symmetrically below;
-* one line holds both circles, bottom point x at x + w.  A segment is
-  traced by one integer loop on it: a crossing bisects the cells' left
-  ends and moves the point by its cell's translation or central symmetry.
-  The diagram is flat arrays (ends, crossings and lines per segment, the
-  segment and far end of each germ, the first end above each singular
-  line) shared by the spectrum, the decomposition and the vertical
-  re-reading; only the first two build ``Segment`` objects.  The cover
-  reads its up map off the same cell arrays, one run of columns per cell;
-* the last reading, geometry and diagram, is kept for the next entry
-  point called on the same permutation object and lengths, so a query
-  that reads one suspension through the spectrum, the decomposition, the
-  vertical re-reading and the cover traces it once.  The spectrum and
-  the decomposition store their reading; the vertical re-reading and the
-  cover only reuse it, since a pass of re-readings never reads one
-  suspension twice.  No reader mutates the shared arrays.
+* one line holds both circles, bottom point x at x + w.  One integer
+  loop on it traces every segment of a diagram: a crossing bisects the
+  cells' left ends and moves the point by its cell's translation or
+  central symmetry.  The diagram is flat arrays (ends, crossings and
+  lines per segment, the segment and far end of each germ, the first end
+  above each singular line) shared by the spectrum, the decomposition
+  and the vertical re-reading; only the first two build ``Segment``
+  objects.  The cover reads its up map off the same cell arrays, one run
+  of columns per cell;
+* the last reading, geometry, diagram and spectrum, is kept for the next
+  entry point called on the same permutation object and lengths, so a
+  query that reads one suspension through the spectrum, the
+  decomposition, the vertical re-reading and the cover traces it once.
+  The spectrum and the decomposition store their reading; the vertical
+  re-reading and the cover only reuse it, since a pass of re-readings
+  never reads one suspension twice.  No reader mutates the shared arrays;
+* what does not depend on the lengths, the cells' letters and sides, the
+  junction turn, its inverse and the singularity orders, is the class
+  frame of the last permutation object read, so a pass of re-readings
+  builds it once per class.
 
 The orientation double cover is a square-tiled surface of n = 2w unit
 squares: square c < w lies over base column c on the upright sheet,
@@ -191,6 +196,45 @@ def sample_admissible(gp: GeneralizedPermutation, seed: int = 0, bound: int = 20
 # -- suspension geometry -------------------------------------------------
 
 
+class _Frame:
+    """The length-free tables of one permutation object, shared by its readings.
+
+    ``letter[c]`` is the zero-based letter of cell c and ``same[c]`` is true
+    when its partner ``pair[c]`` lies on the same circle.  The junction turn
+    with its inverse and the singularity orders are built when a reader
+    first needs them: the spectrum and the cover read neither.
+    """
+
+    def __init__(self, gp: GeneralizedPermutation):
+        self.r = r = len(gp.top)
+        self.pair = pair = gp.pairing()
+        self.letter = [x - 1 for x in gp.top + gp.bottom]
+        self.same = [(c < r) == (d < r) for c, d in enumerate(pair)]
+
+    @functools.cached_property
+    def turns(self) -> tuple[list[int], tuple[int, ...]]:
+        turn = junction_turn(self.pair, self.r)
+        return turn, _inv(turn)
+
+    @functools.cached_property
+    def orders(self) -> tuple[int, ...]:
+        return pattern_orders(self.pair, self.r)
+
+
+# The last (gp, frame), keyed by the identity of gp and replaced whole: a pass
+# of re-readings reads each class at several lengths in a row.
+_frame: tuple = (None, None)
+
+
+def _class_frame(gp: GeneralizedPermutation) -> _Frame:
+    global _frame
+    last_gp, frame = _frame
+    if last_gp is not gp:
+        frame = _Frame(gp)
+        _frame = gp, frame
+    return frame
+
+
 class _Geometry:
     """Cell arrays of an integer suspension, shared by all traces and the cover.
 
@@ -207,43 +251,48 @@ class _Geometry:
     direction, so the next crossing is on the same circle; ``mirror[c]``
     is then 0.  When the partner lies on the same circle, a central
     symmetry moves point y to ``mirror[c] - y`` and column y to column
-    ``mirror[c] - y - 1``, and reverses the direction.
+    ``mirror[c] - y - 1``, and reverses the direction.  The cell tables
+    come from the permutation's :class:`_Frame`.
     """
 
     def __init__(self, gp: GeneralizedPermutation, lam: tuple[int, ...]):
         """``lam`` is the tuple :func:`check_admissible` returned."""
-        self.r = r = len(gp.top)
-        self.pair = pair = gp.pairing()
-        length = [lam[x - 1] for x in gp.top + gp.bottom]
+        self.frame = frame = _class_frame(gp)
+        self.r = r = frame.r
+        self.pair = pair = frame.pair
+        length = [lam[x] for x in frame.letter]
         self.w = w = sum(length[:r])
         left = [0, *accumulate(length[: r - 1]), 0, *accumulate(length[r:-1])]  # on each circle
         self.edge = edge = left[:r] + [x + w for x in left[r:]]
         self.junction = {y: c for c, y in enumerate(edge)}
         self.shift = [left[d] - left[c] for c, d in enumerate(pair)]
-        self.mirror = [0 if (c < r) != (d < r) else w + left[c] + left[d] + length[d] for c, d in enumerate(pair)]
+        same = frame.same
+        self.mirror = [w + left[c] + left[d] + length[d] if same[c] else 0 for c, d in enumerate(pair)]
 
 
-# The last reading, (gp, lam, geometry, diagram), keyed by the identity of gp
-# and the checked lengths and replaced whole, so a reader sees one consistent
-# entry.  The vertical re-reading and the cover test the key inline: a call
-# level costs each miss of a pass of re-readings ~1 us.
-_last: tuple = (None, None, None, None)
+# The last reading, (gp, lam, geometry, diagram, spectrum), keyed by the
+# identity of gp and the checked lengths and replaced whole, so a reader sees
+# one consistent entry.  The vertical re-reading and the cover test the key
+# inline: a call level costs each miss of a pass of re-readings ~1 us.
+_last: tuple = (None, None, None, None, None)
 
 
-def _reading(gp: GeneralizedPermutation, lam: Sequence[int]) -> tuple[_Geometry, tuple]:
-    """Geometry and diagram of (gp, lam), the last reading's or a fresh one, stored.
+def _reading(gp: GeneralizedPermutation, lam: Sequence[int]) -> tuple[_Geometry, tuple, SeparatrixSpectrum]:
+    """Geometry, diagram and spectrum of (gp, lam), the last reading's or fresh ones, stored.
 
     The lengths are checked on every call, so bad ones raise even right
     after a reading of the same permutation.
     """
     global _last
     lam = check_admissible(gp, lam)
-    last_gp, last_lam, geo, diagram = _last
+    last_gp, last_lam, geo, diagram, spectrum = _last
     if last_gp is not gp or last_lam != lam:
         geo = _Geometry(gp, lam)
         diagram = _diagram(geo)
-        _last = gp, lam, geo, diagram
-    return geo, diagram
+        # segment 0, from junction 0 to junction r, is gamma (see _diagram)
+        spectrum = SeparatrixSpectrum(tuple(Segment(*seg, i == 0) for i, seg in enumerate(zip(*diagram[:3]))))
+        _last = gp, lam, geo, diagram, spectrum
+    return geo, diagram, spectrum
 
 
 # -- separatrix spectrum --------------------------------------------------
@@ -276,33 +325,9 @@ class SeparatrixSpectrum:
         return [{"len": s.crossings, "is_gamma": s.is_gamma} for s in self.segments]
 
 
-def _trace_segment(geo: _Geometry, germ: Germ) -> tuple[Germ, list[int]]:
-    """Follow the vertical ray from a junction until it hits a junction.
-
-    Returns the junction hit and the point of each crossing on the line of
-    ``geo.edge``: y < w crosses line y going up, y >= w line y - w going down.
-    """
-    w, edge, junction, shift, mirror = geo.w, geo.edge, geo.junction, geo.shift, geo.mirror
-    y = edge[germ] + w if germ < geo.r else edge[germ] - w  # a top ray first crosses the bottom
-    points = [y]
-    for _ in range(2 * w + 2):  # the crossing budget
-        if y in junction:
-            return junction[y], points
-        c = bisect_right(edge, y) - 1  # the last cell to start at or before y
-        m = mirror[c]
-        y = m - y if m else y + shift[c]
-        points.append(y)
-    raise TraceBudgetExceeded("separatrix trace exceeded %d crossings" % (2 * w + 2))
-
-
 def separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> SeparatrixSpectrum:
     """All compact vertical separatrices, as a perfect matching on germs."""
-    return _spectrum(*_reading(gp, lam)[1][:3])
-
-
-def _spectrum(ends: list[tuple[Germ, Germ]], crossings: list[int], lines: list[tuple[int, ...]]) -> SeparatrixSpectrum:
-    # segment 0, from junction 0 to junction r, is gamma (see _diagram)
-    return SeparatrixSpectrum(tuple(Segment(*seg, i == 0) for i, seg in enumerate(zip(ends, crossings, lines))))
+    return _reading(gp, lam)[2]
 
 
 def _diagram(geo: _Geometry) -> tuple[list, list, list, list[int], list[Germ], dict[int, Germ]]:
@@ -316,9 +341,14 @@ def _diagram(geo: _Geometry) -> tuple[list, list, list, list[int], list[Germ], d
     in-germ of a boundary side leaving line x upward.
     :func:`onecyl.strata.junction_turn` gives the diagram's other half:
     the boundary circles are the cycles of g -> other[turn[g]], two per
-    cylinder.
+    cylinder.  One loop traces every segment: the vertical ray from a germ
+    crosses the circles at points of the line of ``geo.edge`` until it
+    hits a junction; point y < w crosses line y going up, y >= w line
+    y - w going down.
     """
-    n, w = len(geo.pair), geo.w
+    r, w, edge, junction, shift, mirror = geo.r, geo.w, geo.edge, geo.junction, geo.shift, geo.mirror
+    n = len(edge)
+    budget = range(2 * w + 2)  # crossings per trace
     seg_of = [-1] * n
     other = [0] * n
     start: dict[int, Germ] = {}
@@ -328,7 +358,25 @@ def _diagram(geo: _Geometry) -> tuple[list, list, list, list[int], list[Germ], d
     for g in range(n):
         if seg_of[g] >= 0:
             continue
-        end, points = _trace_segment(geo, g)
+        y = edge[g] + w if g < r else edge[g] - w  # a top ray first crosses the bottom
+        xs = []
+        ups = []  # lines crossed going up: their start is the end, known once hit
+        for _ in budget:
+            if y < w:
+                xs.append(y)
+                ups.append(y)
+            else:
+                x = y - w
+                xs.append(x)
+                start[x] = g
+            if y in junction:
+                break
+            c = bisect_right(edge, y) - 1  # the last cell to start at or before y
+            m = mirror[c]
+            y = m - y if m else y + shift[c]
+        else:
+            raise TraceBudgetExceeded("separatrix trace exceeded %d crossings" % len(budget))
+        end = junction[y]
         # a crossing is a bijection on crossing states, so a trace back from
         # end would return to g exactly when end is a new germ and no line
         # is crossed twice; every germ below g is claimed, so end > g
@@ -336,19 +384,13 @@ def _diagram(geo: _Geometry) -> tuple[list, list, list, list[int], list[Germ], d
         seg_of[g] = seg_of[end] = len(ends)
         other[g], other[end] = end, g
         ends.append((g, end))
-        crossings.append(len(points))
-        xs = []
-        for y in points:
-            if y < w:
-                start[y] = end
-            else:
-                y -= w
-                start[y] = g
-            xs.append(y)
+        crossings.append(len(xs))
         lines.append(tuple(xs))
+        for x in ups:
+            start[x] = end
     assert len(start) == sum(crossings), "two segments cross one line"
     # gamma, the one segment between the seam's ends 0 and r, crosses once
-    assert other[0] == geo.r and crossings[0] == 1, "the seam does not carry gamma"
+    assert other[0] == r and crossings[0] == 1, "the seam does not carry gamma"
     return ends, crossings, lines, seg_of, other, start
 
 
@@ -421,13 +463,12 @@ def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> Cy
     return _decomposition(*_reading(gp, lam))
 
 
-def _decomposition(geo: _Geometry, diagram: tuple) -> CylinderDecomposition:
-    ends, crossings, lines, seg_of, other, start = diagram
-    turn = junction_turn(geo.pair, geo.r)
+def _decomposition(geo: _Geometry, diagram: tuple, spectrum: SeparatrixSpectrum) -> CylinderDecomposition:
+    _, _, lines, seg_of, other, start = diagram
+    turn, back = geo.frame.turns
     singular = sorted(start)
     count = len(singular)
     rank = {x: i for i, x in enumerate(singular)}
-    back = _inv(turn)
     # boundary sides in scan order, each read once off its diagram circle
     # from the first start it visits.  A side leaving line x upward at
     # offset sigma visits the lines of its outgoing segments: at sigma where
@@ -471,7 +512,7 @@ def _decomposition(geo: _Geometry, diagram: tuple) -> CylinderDecomposition:
         simple = all(len(s.passages) == 1 for s in sides)
         width = bounds[arcs[0] + 1] - bounds[arcs[0]]
         cylinders.append(Cylinder(tuple(bounds[a] for a in arcs), width, len(arcs), simple, (sides[0], sides[1])))
-    return CylinderDecomposition(tuple(cylinders), _spectrum(ends, crossings, lines), geo.w)
+    return CylinderDecomposition(tuple(cylinders), spectrum, geo.w)
 
 
 def germ_sector_angles(
@@ -552,12 +593,13 @@ def vertical_permutation(
     read off its two circles.
     """
     lam = check_admissible(gp, lam)
-    last_gp, last_lam, geo, diagram = _last
+    last_gp, last_lam, geo, diagram, _ = _last
     if last_gp is not gp or last_lam != lam:
         geo = _Geometry(gp, lam)
         diagram = _diagram(geo)
     _, crossings, _, seg_of, other, start = diagram
-    turn = junction_turn(geo.pair, geo.r)
+    frame = geo.frame
+    turn, back = frame.turns
     _, circles = cycles([other[g] for g in turn])
     assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
     if len(circles) != 2:
@@ -567,7 +609,7 @@ def vertical_permutation(
     # singular line (the seam again when it is the only one) at offset -1
     singular = sorted(start)
     top = [seg_of[out] for _, out in _passages(other, turn, start[0])]
-    bottom = [seg_of[out] for _, out in _passages(other, _inv(turn), start[singular[1 % len(singular)]])]
+    bottom = [seg_of[out] for _, out in _passages(other, back, start[singular[1 % len(singular)]])]
     # the two sides of the one cylinder hug every singular line on both sides
     assert sum(crossings[i] for i in top + bottom) == 2 * len(singular), "cylinder without two sides"
 
@@ -575,7 +617,7 @@ def vertical_permutation(
     # first appearance, the order of dict.fromkeys
     new_gp = GeneralizedPermutation.from_rows(top, bottom)
     new_lam_t = check_admissible(new_gp, [crossings[i] for i in dict.fromkeys(top + bottom)])
-    assert pattern_orders(new_gp.pairing(), len(new_gp.top)) == pattern_orders(geo.pair, geo.r), "stratum changed"
+    assert pattern_orders(new_gp.pairing(), len(new_gp.top)) == frame.orders, "stratum changed"
     return new_gp, new_lam_t
 
 
@@ -811,7 +853,7 @@ def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCo
     more than :data:`MAX_COVER_SQUARES` raises :class:`SizeLimit`.
     """
     lam = check_admissible(gp, lam)
-    last_gp, last_lam, geo, _ = _last
+    last_gp, last_lam, geo, _, _ = _last
     if last_gp is not gp or last_lam != lam:
         geo = _Geometry(gp, lam)
     w = geo.w

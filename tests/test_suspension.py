@@ -63,6 +63,7 @@ from onecyl.suspension import (
 )
 
 from germ_gluing import numbered_vertex_cycles
+from test_classify import Q12_MOVES
 
 GP = GeneralizedPermutation.parse
 EXAMPLE_14 = "1 2 3 4 2 5 6 / 1 4 5 7 6 7 3"
@@ -1285,20 +1286,28 @@ def reference_leaf_cylinders(geo, singular: list[int]) -> tuple[list[int], list[
     return owner, arcs_of
 
 
+def clear_readings(monkeypatch) -> None:
+    """Empty the last-reading and the class-frame slots, for a cold call."""
+    monkeypatch.setattr(suspension, "_last", (None, None, None, None, None))
+    monkeypatch.setattr(suspension, "_frame", (None, None))
+
+
 def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monkeypatch):
+    # segments traced: each _diagram call traces every segment of its diagram once
     traces = 0
-    trace_segment = suspension._trace_segment
+    diagram = suspension._diagram
 
-    def counted(*args):
+    def counted(geo):
         nonlocal traces
-        traces += 1
-        return trace_segment(*args)
+        out = diagram(geo)
+        traces += len(out[0])
+        return out
 
-    monkeypatch.setattr(suspension, "_trace_segment", counted)
+    monkeypatch.setattr(suspension, "_diagram", counted)
     three = 0
     for i, (_, gp, lam) in enumerate(seeded_cylinder_corpus()):
         # the first reading of (gp, lam), through the spectrum or the decomposition, traces each segment once
-        monkeypatch.setattr(suspension, "_last", (None, None, None, None))
+        clear_readings(monkeypatch)
         traces = 0
         if i % 2:
             dec = cylinder_decomposition(gp, lam)
@@ -1363,7 +1372,7 @@ def test_shared_reading_matches_cold_calls_and_the_references(monkeypatch):
     cold = {}
     for i, (gp, lam) in enumerate(corpus):
         for name, call in entry_points.items():
-            monkeypatch.setattr(suspension, "_last", (None, None, None, None))
+            clear_readings(monkeypatch)
             cold[i, name] = call(gp, lam)
         reference = integer_reference_decomposition(gp, lam)
         assert cold[i, "decomposition"] == reference
@@ -1391,25 +1400,37 @@ def test_shared_reading_matches_cold_calls_and_the_references(monkeypatch):
                         call(gp, lam)
                 assert suspension._last[0] is gp and suspension._last[1] == good
                 continue
-            last_gp, last_lam, geo, diagram = suspension._last
+            last_gp, last_lam, geo, diagram, spectrum = suspension._last
             hits[name] += last_gp is gp and last_lam == tuple(lam)
-            before = repr((vars(geo) if geo else None, diagram))
+            before = repr((vars(geo) if geo else None, diagram, spectrum))
+            frame = suspension._frame[1]
+            tables = {name: repr(table) for name, table in vars(frame).items()} if frame else {}
             assert entry_points[name](gp, lam) == cold[i, name], (name, gp.render(), lam)
-            # no reader mutates the arrays it shares
-            assert repr((vars(geo) if geo else None, diagram)) == before
+            # no reader mutates the arrays it shares; a class frame only gains its lazy tables
+            assert repr((vars(geo) if geo else None, diagram, spectrum)) == before
+            assert all(repr(vars(frame)[name]) == table for name, table in tables.items())
     assert min(hits.values()) > 100, hits
 
 
-def test_shared_reading_is_consistent_across_threads():
+def test_shared_reading_is_consistent_across_threads(monkeypatch):
     # more threads than cores, switching often, each on its own pairs: a
-    # reader sees one whole entry of the slot, so every result is a cold one
+    # reader sees one whole entry of each slot, so every result is a cold one.
+    # Each permutation object comes at up to three lengths in a row, and at
+    # doubled lengths the re-reading and the cover miss the last reading but
+    # can find the class frame; every third object also has an equal-rows copy
     corpus = [(gp, lam) for _, gp, lam in itertools.islice(seeded_cylinder_corpus(), 60)]
+    corpus += [(GeneralizedPermutation.from_rows(gp.top, gp.bottom), lam) for gp, lam in corpus[::3]]
 
     def readings(gp, lam):
+        doubled = tuple(2 * v for v in lam)
         return (separatrix_spectrum(gp, lam), cylinder_decomposition(gp, lam),
-                vperm_outcome(vertical_permutation, gp, lam), build_cover(gp, lam))
+                vperm_outcome(vertical_permutation, gp, lam), build_cover(gp, lam),
+                vperm_outcome(vertical_permutation, gp, doubled), build_cover(gp, doubled))
 
-    expected = [readings(gp, lam) for gp, lam in corpus]
+    expected = []
+    for gp, lam in corpus:
+        clear_readings(monkeypatch)
+        expected.append(readings(gp, lam))
     failures = []
 
     def work(offset):
@@ -1476,19 +1497,84 @@ def test_flat_diagram_matches_the_reference_on_the_seeded_corpus():
         assert_diagram_matches_reference(gp, lam)
 
 
-def test_flat_diagram_matches_the_reference_on_the_qm19_vperm_pass(monkeypatch):
-    # every (class, lambda) that the default Q(-1,9) report re-reads
+def vperm_pass_reads(pattern: tuple[int, ...], config: MoveConfig) -> tuple[list, int]:
+    """Every (class, lambda) that the vperm pass of a report re-reads, in pass order, and the report's upper bound."""
     read = []
 
     def recorded(gp, lam):
         read.append((gp, lam))
         return vertical_permutation(gp, lam)
 
-    monkeypatch.setattr(classify, "vertical_permutation", recorded)
-    assert component_report((-1, 9), MoveConfig()).upper_bound == 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "vertical_permutation", recorded)
+        upper = component_report(pattern, config).upper_bound
+    return read, upper
+
+
+def test_flat_diagram_matches_the_reference_on_the_qm19_vperm_pass():
+    # every (class, lambda) that the default Q(-1,9) report re-reads
+    read, upper = vperm_pass_reads((-1, 9), MoveConfig())
+    assert upper == 2
     assert len(read) == 1161  # the 129 classes, each at its signature's distinct vectors
     for gp, lam in read:
         assert_diagram_matches_reference(gp, lam)
+
+
+@pytest.mark.parametrize(
+    "pattern, config, reads",
+    # Q(12) with the premise report of Q(8) that its excise move runs
+    [((12,), Q12_MOVES, 5138), ((-1, 9), MoveConfig(), 1161)],
+    ids=["Q(12)-q12-moves", "Q(-1,9)-defaults"],
+)
+def test_class_frames_match_cold_calls_and_the_reference_in_any_order(monkeypatch, pattern, config, reads):
+    read, upper = vperm_pass_reads(pattern, config)
+    assert (len(read), upper) == (reads, 2)
+    expected = []
+    for gp, lam in read:
+        clear_readings(monkeypatch)
+        expected.append(vperm_outcome(vertical_permutation, gp, lam))
+        assert expected[-1] == vperm_outcome(reference_vertical_permutation, gp, lam)
+    # class-major (the pass's own order), lambda-major (the k-th vector of
+    # every class, then the next) and shuffled; every third read goes to an
+    # equal-rows copy with its own frame, and every seventh is followed by
+    # bad lengths for the object just read
+    rank, seen = [], Counter()
+    for gp, _ in read:
+        rank.append(seen[id(gp)])
+        seen[id(gp)] += 1
+    class_major = list(range(len(read)))
+    lambda_major = sorted(class_major, key=rank.__getitem__)
+    shuffled = random.Random(79).sample(class_major, len(read))
+    twins: dict = {}
+    for order in (class_major, lambda_major, shuffled):
+        clear_readings(monkeypatch)
+        for step, t in enumerate(order):
+            gp, lam = read[t]
+            if step % 3 == 1:
+                gp = twins.setdefault(id(gp), GeneralizedPermutation.from_rows(gp.top, gp.bottom))
+            assert vperm_outcome(vertical_permutation, gp, lam) == expected[t], (gp.render(), lam)
+            assert suspension._frame[0] is gp
+            if step % 7 == 3:
+                for bad in invalid_lengths(gp, lam):
+                    with pytest.raises(Infeasible):
+                        vertical_permutation(gp, bad)
+    assert len(twins) == len(seen)
+
+
+def test_the_decomposition_holds_the_spectrum_of_its_reading(monkeypatch):
+    for i, (_, gp, lam) in enumerate(seeded_cylinder_corpus()):
+        clear_readings(monkeypatch)
+        if i % 2:
+            dec = cylinder_decomposition(gp, lam)
+            spectrum = separatrix_spectrum(gp, lam)
+        else:
+            spectrum = separatrix_spectrum(gp, lam)
+            dec = cylinder_decomposition(gp, list(lam))
+        assert dec.spectrum is spectrum
+        # a cold reading builds an equal one
+        clear_readings(monkeypatch)
+        cold = separatrix_spectrum(gp, lam)
+        assert cold == spectrum and cold is not spectrum
 
 
 @pytest.mark.parametrize("c", [10**3, 10**6])
@@ -1511,24 +1597,35 @@ def test_every_side_passage_is_one_step_of_the_junction_turn():
 
 
 def test_only_the_cylinder_readings_turn_germs(monkeypatch):
-    # strata.junction_turn wherever it is bound
-    calls = 0
+    # strata.junction_turn wherever it is bound, by binding and by the pairing it turns
+    turned = []
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return junction_turn(*args)
+    def counted(binding):
+        def turn(pair, r):
+            turned.append((binding, tuple(pair)))
+            return junction_turn(pair, r)
+        return turn
 
-    monkeypatch.setattr(strata, "junction_turn", counted)
-    monkeypatch.setattr(suspension, "junction_turn", counted)
+    monkeypatch.setattr(strata, "junction_turn", counted("strata"))
+    monkeypatch.setattr(suspension, "junction_turn", counted("suspension"))
+    readings = (separatrix_spectrum, cylinder_decomposition, vertical_permutation, build_cover)
     for gp, lam in itertools.islice(reference_pairs(), 40):
-        seen = []
-        for reading in (separatrix_spectrum, cylinder_decomposition, vertical_permutation):
-            calls = 0
-            with contextlib.suppress(NotSingleCylinder):
-                reading(gp, lam)
-            seen.append(calls)
-        assert seen[:2] == [0, 1] and seen[2] >= 1, seen
+        own = gp.pairing()
+        # each reading on its own equal-rows copy, so none finds a turn another
+        # built, then all on one object, where the decomposition builds its class
+        # frame's turn and the re-reading reads it; the spectrum turns nothing and
+        # the decomposition exactly once through any binding, while the re-reading
+        # and the cover's genus check also turn other pairings through strata's
+        twins = [GeneralizedPermutation.from_rows(gp.top, gp.bottom) for _ in readings]
+        for objects, frame_turns in ((twins, [0, 1, 1, 0]), ([gp] * len(readings), [0, 1, 0, 0])):
+            frames, every = [], []
+            for reading, g in zip(readings, objects):
+                turned.clear()
+                with contextlib.suppress(NotSingleCylinder):
+                    reading(g, lam)
+                frames.append(turned.count(("suspension", own)))
+                every.append(len(turned))
+            assert frames == frame_turns and every[:2] == [0, 1], (frames, every)
 
 
 @pytest.mark.parametrize("c", [3, 10**6])

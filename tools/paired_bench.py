@@ -43,6 +43,11 @@ the machine's speed falls on both sides alike:
   and times the best of 5 passes; where the layer probe times each
   layer on its own, this one lets a layer reuse what the one before it
   read.  The sha256 of the outputs must agree between the sides;
+* the vperm pass per class, 5 pairs in processes of its own: each
+  process times the best of 5 passes of ``classify._vperm_pairs`` over
+  each report stratum's classes with that stratum's move configuration,
+  lengths drawn, re-read and keyed as ``component_report`` does; the
+  sha256 of the yielded candidates must agree between the sides;
 * one ``bench/run.py --workload report --trace 1`` run per side, for the
   enumeration's and the vperm pass's per-layer metrics.
 
@@ -214,6 +219,31 @@ print(json.dumps({"queries chain": [best / len(inputs) * 1e6, len(inputs), diges
 """
 
 
+# times the vperm pass over each report stratum in a fresh interpreter, the
+# classes and candidate index as component_report builds them; argv: checkout
+# root, passes
+VPERM_PROBE = """
+import hashlib, json, sys, time
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+import onecyl, workloads
+from onecyl import classify
+
+result = {}
+for pattern in workloads.REPORT_STRATA:
+    config = onecyl.MoveConfig(**workloads.Q12_CONFIG) if pattern == (12,) else onecyl.MoveConfig()
+    classes = onecyl.enumerate_stratum(pattern)
+    index = {gp.rows(): i for i, gp in enumerate(classes)}
+    best = float("inf")
+    for _ in range(int(sys.argv[2])):
+        t = time.perf_counter()
+        pairs = list(classify._vperm_pairs(classes, index, config, onecyl.CALIBRATED_SYM, lambda i: i))
+        best = min(best, time.perf_counter() - t)
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    result["Q(%s) vperm pass" % ",".join(map(str, pattern))] = [best / len(classes) * 1e6, len(classes), digest]
+print(json.dumps(result))
+"""
+
+
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
     return {"runs": runs, "median": median, "q1": q1, "q3": q3}
@@ -330,6 +360,7 @@ def main() -> None:
     result["layers_per_call_us"] = layers(sides, LAYER_PROBE)
     result["cover_layers_per_call_us"] = layers(sides, COVER_PROBE)
     result["query_chain_per_pair_us"] = layers(sides, CHAIN_PROBE)
+    result["vperm_pass_per_class_us"] = layers(sides, VPERM_PROBE)
     traced = {name: bench_run(root, "report", args.seed, args.seconds, 1) for name, root in sides.items()}
     result["traced_report"] = {metric: {name: traced[name][metric] for name in sides} for metric in TRACED}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
