@@ -79,6 +79,12 @@ def _relabel_key(top: Sequence[int], bottom: Sequence[int]) -> tuple[tuple[int, 
     return tuple(word[: len(top)]), tuple(word[len(top) :])
 
 
+@functools.lru_cache(maxsize=None)
+def _numbered_names(k: int) -> tuple[str, ...]:
+    """("1", ..., "k"): the names of letters numbered by first appearance, one tuple per letter count."""
+    return tuple(str(i) for i in range(1, k + 1))
+
+
 def position_pairing(cells: Sequence[int]) -> list[int]:
     """Partner positions: out[i] is the other position holding cells[i]."""
     first: dict[int, int] = {}
@@ -232,7 +238,7 @@ class GeneralizedPermutation:
             raise EmptyRow("both rows must contain at least one letter")
         t, b = _relabel_key(top, bottom)
         pair = position_pairing(t + b)  # every letter exactly twice
-        gp = GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, len(pair) // 2 + 1)))
+        gp = GeneralizedPermutation(t, b, _numbered_names(len(pair) // 2))
         gp.__dict__["_pairing"] = tuple(pair)  # the cache behind pairing()
         return gp
 
@@ -327,7 +333,7 @@ class GeneralizedPermutation:
     def canonical_form(self, sym: SymmetryGroup = DEFAULT_SYM) -> "GeneralizedPermutation":
         """Minimal representative of the sym orbit, letters renamed 1..k."""
         t, b = canonical_key(self.pairing(), len(self.top), sym)
-        return GeneralizedPermutation(t, b, tuple(str(i) for i in range(1, len(self.names) + 1)))
+        return GeneralizedPermutation(t, b, _numbered_names(len(self.names)))
 
     def canonical_key(self, sym: SymmetryGroup = DEFAULT_SYM) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return canonical_key(self.pairing(), len(self.top), sym)

@@ -41,17 +41,14 @@ Conventions:
   and the vertical re-reading; only the first two build ``Segment``
   objects.  The cover reads its up map off the same cell arrays, one run
   of columns per cell;
-* the last reading, geometry, diagram and spectrum, is kept for the next
-  entry point called on the same permutation object and lengths, so a
-  query that reads one suspension through the spectrum, the
-  decomposition, the vertical re-reading and the cover traces it once.
-  The spectrum and the decomposition store their reading; the vertical
-  re-reading and the cover only reuse it, since a pass of re-readings
-  never reads one suspension twice.  No reader mutates the shared arrays;
-* what does not depend on the lengths, the cells' letters and sides, the
-  junction turn, its inverse and the singularity orders, is the class
-  frame of the last permutation object read, so a pass of re-readings
-  builds it once per class.
+* every entry point stores its reading, the geometry with the diagram and
+  spectrum traced when first read, keyed by the permutation object and
+  the lengths: a query read through all four entry points traces once,
+  and the cover never traces.  A reading at new lengths takes the class
+  frame of the last reading of the same object, what does not depend on
+  the lengths (the cells' letters and sides, the junction turn, its
+  inverse and the singularity orders), so a pass of re-readings builds it
+  once per class.  No reader mutates the shared arrays.
 
 The orientation double cover is a square-tiled surface of n = 2w unit
 squares: square c < w lies over base column c on the upright sheet,
@@ -221,20 +218,6 @@ class _Frame:
         return pattern_orders(self.pair, self.r)
 
 
-# The last (gp, frame), keyed by the identity of gp and replaced whole: a pass
-# of re-readings reads each class at several lengths in a row.
-_frame: tuple = (None, None)
-
-
-def _class_frame(gp: GeneralizedPermutation) -> _Frame:
-    global _frame
-    last_gp, frame = _frame
-    if last_gp is not gp:
-        frame = _Frame(gp)
-        _frame = gp, frame
-    return frame
-
-
 class _Geometry:
     """Cell arrays of an integer suspension, shared by all traces and the cover.
 
@@ -252,12 +235,13 @@ class _Geometry:
     is then 0.  When the partner lies on the same circle, a central
     symmetry moves point y to ``mirror[c] - y`` and column y to column
     ``mirror[c] - y - 1``, and reverses the direction.  The cell tables
-    come from the permutation's :class:`_Frame`.
+    come from the permutation's :class:`_Frame`; the diagram and the
+    spectrum are traced when first read.
     """
 
-    def __init__(self, gp: GeneralizedPermutation, lam: tuple[int, ...]):
+    def __init__(self, frame: _Frame, lam: tuple[int, ...]):
         """``lam`` is the tuple :func:`check_admissible` returned."""
-        self.frame = frame = _class_frame(gp)
+        self.frame = frame
         self.r = r = frame.r
         self.pair = pair = frame.pair
         length = [lam[x] for x in frame.letter]
@@ -268,31 +252,42 @@ class _Geometry:
         self.shift = [left[d] - left[c] for c, d in enumerate(pair)]
         same = frame.same
         self.mirror = [w + left[c] + left[d] + length[d] if same[c] else 0 for c, d in enumerate(pair)]
+        self._traced = self._spectrum = None
+
+    @property
+    def diagram(self) -> tuple:
+        if self._traced is None:
+            self._traced = _diagram(self)
+        return self._traced
+
+    @property
+    def spectrum(self) -> SeparatrixSpectrum:
+        if self._spectrum is None:
+            segments = zip(*self.diagram[:3])
+            # segment 0, from junction 0 to junction r, is gamma (see _diagram)
+            self._spectrum = SeparatrixSpectrum(tuple(Segment(*seg, i == 0) for i, seg in enumerate(segments)))
+        return self._spectrum
 
 
-# The last reading, (gp, lam, geometry, diagram, spectrum), keyed by the
-# identity of gp and the checked lengths and replaced whole, so a reader sees
-# one consistent entry.  The vertical re-reading and the cover test the key
-# inline: a call level costs each miss of a pass of re-readings ~1 us.
-_last: tuple = (None, None, None, None, None)
+# The last reading, (gp, lam, geometry), keyed by the identity of gp and the
+# checked lengths and replaced whole, so a reader sees one consistent entry.
+_last: tuple = (None, None, None)
 
 
-def _reading(gp: GeneralizedPermutation, lam: Sequence[int]) -> tuple[_Geometry, tuple, SeparatrixSpectrum]:
-    """Geometry, diagram and spectrum of (gp, lam), the last reading's or fresh ones, stored.
+def _reading(gp: GeneralizedPermutation, lam: Sequence[int]) -> _Geometry:
+    """The geometry of (gp, lam), the last reading's or a fresh one, stored.
 
+    A fresh reading of the last permutation object takes its class frame.
     The lengths are checked on every call, so bad ones raise even right
     after a reading of the same permutation.
     """
     global _last
     lam = check_admissible(gp, lam)
-    last_gp, last_lam, geo, diagram, spectrum = _last
+    last_gp, last_lam, geo = _last
     if last_gp is not gp or last_lam != lam:
-        geo = _Geometry(gp, lam)
-        diagram = _diagram(geo)
-        # segment 0, from junction 0 to junction r, is gamma (see _diagram)
-        spectrum = SeparatrixSpectrum(tuple(Segment(*seg, i == 0) for i, seg in enumerate(zip(*diagram[:3]))))
-        _last = gp, lam, geo, diagram, spectrum
-    return geo, diagram, spectrum
+        geo = _Geometry(geo.frame if last_gp is gp else _Frame(gp), lam)
+        _last = gp, lam, geo
+    return geo
 
 
 # -- separatrix spectrum --------------------------------------------------
@@ -327,7 +322,7 @@ class SeparatrixSpectrum:
 
 def separatrix_spectrum(gp: GeneralizedPermutation, lam: Sequence[int]) -> SeparatrixSpectrum:
     """All compact vertical separatrices, as a perfect matching on germs."""
-    return _reading(gp, lam)[2]
+    return _reading(gp, lam).spectrum
 
 
 def _diagram(geo: _Geometry) -> tuple[list, list, list, list[int], list[Germ], dict[int, Germ]]:
@@ -460,11 +455,8 @@ class CylinderDecomposition:
 
 def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> CylinderDecomposition:
     """Vertical cylinders of the suspension, with boundary structure."""
-    return _decomposition(*_reading(gp, lam))
-
-
-def _decomposition(geo: _Geometry, diagram: tuple, spectrum: SeparatrixSpectrum) -> CylinderDecomposition:
-    _, _, lines, seg_of, other, start = diagram
+    geo = _reading(gp, lam)
+    _, _, lines, seg_of, other, start = geo.diagram
     turn, back = geo.frame.turns
     singular = sorted(start)
     count = len(singular)
@@ -512,7 +504,7 @@ def _decomposition(geo: _Geometry, diagram: tuple, spectrum: SeparatrixSpectrum)
         simple = all(len(s.passages) == 1 for s in sides)
         width = bounds[arcs[0] + 1] - bounds[arcs[0]]
         cylinders.append(Cylinder(tuple(bounds[a] for a in arcs), width, len(arcs), simple, (sides[0], sides[1])))
-    return CylinderDecomposition(tuple(cylinders), spectrum, geo.w)
+    return CylinderDecomposition(tuple(cylinders), geo.spectrum, geo.w)
 
 
 def germ_sector_angles(
@@ -592,14 +584,9 @@ def vertical_permutation(
     The separatrix diagram counts the cylinders first, and the rows are
     read off its two circles.
     """
-    lam = check_admissible(gp, lam)
-    last_gp, last_lam, geo, diagram, _ = _last
-    if last_gp is not gp or last_lam != lam:
-        geo = _Geometry(gp, lam)
-        diagram = _diagram(geo)
-    _, crossings, _, seg_of, other, start = diagram
-    frame = geo.frame
-    turn, back = frame.turns
+    geo = _reading(gp, lam)
+    _, crossings, _, seg_of, other, start = geo.diagram
+    turn, back = geo.frame.turns
     _, circles = cycles([other[g] for g in turn])
     assert len(circles) % 2 == 0, "boundary circles do not pair into cylinders"
     if len(circles) != 2:
@@ -617,7 +604,7 @@ def vertical_permutation(
     # first appearance, the order of dict.fromkeys
     new_gp = GeneralizedPermutation.from_rows(top, bottom)
     new_lam_t = check_admissible(new_gp, [crossings[i] for i in dict.fromkeys(top + bottom)])
-    assert pattern_orders(new_gp.pairing(), len(new_gp.top)) == frame.orders, "stratum changed"
+    assert pattern_orders(new_gp.pairing(), len(new_gp.top)) == geo.frame.orders, "stratum changed"
     return new_gp, new_lam_t
 
 
@@ -852,10 +839,7 @@ def build_cover(gp: GeneralizedPermutation, lam: Sequence[int]) -> SquareTiledCo
     stay on a sheet.  The cover has two squares per unit of circumference;
     more than :data:`MAX_COVER_SQUARES` raises :class:`SizeLimit`.
     """
-    lam = check_admissible(gp, lam)
-    last_gp, last_lam, geo, _, _ = _last
-    if last_gp is not gp or last_lam != lam:
-        geo = _Geometry(gp, lam)
+    geo = _reading(gp, lam)
     w = geo.w
     n = 2 * w
     if n > MAX_COVER_SQUARES:

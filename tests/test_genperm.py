@@ -102,6 +102,18 @@ def test_render_canonicalized_tokens():
     assert gp.canonical_form(DEFAULT_SYM).render() == "1 1 2 / 2 3 3"
 
 
+def test_numbered_permutations_share_one_names_tuple_per_letter_count():
+    rng = random.Random(11)
+    by_count: dict = {}
+    for _ in range(200):
+        gp = random_gp(rng, 7)
+        k = gp.num_letters
+        assert gp.names == tuple(str(i) for i in range(1, k + 1))
+        assert by_count.setdefault(k, gp.names) is gp.names
+        assert GP(gp.render().replace("1", "x")).canonical_form(CALIBRATED_SYM).names is gp.names
+    assert sorted(by_count) == list(range(2, 8))
+
+
 def test_pairing_is_fixed_point_free_involution():
     rng = random.Random(7)
     for _ in range(50):

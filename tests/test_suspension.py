@@ -1287,9 +1287,16 @@ def reference_leaf_cylinders(geo, singular: list[int]) -> tuple[list[int], list[
 
 
 def clear_readings(monkeypatch) -> None:
-    """Empty the last-reading and the class-frame slots, for a cold call."""
-    monkeypatch.setattr(suspension, "_last", (None, None, None, None, None))
-    monkeypatch.setattr(suspension, "_frame", (None, None))
+    """Empty the reading slot, for a cold call."""
+    monkeypatch.setattr(suspension, "_last", (None, None, None))
+
+
+ENTRY_POINTS = {
+    "spectrum": separatrix_spectrum,
+    "decomposition": cylinder_decomposition,
+    "vperm": lambda gp, lam: vperm_outcome(vertical_permutation, gp, lam),
+    "cover": build_cover,
+}
 
 
 def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monkeypatch):
@@ -1305,25 +1312,22 @@ def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monke
 
     monkeypatch.setattr(suspension, "_diagram", counted)
     three = 0
+    calls = list(ENTRY_POINTS.values())
     for i, (_, gp, lam) in enumerate(seeded_cylinder_corpus()):
-        # the first reading of (gp, lam), through the spectrum or the decomposition, traces each segment once
+        # whichever entry point reads (gp, lam) first, the cover included, the
+        # four entry points and a second round of them, with the lengths as a
+        # list, trace each segment once between them
         clear_readings(monkeypatch)
         traces = 0
-        if i % 2:
-            dec = cylinder_decomposition(gp, lam)
-            spectrum = dec.spectrum
-        else:
-            spectrum = separatrix_spectrum(gp, lam)
+        for call in calls[i % 4:] + calls[: i % 4]:
+            call(gp, lam)
+        spectrum = separatrix_spectrum(gp, list(lam))
+        dec = cylinder_decomposition(gp, lam)
+        assert dec.spectrum is spectrum
+        vperm_outcome(vertical_permutation, gp, list(lam))
+        build_cover(gp, list(lam))
         segments = len(spectrum.segments)
         assert traces == segments
-        # a second reading, through any entry point and with the lengths as a list, traces nothing
-        traces = 0
-        assert separatrix_spectrum(gp, list(lam)) == spectrum
-        dec = cylinder_decomposition(gp, lam)
-        assert dec.spectrum == spectrum
-        vperm_outcome(vertical_permutation, gp, lam)
-        build_cover(gp, lam)
-        assert traces == 0
         singular = sorted(spectrum.singular_lines())
         arcs_of = [[bisect_right(singular, x) - 1 for x in c.arcs] for c in dec.cylinders]
         assert arcs_of == reference_leaf_cylinders(_Geometry(gp, lam), singular)[1]
@@ -1335,16 +1339,35 @@ def test_entry_points_trace_each_segment_once_and_claim_the_leaf_walk_arcs(monke
             traces = 0
             reading(g, l)
             assert traces == segments
-        # the vertical reading and the cover reuse the last reading but store none of their own
+        # the vertical reading stores its reading too, and the cover reuses it
         tripled = tuple(3 * v for v in lam)
+        traces = 0
         for _ in range(2):
-            traces = 0
             vperm_outcome(vertical_permutation, gp, tripled)
             build_cover(gp, tripled)
-            assert traces == segments
-        assert suspension._last[0] is gp and suspension._last[1] == doubled
+        assert traces == segments
+        assert suspension._last[0] is gp and suspension._last[1] == tripled
         three += len(dec.cylinders) == 3
     assert three == 69
+
+
+def test_the_cover_never_traces(monkeypatch):
+    # a cold cover, and one refused as too large, read only the geometry's
+    # cell arrays: tracing at lengths of about 10^6 would take seconds
+    traced = []
+    monkeypatch.setattr(suspension, "_diagram", traced.append)
+    gp = GP(EXAMPLE_14)
+    big = (999983, 1000003, 999979, 1000033, 999961, 1000037, 1000003)
+    for lam in (all_ones(gp), (2,) * 7):
+        clear_readings(monkeypatch)
+        assert build_cover(gp, lam).n == 2 * sum(lam[x - 1] for x in gp.top)
+    for cold in (True, False):
+        if cold:
+            clear_readings(monkeypatch)
+        with pytest.raises(SizeLimit, match="the cover would have 13999998 squares"):
+            build_cover(gp, big)
+    assert traced == []
+    assert suspension._last[0] is gp and suspension._last[1] == big
 
 
 def invalid_lengths(gp: GeneralizedPermutation, lam: tuple[int, ...]) -> list[list]:
@@ -1361,17 +1384,11 @@ def invalid_lengths(gp: GeneralizedPermutation, lam: tuple[int, ...]) -> list[li
 
 
 def test_shared_reading_matches_cold_calls_and_the_references(monkeypatch):
-    entry_points = {
-        "spectrum": separatrix_spectrum,
-        "decomposition": cylinder_decomposition,
-        "vperm": lambda gp, lam: vperm_outcome(vertical_permutation, gp, lam),
-        "cover": build_cover,
-    }
     corpus = [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()]
     # every entry point on every pair in a cleared state, and the string-keyed references
     cold = {}
     for i, (gp, lam) in enumerate(corpus):
-        for name, call in entry_points.items():
+        for name, call in ENTRY_POINTS.items():
             clear_readings(monkeypatch)
             cold[i, name] = call(gp, lam)
         reference = integer_reference_decomposition(gp, lam)
@@ -1387,7 +1404,7 @@ def test_shared_reading_matches_cold_calls_and_the_references(monkeypatch):
         for i in range(run, min(run + 5, len(corpus))):
             gp, lam = corpus[i]
             twin = GeneralizedPermutation.from_rows(gp.top, gp.bottom)
-            calls += [(i, name, g, l) for name in entry_points for g in (gp, gp, twin) for l in (lam, list(lam))]
+            calls += [(i, name, g, l) for name in ENTRY_POINTS for g in (gp, gp, twin) for l in (lam, list(lam))]
             calls += [(i, None, gp, bad) for bad in invalid_lengths(gp, lam)]
         rng.shuffle(calls)
         for i, name, gp, lam in calls:
@@ -1400,24 +1417,26 @@ def test_shared_reading_matches_cold_calls_and_the_references(monkeypatch):
                         call(gp, lam)
                 assert suspension._last[0] is gp and suspension._last[1] == good
                 continue
-            last_gp, last_lam, geo, diagram, spectrum = suspension._last
+            last_gp, last_lam, geo = suspension._last
             hits[name] += last_gp is gp and last_lam == tuple(lam)
-            before = repr((vars(geo) if geo else None, diagram, spectrum))
-            frame = suspension._frame[1]
-            tables = {name: repr(table) for name, table in vars(frame).items()} if frame else {}
-            assert entry_points[name](gp, lam) == cold[i, name], (name, gp.render(), lam)
-            # no reader mutates the arrays it shares; a class frame only gains its lazy tables
-            assert repr((vars(geo) if geo else None, diagram, spectrum)) == before
-            assert all(repr(vars(frame)[name]) == table for name, table in tables.items())
+            shared = [vars(geo), vars(geo.frame)] if geo else []
+            # the arrays, and the diagram and spectrum where traced
+            before = [{key: repr(value) for key, value in attrs.items() if value is not None} for attrs in shared]
+            assert ENTRY_POINTS[name](gp, lam) == cold[i, name], (name, gp.render(), lam)
+            # no reader mutates what it shares; a geometry only gains its
+            # diagram and spectrum, a class frame its lazy tables
+            for attrs, kept in zip(shared, before):
+                assert {key: repr(attrs[key]) for key in kept} == kept
     assert min(hits.values()) > 100, hits
 
 
 def test_shared_reading_is_consistent_across_threads(monkeypatch):
     # more threads than cores, switching often, each on its own pairs: a
-    # reader sees one whole entry of each slot, so every result is a cold one.
+    # reader sees one whole entry of the slot, so every result is a cold one.
     # Each permutation object comes at up to three lengths in a row, and at
-    # doubled lengths the re-reading and the cover miss the last reading but
-    # can find the class frame; every third object also has an equal-rows copy
+    # doubled lengths the re-reading misses the last reading but can take its
+    # class frame, and the cover can find the re-reading's; every third
+    # object also has an equal-rows copy
     corpus = [(gp, lam) for _, gp, lam in itertools.islice(seeded_cylinder_corpus(), 60)]
     corpus += [(GeneralizedPermutation.from_rows(gp.top, gp.bottom), lam) for gp, lam in corpus[::3]]
 
@@ -1464,7 +1483,7 @@ def test_separatrix_diagram_counts_two_boundary_circles_per_cylinder():
     ]
     assert [len(reference_cylinder_decomposition(*case).cylinders) for case in explicit] == [1, 3]
     for gp, lam in explicit + [(gp, lam) for _, gp, lam in seeded_cylinder_corpus()] + list(reference_pairs()):
-        geo = suspension._Geometry(gp, lam)
+        geo = suspension._Geometry(suspension._Frame(gp), lam)
         other = suspension._diagram(geo)[4]
         circles = strata.cycles([other[g] for g in junction_turn(geo.pair, geo.r)])[1]
         assert len(circles) == 2 * len(reference_cylinder_decomposition(gp, lam).cylinders)
@@ -1477,7 +1496,7 @@ def assert_diagram_matches_reference(gp: GeneralizedPermutation, lam: Sequence[i
     junction.update({("B", j): r + j for j in range(len(gp.bottom))})
     ref_geo = _Geometry(gp, lam)
     ref = _spectrum(ref_geo).segments
-    ends, crossings, lines, seg_of, other, start = suspension._diagram(suspension._Geometry(gp, lam))
+    ends, crossings, lines, seg_of, other, start = suspension._diagram(suspension._Geometry(suspension._Frame(gp), lam))
     assert ends == [tuple(sorted(map(junction.get, s.germs))) for s in ref]
     assert crossings == [s.crossings for s in ref]
     assert lines == [s.lines for s in ref]
@@ -1536,8 +1555,9 @@ def test_class_frames_match_cold_calls_and_the_reference_in_any_order(monkeypatc
         assert expected[-1] == vperm_outcome(reference_vertical_permutation, gp, lam)
     # class-major (the pass's own order), lambda-major (the k-th vector of
     # every class, then the next) and shuffled; every third read goes to an
-    # equal-rows copy with its own frame, and every seventh is followed by
-    # bad lengths for the object just read
+    # equal-rows copy, and every seventh is followed by bad lengths for the
+    # object just read.  A reading of the object read last keeps its frame,
+    # and any other object, an equal-rows copy too, gets a new one
     rank, seen = [], Counter()
     for gp, _ in read:
         rank.append(seen[id(gp)])
@@ -1546,19 +1566,26 @@ def test_class_frames_match_cold_calls_and_the_reference_in_any_order(monkeypatc
     lambda_major = sorted(class_major, key=rank.__getitem__)
     shuffled = random.Random(79).sample(class_major, len(read))
     twins: dict = {}
+    kept = Counter()
     for order in (class_major, lambda_major, shuffled):
         clear_readings(monkeypatch)
+        last = frame = None
         for step, t in enumerate(order):
             gp, lam = read[t]
             if step % 3 == 1:
                 gp = twins.setdefault(id(gp), GeneralizedPermutation.from_rows(gp.top, gp.bottom))
             assert vperm_outcome(vertical_permutation, gp, lam) == expected[t], (gp.render(), lam)
-            assert suspension._frame[0] is gp
+            last_gp, _, geo = suspension._last
+            assert last_gp is gp and (geo.frame is frame) == (gp is last)
+            kept[gp is last, gp.rows() == (last.rows() if last else None)] += 1
+            last, frame = gp, geo.frame
             if step % 7 == 3:
                 for bad in invalid_lengths(gp, lam):
                     with pytest.raises(Infeasible):
                         vertical_permutation(gp, bad)
     assert len(twins) == len(seen)
+    # frames kept, and new frames for the equal-rows copies and for other classes
+    assert min(kept[True, True], kept[False, True], kept[False, False]) > 100, kept
 
 
 def test_the_decomposition_holds_the_spectrum_of_its_reading(monkeypatch):

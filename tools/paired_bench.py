@@ -35,19 +35,23 @@ the machine's speed falls on both sides alike:
   times the best of 5 passes of ``SquareTiledCover.canonical_key``,
   ``apply_T`` and ``apply_S`` over every form; the sha256 of the keys, and
   of the images' rows, must agree between the sides;
-* the query chain per pair, 5 pairs in processes of its own: each
-  process reads each seed-0 ``queries`` pair with lengths as the
-  ``queries`` workload does, ``separatrix_spectrum``, then
-  ``cylinder_decomposition``, ``vertical_permutation`` on one cylinder,
-  ``build_cover`` and ``decode_one_cylinder``, one pair after another,
-  and times the best of 5 passes; where the layer probe times each
-  layer on its own, this one lets a layer reuse what the one before it
-  read.  The sha256 of the outputs must agree between the sides;
-* the vperm pass per class, 5 pairs in processes of its own: each
-  process times the best of 5 passes of ``classify._vperm_pairs`` over
-  each report stratum's classes with that stratum's move configuration,
-  lengths drawn, re-read and keyed as ``component_report`` does; the
-  sha256 of the yielded candidates must agree between the sides;
+* the query chain per pair and the vperm pass per class, in one process
+  that imports both checkouts under two package names and times one pass
+  of each side per round, ``ROUNDS`` rounds, the sides alternating first;
+  fresh-process pairs swing as much between processes on unchanged code
+  as the changes they would measure.  The query chain reads each seed-0
+  ``queries`` pair with lengths as the ``queries`` workload does,
+  ``separatrix_spectrum``, then ``cylinder_decomposition``,
+  ``vertical_permutation`` on one cylinder, ``build_cover`` and
+  ``decode_one_cylinder``, one pair after another; where the layer probe
+  times each layer on its own, this one lets a layer reuse what the one
+  before it read.  The vperm pass runs ``classify._vperm_pairs`` over each
+  report stratum's classes with that stratum's move configuration,
+  lengths drawn, re-read and keyed as ``component_report`` does, and
+  over all of them in one run.  Each side first makes one untimed pass,
+  and the sha256 of its outputs must agree between the sides.  The
+  summaries are of the per-round times and of the per-round change,
+  after over before;
 * one ``bench/run.py --workload report --trace 1`` run per side, for the
   enumeration's and the vperm pass's per-layer metrics.
 
@@ -101,15 +105,16 @@ print(times[0], min(times), len(classes), hashlib.sha256(text.encode()).hexdiges
 LAYER_PAIRS = 5  # fresh-process pairs of the layer probe
 LAYER_PASSES = 5  # passes per layer and input set in each process; the best is kept
 
-# the seed-0 queries pairs that get lengths, shared by the layer and chain probes
+# the seed-0 queries pairs that get lengths through the package api, shared by
+# the layer and the interleaved probes
 QUERY_INPUTS = """
-def query_inputs():
+def query_inputs(api):
     out = []
-    for text, lam_seed, _ in workloads.Queries(onecyl, workloads.FROZEN_SEED, False).setup_inputs():
-        gp = onecyl.GeneralizedPermutation.parse(text)
+    for text, lam_seed, _ in workloads.Queries(api, workloads.FROZEN_SEED, False).setup_inputs():
+        gp = api.GeneralizedPermutation.parse(text)
         try:
-            out.append((gp, onecyl.sample_admissible(gp, seed=lam_seed)))
-        except BoundTooSmall:
+            out.append((gp, api.sample_admissible(gp, seed=lam_seed)))
+        except api.errors.BoundTooSmall:
             pass
     return out
 """
@@ -149,7 +154,7 @@ q12 = [(gp,) for gp in onecyl.enumerate_stratum((12,))]
 q8 = onecyl.enumerate_stratum((8,))
 excise_layers = {"excisions": lambda gp: repr(onecyl.excisions(gp)),
                  "excise_simple_cylinder": lambda gp: outcome(onecyl.excise_simple_cylinder, gp)}
-probes = [(name, inputs, layers) for name, inputs in (("report", report_inputs()), ("queries", query_inputs()))]
+probes = [(name, inputs, layers) for name, inputs in (("report", report_inputs()), ("queries", query_inputs(onecyl)))]
 probes += [("q12", q12, excise_layers),
            ("bubbles", [(gp, s) for gp in q8 for s in workloads.BUBBLE_ANGLES],
             {"bubble": lambda gp, s: outcome(onecyl.bubble, gp, s)})]
@@ -193,53 +198,66 @@ for layer in ("canonical_key", "apply_T", "apply_S"):
 print(json.dumps(result))
 """
 
-# times the query chain per pair in a fresh interpreter, each layer handed the
-# same gp object and lengths as in the queries workload; argv: checkout root, passes
-CHAIN_PROBE = """
-import hashlib, json, sys, time
-sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
-import onecyl, workloads
-from onecyl.errors import BoundTooSmall
+ROUNDS = 20  # interleaved rounds of the query-chain and vperm-pass probe
+
+# times the query chain per pair and the vperm pass per class of both
+# checkouts in one interpreter, one pass of each side per round; argv: before
+# root, after root, rounds
+INTERLEAVED_PROBE = """
+import hashlib, importlib.util, json, sys, time
+before, after, rounds = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path.insert(0, after + "/bench")
+import workloads
+
+def load(name, root):
+    # the package imports itself relatively, so it loads under any name
+    spec = importlib.util.spec_from_file_location(
+        name, root + "/src/onecyl/__init__.py", submodule_search_locations=[root + "/src/onecyl"])
+    api = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(api)
+    return api
 """ + QUERY_INPUTS + """
-def chain(gp, lam):
-    spectrum = onecyl.separatrix_spectrum(gp, lam)
-    dec = onecyl.cylinder_decomposition(gp, lam)
-    vperm = onecyl.vertical_permutation(gp, lam) if len(dec.cylinders) == 1 else None
-    decoded = onecyl.suspension.decode_one_cylinder(onecyl.build_cover(gp, lam))
-    return repr((spectrum, dec, vperm, decoded))
+def chain_probe(api):
+    inputs = query_inputs(api)
 
-inputs = query_inputs()
-best = float("inf")
-for _ in range(int(sys.argv[2])):
-    t = time.perf_counter()
-    outputs = [chain(gp, lam) for gp, lam in inputs]
-    best = min(best, time.perf_counter() - t)
-digest = hashlib.sha256("\\n".join(outputs).encode()).hexdigest()
-print(json.dumps({"queries chain": [best / len(inputs) * 1e6, len(inputs), digest]}))
-"""
+    def run():
+        out = []
+        for gp, lam in inputs:
+            spectrum = api.separatrix_spectrum(gp, lam)
+            dec = api.cylinder_decomposition(gp, lam)
+            vperm = api.vertical_permutation(gp, lam) if len(dec.cylinders) == 1 else None
+            decoded = api.suspension.decode_one_cylinder(api.build_cover(gp, lam))
+            out.append(repr((spectrum, dec, vperm, decoded)))
+        return out
+    return {"queries chain": (run, len(inputs))}
 
+def vperm_probes(api):
+    probes = {}
+    for pattern in workloads.REPORT_STRATA:
+        config = api.MoveConfig(**workloads.Q12_CONFIG) if pattern == (12,) else api.MoveConfig()
+        classes = api.enumerate_stratum(pattern)
+        index = {gp.rows(): i for i, gp in enumerate(classes)}
 
-# times the vperm pass over each report stratum in a fresh interpreter, the
-# classes and candidate index as component_report builds them; argv: checkout
-# root, passes
-VPERM_PROBE = """
-import hashlib, json, sys, time
-sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
-import onecyl, workloads
-from onecyl import classify
+        def run(classes=classes, index=index, config=config):
+            return [repr(list(api.classify._vperm_pairs(classes, index, config, api.CALIBRATED_SYM, lambda i: i)))]
+        probes["Q(%s) vperm pass" % ",".join(map(str, pattern))] = (run, len(classes))
+    runs = list(probes.values())
+    probes["report strata vperm pass"] = (lambda: [x for run, _ in runs for x in run()], sum(n for _, n in runs))
+    return probes
 
+sides = {"before": load("onecyl_before", before), "after": load("onecyl_after", after)}
+probes = {name: {**chain_probe(api), **vperm_probes(api)} for name, api in sides.items()}
 result = {}
-for pattern in workloads.REPORT_STRATA:
-    config = onecyl.MoveConfig(**workloads.Q12_CONFIG) if pattern == (12,) else onecyl.MoveConfig()
-    classes = onecyl.enumerate_stratum(pattern)
-    index = {gp.rows(): i for i, gp in enumerate(classes)}
-    best = float("inf")
-    for _ in range(int(sys.argv[2])):
-        t = time.perf_counter()
-        pairs = list(classify._vperm_pairs(classes, index, config, onecyl.CALIBRATED_SYM, lambda i: i))
-        best = min(best, time.perf_counter() - t)
-    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
-    result["Q(%s) vperm pass" % ",".join(map(str, pattern))] = [best / len(classes) * 1e6, len(classes), digest]
+for key in probes["before"]:
+    digests = {name: hashlib.sha256("\\n".join(probes[name][key][0]()).encode()).hexdigest() for name in sides}
+    times = {name: [] for name in sides}
+    for i in range(rounds):
+        for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            run, count = probes[name][key]
+            t = time.perf_counter()
+            run()
+            times[name].append((time.perf_counter() - t) / count * 1e6)
+    result[key] = {"calls": probes["before"][key][1], "digests": digests, **times}
 print(json.dumps(result))
 """
 
@@ -330,6 +348,25 @@ def layers(sides: dict[str, Path], probe: str) -> dict:
     return out
 
 
+def interleaved(sides: dict[str, Path], rounds: int) -> dict:
+    cmd = [sys.executable, "-c", INTERLEAVED_PROBE, str(sides["before"]), str(sides["after"]), str(rounds)]
+    runs = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+    out: dict = {}
+    for key, run in runs.items():
+        if len(set(run["digests"].values())) != 1:
+            raise SystemExit("%s: the sides disagree: %r" % (key, run["digests"]))
+        out[key] = {
+            "calls": run["calls"],
+            "sha256": run["digests"]["before"],
+            "rounds": rounds,
+            "before_us": summary(run["before"]),
+            "after_us": summary(run["after"]),
+            "change": summary([a / b - 1 for a, b in zip(run["after"], run["before"])]),
+            "after_lower_in_rounds": sum(a < b for a, b in zip(run["after"], run["before"])),
+        }
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -359,8 +396,7 @@ def main() -> None:
     }
     result["layers_per_call_us"] = layers(sides, LAYER_PROBE)
     result["cover_layers_per_call_us"] = layers(sides, COVER_PROBE)
-    result["query_chain_per_pair_us"] = layers(sides, CHAIN_PROBE)
-    result["vperm_pass_per_class_us"] = layers(sides, VPERM_PROBE)
+    result["interleaved_per_item_us"] = interleaved(sides, ROUNDS)
     traced = {name: bench_run(root, "report", args.seed, args.seconds, 1) for name, root in sides.items()}
     result["traced_report"] = {metric: {name: traced[name][metric] for name in sides} for metric in TRACED}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
