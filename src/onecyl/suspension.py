@@ -507,29 +507,21 @@ def cylinder_decomposition(gp: GeneralizedPermutation, lam: Sequence[int]) -> Cy
     return CylinderDecomposition(tuple(cylinders), geo.spectrum, geo.w)
 
 
-def germ_sector_angles(
-    gp: GeneralizedPermutation,
-    side1: tuple[Germ, Germ],
-    side2: tuple[Germ, Germ],
+def junction_sector_angles(
+    cycle_of: list[int], turns: list[list[int]], side1: tuple[Germ, Germ], side2: tuple[Germ, Germ]
 ) -> tuple[int, int]:
     """Sector angles (s, complement) between two boundary germ pairs.
 
     Each pair is the (incoming, outgoing) junction of one boundary circle
     at the singularity; the pairs occupy adjacent wedges, and the
     remaining wedges split into the two sectors.  The singularity is the
-    cycle of :func:`onecyl.strata.junction_turn` through the first germ;
-    sector arithmetic is mod its junction count and the two sectors come
-    out as a sorted pair, so neither where the cycle starts nor which way
-    it turns changes an angle.  Raises NotSimple when the germs do not sit
-    around a single singularity.
+    cycle of :func:`onecyl.strata.junction_turn` through the first germ,
+    read off the class's ``cycles(junction_turn(...))``; sector arithmetic
+    is mod its junction count and the two sectors come out as a sorted
+    pair, so neither where the cycle starts nor which way it turns changes
+    an angle.  Raises NotSimple when the germs do not sit around a single
+    singularity.
     """
-    return junction_sector_angles(*cycles(junction_turn(gp.pairing(), len(gp.top))), side1, side2)
-
-
-def junction_sector_angles(
-    cycle_of: list[int], turns: list[list[int]], side1: tuple[Germ, Germ], side2: tuple[Germ, Germ]
-) -> tuple[int, int]:
-    """:func:`germ_sector_angles` off the class's ``cycles(junction_turn(...))``, read once per class."""
     cycle = turns[cycle_of[side1[0]]]
     germs = (*side1, *side2)
     if not all(g in cycle for g in germs):
@@ -562,12 +554,16 @@ def simple_cylinder_angle(
     singularity; the four boundary germs cut its cone angle into the two
     cylinder-side sectors of angle pi and two complementary sectors of
     s*pi and (k-s)*pi at an order-k point.  The smaller label comes first.
+    ``lam`` is checked, and the junction turn is read off the class frame
+    of the (gp, lam) reading, so right after that reading's decomposition
+    only the turn's cycles are built.
     """
+    turn, _ = _reading(gp, lam).frame.turns
     if not cylinder.simple:
         raise NotSimple("cylinder has a multi-segment boundary side")
     (pass1,) = cylinder.sides[0].passages
     (pass2,) = cylinder.sides[1].passages
-    return germ_sector_angles(gp, pass1, pass2)
+    return junction_sector_angles(*cycles(turn), pass1, pass2)
 
 
 # -- vertical permutation (quarter turn of a one-cylinder direction) -----

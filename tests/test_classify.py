@@ -39,12 +39,12 @@ from onecyl.errors import (
     SizeLimit,
 )
 from onecyl.genperm import SymmetryGroup
-from onecyl.strata import SingularityPattern, match_component
+from onecyl.strata import SingularityPattern, cycles, junction_turn, match_component
 from onecyl.suspension import (
     all_ones,
     build_cover,
     decode_one_cylinder,
-    germ_sector_angles,
+    junction_sector_angles,
     minimal_admissible,
     orbit_forms,
     sample_admissible,
@@ -567,7 +567,8 @@ def test_head_cylinders_match_the_rotated_presentations():
             if b < 0:
                 continue
             try:
-                expected.append(((a, b), *germ_sector_angles(gp.rotated(a, b), (0, r), (1, r + 1))))
+                turn = junction_turn(gp.rotated(a, b).pairing(), r)
+                expected.append(((a, b), *junction_sector_angles(*cycles(turn), (0, r), (1, r + 1))))
             except NotSimple:
                 skipped += 1
         assert list(classify._head_cylinders(gp)) == expected, gp.render()

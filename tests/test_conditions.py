@@ -15,7 +15,8 @@ from onecyl import (
 from onecyl.classify import Excision, excisions
 from onecyl.conditions import RedDecomposition, WeakSplit, check_red_decomposition, check_weak_split
 from onecyl.errors import NotSimple
-from onecyl.suspension import germ_sector_angles
+from onecyl.strata import cycles, junction_turn
+from onecyl.suspension import junction_sector_angles
 
 from word_pass import _letter_sequences
 
@@ -263,7 +264,7 @@ def ref_excisions(gp: GeneralizedPermutation) -> list[Excision]:
     for (a, b), rot in ref_head_rotations(gp):
         try:
             r = len(rot.top)
-            s, comp = germ_sector_angles(rot, (0, r), (1, r + 1))
+            s, comp = junction_sector_angles(*cycles(junction_turn(rot.pairing(), r)), (0, r), (1, r + 1))
         except NotSimple:
             continue
         restricted = rot.restrict()

@@ -46,7 +46,7 @@ from onecyl.errors import (
     SizeLimit,
     TraceBudgetExceeded,
 )
-from onecyl.strata import junction_turn, vertex_cycles
+from onecyl.strata import cycles, junction_turn, vertex_cycles
 from onecyl.suspension import (
     Cylinder,
     CylinderDecomposition,
@@ -57,7 +57,7 @@ from onecyl.suspension import (
     _inv,
     check_admissible,
     decode_one_cylinder,
-    germ_sector_angles,
+    junction_sector_angles,
     lam_from_positions,
     orbit_forms,
 )
@@ -301,6 +301,17 @@ def test_not_simple_raises():
     other = next(c for c in dec.cylinders if not c.simple)
     with pytest.raises(NotSimple):
         simple_cylinder_angle(gp, all_ones(gp), other)
+
+
+def test_simple_cylinder_angle_checks_the_lengths():
+    gp = irreducible_rep("12-I")  # 1 2 3 4 2 5 6 / 1 4 5 7 6 7 3
+    lam = all_ones(gp)
+    simple = next(c for c in cylinder_decomposition(gp, lam).cylinders if c.simple)
+    # a zero length, and letter 2 doubled on top, unbalanced; right after the reading at lam
+    for bad in ((0, *lam[1:]), (1, 2, *lam[2:])):
+        with pytest.raises(Infeasible):
+            simple_cylinder_angle(gp, bad, simple)
+    assert simple_cylinder_angle(gp, lam, simple) == (2, 10)
 
 
 def test_quoted_angle_table():
@@ -716,10 +727,10 @@ def test_decode_reads_back_the_smoothed_class(pair):
         assert decoded.equivalent(smooth_marked_points(gp), CALIBRATED_SYM)
 
 
-def test_germ_sector_angles_rejects_split_vertices():
+def test_junction_sector_angles_rejects_split_vertices():
     gp = GP("1 1 2 / 3 2 3")  # three singularities
     with pytest.raises(NotSimple):
-        germ_sector_angles(gp, (0, 3), (1, 4))
+        junction_sector_angles(*cycles(junction_turn(gp.pairing(), len(gp.top))), (0, 3), (1, 4))
 
 
 def reference_germ_sector_angles(
@@ -764,10 +775,12 @@ def sector_outcomes(cases) -> Counter:
     """
     outcomes: Counter = Counter()
     for gp, side1, side2 in cases:
+        turns = cycles(junction_turn(gp.pairing(), len(gp.top)))
         got = []
-        for angles in (germ_sector_angles, reference_germ_sector_angles):
+        for angles in (lambda: junction_sector_angles(*turns, side1, side2),
+                       lambda: reference_germ_sector_angles(gp, side1, side2)):
             try:
-                got.append(angles(gp, side1, side2))
+                got.append(angles())
             except (NotSimple, AssertionError) as exc:
                 got.append(type(exc).__name__)
         assert got[0] == got[1], (gp.render(), side1, side2)
@@ -1636,6 +1649,7 @@ def test_only_the_cylinder_readings_turn_germs(monkeypatch):
     monkeypatch.setattr(strata, "junction_turn", counted("strata"))
     monkeypatch.setattr(suspension, "junction_turn", counted("suspension"))
     readings = (separatrix_spectrum, cylinder_decomposition, vertical_permutation, build_cover)
+    angles = 0
     for gp, lam in itertools.islice(reference_pairs(), 40):
         own = gp.pairing()
         # each reading on its own equal-rows copy, so none finds a turn another
@@ -1653,6 +1667,15 @@ def test_only_the_cylinder_readings_turn_germs(monkeypatch):
                 frames.append(turned.count(("suspension", own)))
                 every.append(len(turned))
             assert frames == frame_turns and every[:2] == [0, 1], (frames, every)
+        # the angle of a simple cylinder reads the turn of the one-object round's frame
+        turned.clear()
+        for cylinder in cylinder_decomposition(gp, lam).cylinders:
+            if cylinder.simple:
+                with contextlib.suppress(NotSimple):
+                    simple_cylinder_angle(gp, lam, cylinder)
+                    angles += 1
+        assert turned == [], turned
+    assert angles
 
 
 @pytest.mark.parametrize("c", [3, 10**6])
