@@ -11,14 +11,18 @@ lexicographically minimal among its images under the symmetries that
 keep its type is kept, so each class is met exactly once and
 canonicalized once (Read 1978; McKay 1998).  The images are the orders
 of :func:`onecyl.genperm.position_orders`, compared by the same code as
-the canonical key.  With row rotations the walk breaks the symmetry as
-it pairs cell 0: its partner is the top cell delta, the least cyclic
+the canonical key, one class of orders that read the same top row at a
+time: a class is compared on that row once, and its members one by one
+only where it ties.  With row rotations the walk breaks the symmetry
+as it pairs: cell 0's partner is the top cell delta, the least cyclic
 distance between twin cells of the top row, and no closer same-row pair
 follows, because the rotation that moves a closest twin pair to cells
 (0, delta) reads 0 at code entry delta, below the identity unless
-``pair[0] == delta``.  Only pairings that would fail the minimality test
-are skipped.  Classes merge when a geometric move
-certifies they lie in one connected component:
+``pair[0] == delta``; and once a top cell pairs with the bottom row,
+cell r pairs with the least such top cell, because the bottom rotation
+that starts at that cell's partner reads it at entry r.  Only pairings
+that would fail the minimality test are skipped.  Classes merge when a
+geometric move certifies they lie in one connected component:
 
 * re-reading a single-vertical-cylinder suspension along the vertical
   (a sampled-length move within the stratum; the lengths are drawn once
@@ -96,27 +100,41 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
 
     :func:`onecyl.strata.walk_pairings` builds the pairings with a doubled
     letter in each row and those orders, and none when the orders do not
-    fill r + l junctions.  Given ``sym``, it builds only those whose cell 0
-    pairs with the closest twins when ``sym`` rotates the rows: the top
-    rotation that moves a closest twin pair of the top row to cells
-    (0, delta) reads 0 at code entry delta, so the identity can be least
-    only if ``pair[0] == delta``.  A pairing survives when it is the minimum
-    of its same-type orbit; each class has exactly one such pairing, so it
-    pays for exactly one full canonical key, and for one re-check of its
-    orders by the strata readers: :func:`onecyl.strata.single_vertex` for a
-    one-order pattern, whose one order is then r + l - 2.
+    fill r + l junctions.  Given ``sym`` with row rotations, it builds only
+    those whose cell 0 pairs with the closest twins of the top row and
+    whose cell r pairs with the least top cell that pairs with the bottom,
+    since a top or a bottom rotation reads a smaller code otherwise.  A
+    pairing survives when it is the minimum of its same-type orbit.  The
+    orders of that part of ``sym`` come in classes that read one top row
+    (:func:`onecyl.genperm.position_orders`), so each class is compared
+    with the identity once, on code entries 1..r-1: below rejects the
+    pairing, above passes the whole class, and only a tie compares its
+    members from entry r on.  The identity's own class always ties.  Each
+    class has exactly one surviving pairing, so it pays for exactly one
+    full canonical key, and for one re-check of its orders by the strata
+    readers: :func:`onecyl.strata.single_vertex` for a one-order pattern,
+    whose one order is then r + l - 2.
     """
     minimal = want is not None and len(want) == 1
     # group r of the orders table is the part of the sym group that keeps
-    # type (r, l); the first member of its first class is the identity
-    moves = [m for entry in position_orders(r, l, sym)[r] for m in entry[2]][1:]
+    # type (r, l); its first class holds the identity, its first member
+    own, *others = position_orders(r, l, sym)[r]
+    ties = own[2][1:]
     keys: list = []
 
     def leaf(pair: list[int]) -> None:
         code = [j if j < i else i for i, j in enumerate(pair)]  # the identity's code
-        for order, inverse in moves:
-            if code_below(pair, order, inverse, code):
+        for order, inverse in ties:
+            if code_below(pair, order, inverse, code, r) < 0:
                 return
+        for order, inverse, members in others:
+            top = code_below(pair, order, inverse, code, 1, r)
+            if top < 0:
+                return
+            if not top:
+                for member, member_inverse in members:
+                    if code_below(pair, member, member_inverse, code, r) < 0:
+                        return
         if not (single_vertex(pair, r) if minimal else want is None or pattern_orders(pair, r) == want):
             raise AssertionError("walk_pairings gave %r, not of orders %r" % (pair, want))
         keys.append(canonical_key(pair, r, sym))

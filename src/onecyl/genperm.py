@@ -23,7 +23,9 @@ relabeled letter rows, through one kernel per question.
 every order in lockstep, one per class while the top row is read, and
 keeps those at the least code entry.  The enumeration asks whether any
 order lies below the identity: :func:`code_below` compares one order
-with a given code and stops at its first difference.
+with a given code over a range of entries and stops at its first
+difference, once per class on the shared top row and per member only
+below a tie.
 """
 
 from __future__ import annotations
@@ -135,8 +137,17 @@ def position_orders(r: int, l: int, sym: SymmetryGroup) -> dict[int, tuple]:
     }
 
 
-def code_below(pair: Sequence[int], order: Sequence[int], inverse: Sequence[int], code: Sequence[int]) -> bool:
-    """True iff the pairing read in ``order`` has a smaller code than ``code``.
+def code_below(
+    pair: Sequence[int],
+    order: Sequence[int],
+    inverse: Sequence[int],
+    code: Sequence[int],
+    start: int = 0,
+    stop: int | None = None,
+) -> int:
+    """Compare the pairing read in ``order`` with ``code`` at entries
+    start..stop-1 (to the end without ``stop``): negative if its code is
+    smaller there, positive if larger, 0 if they agree.
 
     A code relabels by first appearance incrementally: cell i reads the
     position of its letter's first cell, or i for a new letter.  Two
@@ -145,15 +156,17 @@ def code_below(pair: Sequence[int], order: Sequence[int], inverse: Sequence[int]
     letter is above every earlier one, and old letters go by their first
     cells), so the comparison stops at the first differing cell.  This
     answers "is any order below the identity" for the orderly enumeration,
-    where almost every order loses at its first few cells.
+    where almost every order differs within its first few cells: a class
+    of orders that read one top row is compared once on that row, and its
+    members one by one only where it ties.
     """
-    for i, pos in enumerate(order):
-        j = inverse[pair[pos]]
+    for i in range(start, len(order) if stop is None else stop):
+        j = inverse[pair[order[i]]]
         if j > i:
             j = i
         if j != code[i]:
-            return j < code[i]
-    return False
+            return j - code[i]
+    return 0
 
 
 def _keep_least(pair: Sequence[int], live: Sequence[tuple], start: int, stop: int) -> Sequence[tuple]:

@@ -19,7 +19,8 @@ reader), in the rotational order that angle computations consume,
 the minimal-stratum test.  :func:`walk_pairings` runs the turn the other
 way round: it builds every pairing with given singularity orders along
 it, for the enumeration, or, given a symmetry group with row rotations,
-only those whose cell 0 pairs with the closest twins of the top row.
+only those whose cell 0 pairs with the closest twins of the top row and
+whose cell r pairs with the least top cell that pairs with the bottom.
 """
 
 from __future__ import annotations
@@ -128,8 +129,19 @@ def walk_pairings(
     cell 0, so it tries only top partners c with 2c <= r, and after that
     no top-top pair at cyclic distance below c.  With row swap and
     r == p - r the swapped orders keep the type and read the bottom row
-    first, so the same holds for bottom-bottom pairs.  Without ``sym``, or
-    without rotations, every pairing is built.
+    first, so the same holds for bottom-bottom pairs.
+
+    The bottom rotations break too.  The order that keeps the top row and
+    starts the bottom row at cell u reads the identity's code below entry
+    r, and at entry r reads ``pair[u]`` if that is a top cell, else r; the
+    identity reads ``pair[r]`` or r the same way.  So once some top cell
+    pairs with the bottom row, the identity is least only if ``pair[r]`` is
+    the least such top cell.  The walk refuses cell r a bottom partner
+    while a top-bottom pair exists, a top partner t while a top cell below
+    t pairs with the bottom row, and any other top-bottom pair (t, u) once
+    ``pair[r]`` is on the bottom row or above t; a flag per top cell
+    records its bottom partner.  Without ``sym``, or without rotations,
+    every pairing is built.
     """
     if r < 2 or p - r < 2 or (want is not None and sum(k + 2 for k in want) != p):
         return
@@ -149,6 +161,7 @@ def walk_pairings(
     rotate = sym is not None and sym.rotate_rows
     guard = (rotate, rotate and sym.swap_rows and 2 * r == p)
     span = (r, p - r)
+    down = [False] * r  # down[t]: top cell t pairs with the bottom row
 
     def join(u: int, v: int) -> int:
         # the step u -> v from a chain's last cell to a chain's first:
@@ -186,10 +199,20 @@ def walk_pairings(
                 continue
             rc = c >= r
             same = rd == rc
-            if same and guard[rc]:
-                gap = c - d if c > d else d - c
-                if gap < pair[0] or span[rc] - gap < pair[0]:
+            t = -1  # the top cell of a top-bottom pair under rotations
+            if same:
+                if guard[rc]:
+                    gap = c - d if c > d else d - c
+                    if gap < pair[0] or span[rc] - gap < pair[0]:
+                        continue
+                if rotate and r in (c, d) and True in down:
                     continue
+            elif rotate:
+                # cell r pairs with the least top cell that pairs with the bottom
+                t, u = (d, c) if rc else (c, d)
+                if (True in down[:t]) if u == r else pair[r] > t:
+                    continue
+                down[t] = True
             free[rc] -= 1
             twins[rc] += same
             if (twins[0] or free[0] > 1) and (twins[1] or free[1] > 1):
@@ -212,6 +235,8 @@ def walk_pairings(
                     split(d, turn[c], first)
             free[rc] += 1
             twins[rc] -= same
+            if t >= 0:
+                down[t] = False
         free[rd] += 1
         pair[d] = -1
 

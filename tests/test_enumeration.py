@@ -25,10 +25,15 @@
   ``word_pass``, against the walk's keys for every type with p <= 12 and
   every multiset of orders;
 * the walk with no group, which builds every pairing, against the walk
-  given each of the eight groups: the closest-twin rule, read off each
-  whole pairing, keeps every pairing that passes the orderly test, and
-  the walk given the group emits exactly the pairings that keep it;
-* sha256 digests of class lists rendered before orderly generation;
+  given each of the eight groups: the closest-twin and least-bottom-partner
+  rules, read off each whole pairing, keep every pairing that passes the
+  orderly test, and the walk given the group emits exactly the pairings
+  that keep both;
+* the enumeration leaf, which compares each class of orders once on its
+  shared top row, against the loop over every order of the group, on
+  every pairing the walk builds with no group;
+* sha256 digests of class lists rendered before orderly generation, and
+  of Q(-1,13) before the walk broke the bottom rotations;
 * every enumerated class is its own canonical form.
 """
 
@@ -141,7 +146,7 @@ def sequential_canonical_key(
     for n, orders in reference_position_orders(len(top), len(bottom), sym).items():
         code = None
         for order, inverse in orders:
-            if code is None or code_below(pair, order, inverse, code):
+            if code is None or code_below(pair, order, inverse, code) < 0:
                 code, least = [min(inverse[pair[pos]], i) for i, pos in enumerate(order)], order
         cells = [word[pos] for pos in least]
         key = _relabel_key(cells[:n], cells[n:])
@@ -445,13 +450,29 @@ def _keeps_closest_twins(pair: Sequence[int], r: int, sym: SymmetryGroup) -> boo
     return pair[0] == top and not (sym.swap_rows and r == l and least(r, l) < top)
 
 
+def _keeps_least_bottom_partner(pair: Sequence[int], r: int, sym: SymmetryGroup) -> bool:
+    """The bottom rule read off a whole pairing: with rotations, once some
+    top cell pairs with the bottom row, cell r pairs with the least such
+    top cell."""
+    if not sym.rotate_rows:
+        return True
+    crossing = [t for t in range(r) if pair[t] >= r]
+    return not crossing or pair[r] == crossing[0]
+
+
+# (pruned, built) pattern-free pairings over the eight groups, per p: the
+# walk prunes some but not all from p = 6 on
+PRUNED_OF_BUILT = {4: (0, 8), 6: (36, 120), 8: (652, 1608), 10: (10084, 22680), 12: (162534, 349560)}
+
+
 @pytest.mark.parametrize("p", range(4, 13, 2))
 def test_the_pruned_walk_emits_the_closest_twin_pairings(p):
     """The walk with no group builds every pairing of each type with p
     cells, pattern-free and, below 12 cells, for each multiset of orders.
     Under each of the eight groups, every pairing that passes the orderly
-    test keeps the closest-twin rule, and the walk given the group emits
-    exactly the pairings that keep it, in the same order."""
+    test keeps the closest-twin rule and the least-bottom-partner rule,
+    and the walk given the group emits exactly the pairings that keep
+    both, in the same order."""
     built = pruned = 0
     for r in range(1, p):
         for want in [None, *_order_multisets(p)] if p < 12 else [None]:
@@ -460,14 +481,47 @@ def test_the_pruned_walk_emits_the_closest_twin_pairings(p):
             for sym in ALL_SYMS:
                 got: list = []
                 walk_pairings(r, p, want, lambda pair: got.append(tuple(pair)), sym)
-                assert got == [pair for pair in every if _keeps_closest_twins(pair, r, sym)], (r, want, sym)
+                kept = [
+                    pair
+                    for pair in every
+                    if _keeps_closest_twins(pair, r, sym) and _keeps_least_bottom_partner(pair, r, sym)
+                ]
+                assert got == kept, (r, want, sym)
                 if want is None:
                     built, pruned = built + len(every), pruned + len(every) - len(got)
                     moves = [m for entry in position_orders(r, p - r, sym)[r] for m in entry[2]][1:]
                     for pair in set(every).difference(got):
                         code = [j if j < i else i for i, j in enumerate(pair)]
-                        assert any(code_below(pair, order, inverse, code) for order, inverse in moves), (pair, r, sym)
-    assert 0 < pruned < built or p == 4
+                        assert any(code_below(pair, order, inverse, code) < 0 for order, inverse in moves), (pair, r, sym)
+    assert (pruned, built) == PRUNED_OF_BUILT[p]
+
+
+@pytest.mark.parametrize("p", range(4, 11, 2))
+def test_the_class_wise_leaf_test_accepts_what_the_member_loop_accepts(p, monkeypatch):
+    """Every pairing the walk builds with no group goes to the enumeration
+    leaf under each of the eight groups.  The leaf compares each class of
+    orders once on its shared top row and its members only below a tie;
+    it accepts exactly the pairings that no order of the group keeping the
+    type reads below the identity, member by member from entry 0."""
+    accepted: list = []
+    monkeypatch.setattr(classify, "walk_pairings", lambda r, p, want, emit, sym: walk_pairings(r, p, want, emit))
+    monkeypatch.setattr(classify, "canonical_key", lambda pair, r, sym: accepted.append(tuple(pair)))
+    for r in range(2, p - 1):
+        every: list = []
+        walk_pairings(r, p, None, lambda pair: every.append(tuple(pair)))
+        for sym in ALL_SYMS:
+            moves = [m for entry in position_orders(r, p - r, sym)[r] for m in entry[2]][1:]
+            least = [
+                pair
+                for pair in every
+                if not any(
+                    code_below(pair, order, inverse, [j if j < i else i for i, j in enumerate(pair)]) < 0
+                    for order, inverse in moves
+                )
+            ]
+            accepted.clear()
+            _orderly_keys(r, p - r, None, sym)
+            assert accepted == least and least, (r, sym)
 
 
 def test_each_class_is_rechecked_once_by_the_strata_readers(monkeypatch):
@@ -525,8 +579,9 @@ def test_position_orders_match_the_flat_reference_table():
 
 
 # sha256 of "\n".join(class renders): the first six computed before orderly
-# generation landed, the two 16-cell strata on the word pass that preceded
-# walk-directed generation
+# generation landed, Q(2,2,2,2) and Q(-1,3,3,3) on the word pass that
+# preceded walk-directed generation, and Q(-1,13) on the walk before it
+# broke the bottom-row rotations
 FROZEN_CLASS_LISTS = {
     (8,): (7, "fcad311238ee0e90319594ba7506fed800035068ae835469b1c4936533c12660"),
     (-1, 5): (2, "85dca3b2a32d0ed85bcbcd6ea0e5e113bb380b67f41e1631c2d12993fe0856c0"),
@@ -536,6 +591,7 @@ FROZEN_CLASS_LISTS = {
     (-1, 3, 6): (460, "dd87fefac91212fbcf04bb8f51d4f2fb09ecbccc6d1fb30c5e4561beb0825134"),
     (2, 2, 2, 2): (44, "8865209ab73cbe056699700dcd394e7802d9c8a84de2d0021e8f2248d763ecbe"),
     (-1, 3, 3, 3): (364, "9e0ec3735cfd181182e5e2d35ffbf10c0ff2c28dc615ff2a26c7b7cf0d7f1667"),
+    (-1, 13): (17100, "38f93fa7273dc4ecbe37cbb511affc9dedb48b8d928f8f48d0b5bda6e7667740"),
 }
 
 

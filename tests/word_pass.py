@@ -1,5 +1,6 @@
-"""The word pass that preceded walk-directed enumeration, kept verbatim as
-the oracle for ``classify._orderly_keys``: every split of every relabeled
+"""The word pass that preceded walk-directed enumeration, kept verbatim
+(but for reading ``code_below``'s three-way result as "below") as the
+oracle for ``classify._orderly_keys``: every split of every relabeled
 word is filtered by the strata readers, then by the orderly minimality
 test.  ``_letter_sequences`` also feeds the exhaustive split corpora of
 the conditions tests.
@@ -66,6 +67,6 @@ def _orderly_keys(
             elif want is not None and pattern_orders(pair, r) != want:
                 continue
             code = [j if j < i else i for i, j in enumerate(pair)]  # the identity's code
-            if not any(code_below(pair, order, inverse, code) for order, inverse in moves[r]):
+            if not any(code_below(pair, order, inverse, code) < 0 for order, inverse in moves[r]):
                 keys[r].append(canonical_key(pair, r, sym))
     return keys

@@ -13,12 +13,15 @@ runs go to fresh processes, every per-call key to one process:
   pair (``--before`` first on even pairs), so that a phase of the
   machine's speed falls on both sides alike;
 * per call, one process that imports both checkouts under two package
-  names and times every key ``ROUNDS`` rounds, one pass of each side per
-  round, the sides alternating which goes first.  Each side first makes
-  one untimed pass, and the sha256 of its outputs must agree between the
-  sides, so every figure is of warm calls.  Fresh-process pairs swing as
-  much between processes on unchanged code as the changes they would
-  measure.  The keys, each over the same inputs on both sides:
+  names.  Each side first makes one untimed pass of every key, and the
+  sha256 of its outputs must agree between the sides, so every figure is
+  of warm calls.  Then come ``ROUNDS`` rounds; a round makes one pass of
+  each side of every key in turn, the sides alternating which goes first
+  from round to round, and round i of every key runs before round i + 1
+  of any, so a slow phase of the machine spreads over all keys instead of
+  landing whole on a few.  Fresh-process pairs swing as much between
+  processes on unchanged code as the changes they would measure.  The
+  keys, each over the same inputs on both sides:
 
   - ``enumerate_stratum`` per stratum of ``STRATA`` and pattern-free
     ``enumerate_type`` per type of ``TYPES``, digested as the rendered
@@ -78,8 +81,9 @@ TRACED = (
 )
 ROUNDS = 20  # interleaved rounds of every per-call key
 
-# times every per-call key of both checkouts in one interpreter, one pass of
-# each side per round; argv: before root, after root, rounds
+# times every per-call key of both checkouts in one interpreter, every key
+# once per round and one pass of each side per key; argv: before root,
+# after root, rounds
 PROBE = """
 import hashlib, importlib.util, itertools, json, sys, time
 before, after, rounds = sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -184,15 +188,15 @@ for key in probes["before"]:
     for name in sides:
         run, _, lines = probes[name][key]
         digests[name] = hashlib.sha256("\\n".join(lines(run())).encode()).hexdigest()
-    times = {name: [] for name in sides}
-    for i in range(rounds):
+    result[key] = {"calls": probes["before"][key][1], "digests": digests, **{name: [] for name in sides}}
+for i in range(rounds):
+    for key in result:
         for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             run, count, _ = probes[name][key]
             t = time.perf_counter()
             run()
-            times[name].append((time.perf_counter() - t) / count * 1e6)
-    result[key] = {"calls": probes["before"][key][1], "digests": digests, **times}
-    print(key, times, file=sys.stderr, flush=True)
+            result[key][name].append((time.perf_counter() - t) / count * 1e6)
+    print("round", i, file=sys.stderr, flush=True)
 print(json.dumps(result))
 """
 
