@@ -10,18 +10,19 @@ pairings in the stratum are ever built.  Of those only the one that is
 lexicographically minimal among its images under the symmetries that
 keep its type is kept, so each class is met exactly once and
 canonicalized once (Read 1978; McKay 1998).  The images are the orders
-of :func:`onecyl.genperm.position_orders`, compared by the same code as
-the canonical key, one class of orders that read the same top row at a
-time: a class is compared on that row once, and its members one by one
-only where it ties.  With row rotations the walk breaks the symmetry
-as it pairs: cell 0's partner is the top cell delta, the least cyclic
-distance between twin cells of the top row, and no closer same-row pair
-follows, because the rotation that moves a closest twin pair to cells
-(0, delta) reads 0 at code entry delta, below the identity unless
-``pair[0] == delta``; and once a top cell pairs with the bottom row,
-cell r pairs with the least such top cell, because the bottom rotation
-that starts at that cell's partner reads it at entry r.  Only pairings
-that would fail the minimality test are skipped.  Classes merge when a
+of :func:`onecyl.genperm.position_orders`, compared by the canonical
+key's own lockstep kernel :func:`onecyl.genperm.keep_least`: a class of
+orders that read the same top row is read on that row as one order, and
+only the members of the classes least there are read after it.  With
+row rotations the walk breaks the symmetry as it pairs: cell 0's
+partner is the top cell delta, the least cyclic distance between twin
+cells of the top row, and no closer same-row pair follows, because the
+rotation that moves a closest twin pair to cells (0, delta) reads 0 at
+code entry delta, below the identity unless ``pair[0] == delta``; and
+once a top cell pairs with the bottom row, cell r pairs with the least
+such top cell, because the bottom rotation that starts at that cell's
+partner reads it at entry r.  Only pairings that would fail the
+minimality test are skipped.  Classes merge when a
 geometric move certifies they lie in one connected component:
 
 * re-reading a single-vertical-cylinder suspension along the vertical
@@ -64,7 +65,7 @@ from .genperm import (
     GeneralizedPermutation,
     SymmetryGroup,
     canonical_key,
-    code_below,
+    keep_least,
     position_orders,
 )
 from .strata import (
@@ -106,10 +107,12 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
     since a top or a bottom rotation reads a smaller code otherwise.  A
     pairing survives when it is the minimum of its same-type orbit.  The
     orders of that part of ``sym`` come in classes that read one top row
-    (:func:`onecyl.genperm.position_orders`), so each class is compared
-    with the identity once, on code entries 1..r-1: below rejects the
-    pairing, above passes the whole class, and only a tie compares its
-    members from entry r on.  The identity's own class always ties.  Each
+    (:func:`onecyl.genperm.position_orders`), the identity's class first
+    and the identity first in it, and :func:`onecyl.genperm.keep_least`
+    keeps entries in their input order.  So the pairing survives when the
+    identity's class comes first among the classes least on code entries
+    1..r-1, each class read there as one order, and the identity first
+    among the members of those classes least from entry r on.  Each
     class has exactly one surviving pairing, so it pays for exactly one
     full canonical key, and for one re-check of its orders by the strata
     readers: :func:`onecyl.strata.single_vertex` for a one-order pattern,
@@ -118,23 +121,17 @@ def _orderly_keys(r: int, l: int, want: tuple[int, ...] | None, sym: SymmetryGro
     minimal = want is not None and len(want) == 1
     # group r of the orders table is the part of the sym group that keeps
     # type (r, l); its first class holds the identity, its first member
-    own, *others = position_orders(r, l, sym)[r]
-    ties = own[2][1:]
+    group = position_orders(r, l, sym)[r]
+    own = group[0]
+    identity = own[2][0]
     keys: list = []
 
     def leaf(pair: list[int]) -> None:
-        code = [j if j < i else i for i, j in enumerate(pair)]  # the identity's code
-        for order, inverse in ties:
-            if code_below(pair, order, inverse, code, r) < 0:
-                return
-        for order, inverse, members in others:
-            top = code_below(pair, order, inverse, code, 1, r)
-            if top < 0:
-                return
-            if not top:
-                for member, member_inverse in members:
-                    if code_below(pair, member, member_inverse, code, r) < 0:
-                        return
+        live = keep_least(pair, group, 1, r)  # one order per class while the top row is read
+        if live[0] is not own:
+            return
+        if keep_least(pair, [m for e in live for m in e[2]], r, len(pair))[0] is not identity:
+            return
         if not (single_vertex(pair, r) if minimal else want is None or pattern_orders(pair, r) == want):
             raise AssertionError("walk_pairings gave %r, not of orders %r" % (pair, want))
         keys.append(canonical_key(pair, r, sym))

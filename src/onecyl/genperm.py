@@ -18,14 +18,11 @@ is the one table of that action: its orders come grouped by the length
 of the top row they read, and within a group in classes that read the
 same top row.  Canonical keys and the orderly enumeration both compare
 words by the first-appearance code of their position pairing, never by
-relabeled letter rows, through one kernel per question.
-:func:`canonical_key` asks which order reads the least word: it walks
+relabeled letter rows, through one kernel: :func:`keep_least` walks
 every order in lockstep, one per class while the top row is read, and
-keeps those at the least code entry.  The enumeration asks whether any
-order lies below the identity: :func:`code_below` compares one order
-with a given code over a range of entries and stops at its first
-difference, once per class on the shared top row and per member only
-below a tie.
+keeps those at the least code entry.  :func:`canonical_key` reads the
+word of the order it keeps; the enumeration keeps a pairing when the
+identity is the first order kept.
 """
 
 from __future__ import annotations
@@ -137,47 +134,23 @@ def position_orders(r: int, l: int, sym: SymmetryGroup) -> dict[int, tuple]:
     }
 
 
-def code_below(
-    pair: Sequence[int],
-    order: Sequence[int],
-    inverse: Sequence[int],
-    code: Sequence[int],
-    start: int = 0,
-    stop: int | None = None,
-) -> int:
-    """Compare the pairing read in ``order`` with ``code`` at entries
-    start..stop-1 (to the end without ``stop``): negative if its code is
-    smaller there, positive if larger, 0 if they agree.
+def keep_least(pair: Sequence[int], live: Sequence[tuple], start: int, stop: int) -> Sequence[tuple]:
+    """The (order, inverse, ...) entries of ``live`` whose codes are least
+    at entries start..stop-1, in their input order.
 
-    A code relabels by first appearance incrementally: cell i reads the
-    position of its letter's first cell, or i for a new letter.  Two
-    words agree up to cell i exactly when their relabeled prefixes agree,
-    and then the codes order cell i as the relabeled letters do (a new
-    letter is above every earlier one, and old letters go by their first
-    cells), so the comparison stops at the first differing cell.  This
-    answers "is any order below the identity" for the orderly enumeration,
-    where almost every order differs within its first few cells: a class
-    of orders that read one top row is compared once on that row, and its
-    members one by one only where it ties.
-    """
-    for i in range(start, len(order) if stop is None else stop):
-        j = inverse[pair[order[i]]]
-        if j > i:
-            j = i
-        if j != code[i]:
-            return j - code[i]
-    return 0
-
-
-def _keep_least(pair: Sequence[int], live: Sequence[tuple], start: int, stop: int) -> Sequence[tuple]:
-    """The (order, inverse, ...) entries of ``live`` whose codes (see
-    :func:`code_below`) are least at entries start..stop-1.
-
-    Every order is read in lockstep: step i reads code entry i of each
-    live order and keeps the orders at the least entry, until one is left;
-    orders still tied at ``stop`` agree on all those entries.  This answers
-    "which order reads the least word" for :func:`canonical_key`, without
-    building any full code.
+    The code of the pairing read in an order relabels by first appearance
+    incrementally: entry i reads the position of the mate of cell i if
+    that came earlier, or i for a new letter.  Two words agree up to cell
+    i exactly when their relabeled prefixes agree, and then the codes
+    order cell i as the relabeled letters do (a new letter is above every
+    earlier one, and old letters go by their first cells), so codes order
+    words as their relabeled rows do.  Every order is read in lockstep:
+    step i reads code entry i of each live order and keeps the orders at
+    the least entry, until one is left; orders still tied at ``stop``
+    agree on all those entries.  This answers both "which order reads the
+    least word" for :func:`canonical_key` and "does any order read below
+    the identity" for the orderly enumeration, without building any full
+    code.
     """
     for i in range(start, stop):
         if len(live) == 1:
@@ -197,15 +170,15 @@ def canonical_key(
     the type-(r, len(pair) - r) permutation with position pairing ``pair``.
 
     Codes order the words of one top length as their relabeled rows do, so
-    the key is the smaller of the least-code words (:func:`_keep_least`)
+    the key is the smaller of the least-code words (:func:`keep_least`)
     of the (at most two) top-length groups of :func:`position_orders`,
     each cell named by the lesser position of its letter.
     """
     best = None
     for n, classes in position_orders(r, len(pair) - r, sym).items():
         # entry 0 is 0 for every order, and below n a class reads as one order
-        live = _keep_least(pair, classes, 1, n)
-        live = _keep_least(pair, [member for entry in live for member in entry[2]], n, len(pair))
+        live = keep_least(pair, classes, 1, n)
+        live = keep_least(pair, [member for entry in live for member in entry[2]], n, len(pair))
         cells = [min(pos, pair[pos]) for pos in live[0][0]]
         key = _relabel_key(cells[:n], cells[n:])
         if best is None or key < best:

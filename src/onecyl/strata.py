@@ -121,7 +121,7 @@ def walk_pairings(
     that can pass the orderly test against the part of ``sym`` that keeps
     the type are built: cell 0 pairs with the closest twins.  Let delta be
     the least cyclic distance between two twin cells of the top row.  The
-    identity's code (see :func:`onecyl.genperm.code_below`) reads i at
+    identity's code (see :func:`onecyl.genperm.keep_least`) reads i at
     entries 0 .. delta - 1, and so does the top rotation that moves a
     closest twin pair to cells (0, delta), which reads 0 at entry delta;
     the identity reads ``pair[delta]`` there if that is below delta, so it

@@ -29,11 +29,14 @@
   rules, read off each whole pairing, keep every pairing that passes the
   orderly test, and the walk given the group emits exactly the pairings
   that keep both;
-* the enumeration leaf, which compares each class of orders once on its
-  shared top row, against the loop over every order of the group, on
-  every pairing the walk builds with no group;
-* sha256 digests of class lists rendered before orderly generation, and
-  of Q(-1,13) before the walk broke the bottom rotations;
+* the enumeration leaf, which asks the canonical key's lockstep kernel
+  whether the identity is least, against the loop over every order of
+  the group through the oracles' own ``word_pass.code_below``, on every
+  pairing the walk builds with no group;
+* sha256 digests of class lists rendered before orderly generation, of
+  Q(-1,13) before the walk broke the bottom rotations, and of every
+  stratum with p <= 14 and pattern-free (6,6) and (7,7) before the leaf
+  moved to the lockstep kernel;
 * every enumerated class is its own canonical form.
 """
 
@@ -52,12 +55,13 @@ from hypothesis import strategies as st
 from onecyl import CALIBRATED_SYM, GeneralizedPermutation, SymmetryGroup, enumerate_stratum, enumerate_type
 from onecyl import classify, genperm
 from onecyl.classify import _orderly_keys
-from onecyl.genperm import DEFAULT_SYM, canonical_key, code_below, position_orders, position_pairing
+from onecyl.genperm import DEFAULT_SYM, canonical_key, position_orders, position_pairing
 from onecyl.strata import hyperelliptic_rep
 from onecyl.strata import pattern_orders, single_vertex, vertex_cycles, walk_pairings
 
 import word_pass
 from germ_gluing import numbered_vertex_cycles, reference_vertex_cycles
+from word_pass import code_below
 
 ALL_SYMS = [
     SymmetryGroup(rotate_rows=rot, swap_rows=swap, reverse_rows=rev)
@@ -499,10 +503,11 @@ def test_the_pruned_walk_emits_the_closest_twin_pairings(p):
 @pytest.mark.parametrize("p", range(4, 11, 2))
 def test_the_class_wise_leaf_test_accepts_what_the_member_loop_accepts(p, monkeypatch):
     """Every pairing the walk builds with no group goes to the enumeration
-    leaf under each of the eight groups.  The leaf compares each class of
-    orders once on its shared top row and its members only below a tie;
-    it accepts exactly the pairings that no order of the group keeping the
-    type reads below the identity, member by member from entry 0."""
+    leaf under each of the eight groups.  The leaf reads each class of
+    orders as one order on its shared top row and the members of the
+    classes tied least there from entry r on; it accepts exactly the
+    pairings that no order of the group keeping the type reads below the
+    identity, member by member from entry 0."""
     accepted: list = []
     monkeypatch.setattr(classify, "walk_pairings", lambda r, p, want, emit, sym: walk_pairings(r, p, want, emit))
     monkeypatch.setattr(classify, "canonical_key", lambda pair, r, sym: accepted.append(tuple(pair)))
@@ -600,6 +605,38 @@ def test_frozen_class_lists(pattern):
     classes = enumerate_stratum(pattern)
     text = "\n".join(gp.render() for gp in classes)
     assert (len(classes), hashlib.sha256(text.encode()).hexdigest()) == FROZEN_CLASS_LISTS[pattern]
+
+
+def test_frozen_class_lists_of_every_stratum_up_to_14_cells():
+    """One sha256 over the class lists of the 147 multisets of orders with
+    p <= 14 and sum(k) = 0 mod 4, marked points included, each as its
+    orders and then its class renders, one line each; computed on the
+    walk before its leaf moved to the lockstep kernel."""
+    digest = hashlib.sha256()
+    patterns = [w for p in range(2, 15, 2) for w in _order_multisets(p) if sum(w) % 4 == 0]
+    total = 0
+    for pattern in patterns:
+        classes = enumerate_stratum(pattern)
+        total += len(classes)
+        renders = "\n".join(gp.render() for gp in classes)
+        digest.update(("%s\n%s\n" % (",".join(map(str, pattern)), renders)).encode())
+    assert (len(patterns), total) == (147, 10268)
+    assert digest.hexdigest() == "80ce6d8815da57b07ce48b4ff65ac07cfcb2adc78f3e221bd6f8c2ad4d22d045"
+
+
+# sha256 of "\n".join(class renders) of pattern-free types whose row swap
+# keeps the type, computed as above
+FROZEN_TYPE_LISTS = {
+    (6, 6): (170, "51dced08fb769918a8dd63398b7ff05d61d5f5e2d4eb84237ad60b83d5fc33be"),
+    (7, 7): (1404, "3b840873afff7733b845e41d0066bbccf9767cdfe0d47f8f858a1689e5f857eb"),
+}
+
+
+@pytest.mark.parametrize("rl", list(FROZEN_TYPE_LISTS), ids=str)
+def test_frozen_pattern_free_type_lists(rl):
+    classes = enumerate_type(*rl)
+    text = "\n".join(gp.render() for gp in classes)
+    assert (len(classes), hashlib.sha256(text.encode()).hexdigest()) == FROZEN_TYPE_LISTS[rl]
 
 
 # component_report indexes classes by their rows, which is sound only

@@ -3,13 +3,26 @@
 oracle for ``classify._orderly_keys``: every split of every relabeled
 word is filtered by the strata readers, then by the orderly minimality
 test.  ``_letter_sequences`` also feeds the exhaustive split corpora of
-the conditions tests.
+the conditions tests.  ``code_below`` is the oracles' own member-by-member
+code comparison, so they do not share the kernel they check.
 """
 
 from __future__ import annotations
 
-from onecyl.genperm import SymmetryGroup, canonical_key, code_below, position_orders
+from onecyl.genperm import SymmetryGroup, canonical_key, position_orders
 from onecyl.strata import pattern_orders, single_vertex
+
+
+def code_below(pair, order, inverse, code) -> int:
+    """Compare the code of the pairing read in ``order`` (entry i is the
+    position of the mate of cell i if that came earlier, else i) with
+    ``code`` from entry 0: negative if it is smaller at the first
+    difference, positive if larger, 0 if they agree."""
+    for i, pos in enumerate(order):
+        j = min(inverse[pair[pos]], i)
+        if j != code[i]:
+            return j - code[i]
+    return 0
 
 
 def _letter_sequences(p: int):

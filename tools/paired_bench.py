@@ -15,13 +15,16 @@ runs go to fresh processes, every per-call key to one process:
 * per call, one process that imports both checkouts under two package
   names.  Each side first makes one untimed pass of every key, and the
   sha256 of its outputs must agree between the sides, so every figure is
-  of warm calls.  Then come ``ROUNDS`` rounds; a round makes one pass of
-  each side of every key in turn, the sides alternating which goes first
-  from round to round, and round i of every key runs before round i + 1
-  of any, so a slow phase of the machine spreads over all keys instead of
-  landing whole on a few.  Fresh-process pairs swing as much between
-  processes on unchanged code as the changes they would measure.  The
-  keys, each over the same inputs on both sides:
+  of warm calls.  Then come ``ROUNDS`` rounds; a round times each side
+  of every key in turn, the sides alternating which goes first from
+  round to round, and round i of every key runs before round i + 1 of
+  any, so a slow phase of the machine spreads over all keys instead of
+  landing whole on a few.  A side's time in a round repeats its pass
+  until at least ``MIN_ROUND_S`` has passed and records the mean per
+  call, so a key of sub-millisecond calls is not read off one call.
+  Fresh-process pairs swing as much between processes on unchanged code
+  as the changes they would measure.  The keys, each over the same
+  inputs on both sides:
 
   - ``enumerate_stratum`` per stratum of ``STRATA`` and pattern-free
     ``enumerate_type`` per type of ``TYPES``, digested as the rendered
@@ -80,13 +83,14 @@ TRACED = (
     "conditions.is_irreducible.calls",
 )
 ROUNDS = 20  # interleaved rounds of every per-call key
+MIN_ROUND_S = 0.02  # least time of one side of one key in a round, in seconds
 
 # times every per-call key of both checkouts in one interpreter, every key
-# once per round and one pass of each side per key; argv: before root,
-# after root, rounds
+# once per round and passes of each side per key for at least the least
+# round time; argv: before root, after root, rounds, least round time
 PROBE = """
 import hashlib, importlib.util, itertools, json, sys, time
-before, after, rounds = sys.argv[1], sys.argv[2], int(sys.argv[3])
+before, after, rounds, min_s = sys.argv[1], sys.argv[2], int(sys.argv[3]), float(sys.argv[4])
 sys.path.insert(0, after + "/bench")
 import workloads
 
@@ -193,9 +197,12 @@ for i in range(rounds):
     for key in result:
         for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             run, count, _ = probes[name][key]
-            t = time.perf_counter()
-            run()
-            result[key][name].append((time.perf_counter() - t) / count * 1e6)
+            passes, t, elapsed = 0, time.perf_counter(), 0.0
+            while elapsed < min_s:
+                run()
+                passes += 1
+                elapsed = time.perf_counter() - t
+            result[key][name].append(elapsed / passes / count * 1e6)
     print("round", i, file=sys.stderr, flush=True)
 print(json.dumps(result))
 """
@@ -237,7 +244,7 @@ def end_to_end(sides: dict[str, Path], workload: str, pairs: int, seed: int, sec
 
 def per_call(sides: dict[str, Path], rounds: int) -> dict:
     """Every per-call key, both sides interleaved in one process; exits when their outputs disagree."""
-    cmd = [sys.executable, "-c", PROBE, str(sides["before"]), str(sides["after"]), str(rounds)]
+    cmd = [sys.executable, "-c", PROBE, str(sides["before"]), str(sides["after"]), str(rounds), str(MIN_ROUND_S)]
     runs = json.loads(subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout)
     disagree = [key for key, run in runs.items() if len(set(run["digests"].values())) != 1]
     if disagree:
@@ -269,7 +276,8 @@ def main() -> None:
     result: dict = {
         "machine": {"python": platform.python_version(), "implementation": platform.python_implementation(),
                     "system": platform.system(), "machine": platform.machine()},
-        "settings": {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "rounds": ROUNDS},
+        "settings": {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "rounds": ROUNDS,
+                     "min_round_s": MIN_ROUND_S},
         "end_to_end": {w: end_to_end(sides, w, args.pairs, args.seed, args.seconds) for w in ("report", "queries", "orbits")},
         "per_call_us": per_call(sides, ROUNDS),
     }
