@@ -69,15 +69,15 @@ from .genperm import (
     position_orders,
 )
 from .strata import (
+    UNKNOWN_TAG,
     ComponentTag,
     SingularityPattern,
     cycles,
     junction_turn,
-    match_component,
+    named_tags,
     pattern_orders,
     single_vertex,
     singularity_pattern,
-    smooth_marked_points,
     walk_pairings,
 )
 from .suspension import (
@@ -615,7 +615,7 @@ def component_report(
         groups.append(roots[root])
     upper = len(roots)
     lower = 1 if classes else 0
-    tags = [match_component(gp, sym) for gp in classes]
+    tags = [named_tags(*gp.type, sym).get(gp.rows(), UNKNOWN_TAG) for gp in classes]
     return ComponentReport(
         pattern=spattern,
         sym_label=sym.label(),

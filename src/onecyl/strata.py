@@ -21,6 +21,8 @@ way round: it builds every pairing with given singularity orders along
 it, for the enumeration, or, given a symmetry group with row rotations,
 only those whose cell 0 pairs with the closest twins of the top row and
 whose cell r pairs with the least top cell that pairs with the bottom.
+The named families tag a class by one table per type, :func:`named_tags`,
+from canonical key to tag.
 """
 
 from __future__ import annotations
@@ -385,41 +387,31 @@ UNKNOWN_TAG = ComponentTag("unknown")
 
 
 @functools.lru_cache(maxsize=None)
-def _named_keys(r: int, l: int, sym: SymmetryGroup) -> tuple[tuple[tuple[tuple, ComponentTag], ...], ...]:
-    """Canonical keys of the named representatives a type-(r, l) class may match.
+def named_tags(r: int, l: int, sym: SymmetryGroup) -> dict[tuple, ComponentTag]:
+    """Canonical key -> tag of the named representatives of type (r, l).
 
-    One tuple of (key, tag) candidates per family, in tagging order; a
-    family tags a class with its first matching candidate only.
+    Built in tagging order: pi1 when r == l >= 4, pi2 when r and l are
+    even, then the irreducible representatives of size r + l.  A key two
+    members of one family share keeps its first member's tag.  No key
+    belongs to two families: a key fixes the stratum and the doubled-letter
+    counts of its rows, and the named families differ in those.
     """
-    families = []
+    reps = []
     if r == l and r >= 4:
-        families.append(tuple(
-            (hyperelliptic_rep("pi1", rr, r - 2 - rr).canonical_key(sym),
-             ComponentTag("hyperelliptic", family="pi1", r=rr, l=r - 2 - rr))
-            for rr in range(1, r - 2)
-        ))
+        reps += [(hyperelliptic_rep("pi1", rr, r - 2 - rr), ComponentTag("hyperelliptic", "pi1", rr, r - 2 - rr))
+                 for rr in range(1, r - 2)]
     if r % 2 == 0 and l % 2 == 0:
-        families.append((
-            (hyperelliptic_rep("pi2", r // 2, l // 2).canonical_key(sym),
-             ComponentTag("hyperelliptic", family="pi2", r=r // 2, l=l // 2)),
-        ))
-    for name in IRREDUCIBLE_REPS:
-        rep = irreducible_rep(name)
-        if rep.size == r + l:
-            families.append(((rep.canonical_key(sym), ComponentTag("irreducible", name=name)),))
-    return tuple(families)
+        reps.append((hyperelliptic_rep("pi2", r // 2, l // 2), ComponentTag("hyperelliptic", "pi2", r // 2, l // 2)))
+    reps += [(irreducible_rep(name), ComponentTag("irreducible", name=name))
+             for name in IRREDUCIBLE_REPS if irreducible_rep(name).size == r + l]
+    tags: dict[tuple, ComponentTag] = {}
+    for rep, tag in reps:
+        first = tags.setdefault(rep.canonical_key(sym), tag)
+        if (first.family, first.name) != (tag.family, tag.name):
+            raise AssertionError("%s and %s share the class of %s" % (first.label(), tag.label(), rep.render()))
+    return tags
 
 
 def match_component(gp: GeneralizedPermutation, sym: SymmetryGroup = DEFAULT_SYM) -> ComponentTag:
     """Tag gp when it is equivalent to a named representative."""
-    key = gp.canonical_key(sym)
-    matches: list[ComponentTag] = []
-    for family in _named_keys(*gp.type, sym):
-        tag = next((tag for rep_key, tag in family if rep_key == key), None)
-        if tag is not None:
-            matches.append(tag)
-    if not matches:
-        return UNKNOWN_TAG
-    if len(matches) > 1:
-        raise AssertionError("ambiguous component tags %r for %s" % (matches, gp.render()))
-    return matches[0]
+    return named_tags(*gp.type, sym).get(gp.canonical_key(sym), UNKNOWN_TAG)

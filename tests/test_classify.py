@@ -389,8 +389,14 @@ def test_pass_loop_matches_the_inline_blocks(config):
 
 @pytest.mark.parametrize(
     "pattern, config",
-    [((3, 1, 1, -1), FOUR_MOVES), ((-1, 9), MoveConfig()), ((12,), Q12_MOVES)],
-    ids=["Q(3,1,1,-1)-four-moves", "Q(-1,9)-defaults", "Q(12)-q12-moves"],
+    [
+        ((3, 1, 1, -1), FOUR_MOVES),
+        ((-1, 9), MoveConfig()),
+        ((12,), Q12_MOVES),
+        ((-1, 3, 6), MoveConfig(orbit_decode_cap=10)),
+        ((12,), MoveConfig(orbit_decode_cap=3)),
+    ],
+    ids=["Q(3,1,1,-1)-four-moves", "Q(-1,9)-defaults", "Q(12)-q12-moves", "Q(-1,3,6)-decode-cap-10", "Q(12)-decode-cap-3"],
 )
 def test_pass_loop_matches_the_inline_blocks_on_larger_strata(pattern, config):
     report = component_report(pattern, config)
@@ -398,6 +404,10 @@ def test_pass_loop_matches_the_inline_blocks_on_larger_strata(pattern, config):
     if pattern == (3, 1, 1, -1):
         details = {e.detail for e in report.edges}
         assert "s=1" in details and "decoded after word=TS" in details
+    if config.orbit_decode_cap in (3, 10):
+        # the cap stops orbit walks that would decode to another group
+        uncapped = component_report(pattern, MoveConfig(orbit_decode_cap=3000))
+        assert (report.upper_bound, uncapped.upper_bound) == (4, 2)
 
 
 def sampling_signature(gp: GeneralizedPermutation) -> tuple:

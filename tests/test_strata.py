@@ -1,9 +1,14 @@
+import functools
+import itertools
+
 import pytest
 
 from onecyl import (
     CALIBRATED_SYM,
     DEFAULT_SYM,
     GeneralizedPermutation,
+    SymmetryGroup,
+    enumerate_type,
     hyperelliptic_rep,
     irreducible_rep,
     match_component,
@@ -12,6 +17,7 @@ from onecyl import (
     stratum_info,
 )
 from onecyl.errors import BadParameters, BadPattern, UnknownName
+from onecyl.strata import IRREDUCIBLE_REPS, UNKNOWN_TAG, ComponentTag, named_tags
 
 GP = GeneralizedPermutation.parse
 
@@ -139,6 +145,91 @@ def test_match_component():
 
     tag = match_component(irreducible_rep("12-I").rotated(3, 2), CALIBRATED_SYM)
     assert (tag.kind, tag.name) == ("irreducible", "12-I")
+
+    # pi1(3,1) is pi1(1,3) rotated: their shared key keeps the first member's tag
+    shared = hyperelliptic_rep("pi1", 3, 1)
+    assert shared.canonical_key(CALIBRATED_SYM) == hyperelliptic_rep("pi1", 1, 3).canonical_key(CALIBRATED_SYM)
+    assert match_component(shared, CALIBRATED_SYM).label() == "hyp:pi1(1,3)"
+
+
+# -- oracle: a per-family scan of the named representatives ------------------
+#
+# One tuple of (key, tag) candidates per family, a family tags with its first
+# matching candidate, and a class matched by two families is an error at
+# lookup time, so it checks `named_tags` without sharing its dict.
+
+ALL_SYMS = [SymmetryGroup(*flags) for flags in itertools.product((False, True), repeat=3)]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_named_keys(r: int, l: int, sym: SymmetryGroup):
+    families = []
+    if r == l and r >= 4:
+        families.append(tuple(
+            (hyperelliptic_rep("pi1", rr, r - 2 - rr).canonical_key(sym),
+             ComponentTag("hyperelliptic", family="pi1", r=rr, l=r - 2 - rr))
+            for rr in range(1, r - 2)
+        ))
+    if r % 2 == 0 and l % 2 == 0:
+        families.append((
+            (hyperelliptic_rep("pi2", r // 2, l // 2).canonical_key(sym),
+             ComponentTag("hyperelliptic", family="pi2", r=r // 2, l=l // 2)),
+        ))
+    for name in IRREDUCIBLE_REPS:
+        rep = irreducible_rep(name)
+        if rep.size == r + l:
+            families.append(((rep.canonical_key(sym), ComponentTag("irreducible", name=name)),))
+    return tuple(families)
+
+
+def reference_match_component(gp: GeneralizedPermutation, sym: SymmetryGroup) -> ComponentTag:
+    key = gp.canonical_key(sym)
+    matches = []
+    for family in reference_named_keys(*gp.type, sym):
+        tag = next((tag for rep_key, tag in family if rep_key == key), None)
+        if tag is not None:
+            matches.append(tag)
+    if not matches:
+        return UNKNOWN_TAG
+    if len(matches) > 1:
+        raise AssertionError("ambiguous component tags %r for %s" % (matches, gp.render()))
+    return matches[0]
+
+
+def test_match_component_matches_the_family_scan_on_every_class_up_to_14_cells():
+    # pattern-free types cover every stratum; with row swap r >= l suffices
+    classes = [gp for p in range(4, 15, 2) for r in range(p // 2, p - 1) for gp in enumerate_type(r, p - r)]
+    assert len(classes) == 10268
+    tags = [match_component(gp, CALIBRATED_SYM) for gp in classes]
+    assert tags == [reference_match_component(gp, CALIBRATED_SYM) for gp in classes]
+    assert sum(tag is not UNKNOWN_TAG for tag in tags) == 22
+
+
+def test_match_component_matches_the_family_scan_on_rotated_and_swapped_reps():
+    named = 0
+    for a, b in [(a, b) for a in range(1, 6) for b in range(1, 7 - a)]:
+        for kind in ("pi1", "pi2"):
+            rep = hyperelliptic_rep(kind, a, b)
+            images = [g for rot in rep.rotations() for g in (rot, rot.swap_rows())]
+            for sym in ALL_SYMS:
+                for gp in images:
+                    tag = match_component(gp, sym)
+                    assert tag == reference_match_component(gp, sym), (gp.render(), sym)
+                    named += tag is not UNKNOWN_TAG
+    assert named
+
+
+def test_named_tags_of_every_type_up_to_26_cells():
+    # building a table asserts that no key belongs to two families
+    for sym in ALL_SYMS:
+        for p in range(2, 27):
+            for r in range(1, p):
+                tags = named_tags(r, p - r, sym)
+                assert UNKNOWN_TAG not in tags.values()
+                for name in IRREDUCIBLE_REPS:
+                    rep = irreducible_rep(name)
+                    if rep.size == p:
+                        assert tags[rep.canonical_key(sym)] == ComponentTag("irreducible", name=name)
 
 
 def test_smooth_marked_points():

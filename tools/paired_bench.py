@@ -22,6 +22,8 @@ runs go to fresh processes, every per-call key to one process:
   landing whole on a few.  A side's time in a round repeats its pass
   until at least ``MIN_ROUND_S`` has passed and records the mean per
   call, so a key of sub-millisecond calls is not read off one call.
+  The collector runs before each side's timed passes and is off during
+  them, so no side pays for collecting the garbage of another.
   Fresh-process pairs swing as much between processes on unchanged code
   as the changes they would measure.  The keys, each over the same
   inputs on both sides:
@@ -46,6 +48,8 @@ runs go to fresh processes, every per-call key to one process:
     ``cylinder_decomposition``, ``vertical_permutation`` on one cylinder,
     ``build_cover`` and ``decode_one_cylinder``, so a layer reuses what
     the one before it read;
+  - ``component_report`` of each report stratum with that stratum's move
+    configuration, digested as its JSON;
   - the vperm pass per class: ``classify._vperm_pairs`` over each report
     stratum's classes with that stratum's move configuration, and over
     all of them in one run.
@@ -89,7 +93,7 @@ MIN_ROUND_S = 0.02  # least time of one side of one key in a round, in seconds
 # once per round and passes of each side per key for at least the least
 # round time; argv: before root, after root, rounds, least round time
 PROBE = """
-import hashlib, importlib.util, itertools, json, sys, time
+import gc, hashlib, importlib.util, itertools, json, sys, time
 before, after, rounds, min_s = sys.argv[1], sys.argv[2], int(sys.argv[3]), float(sys.argv[4])
 sys.path.insert(0, after + "/bench")
 import workloads
@@ -149,11 +153,13 @@ def probe_keys(api):
                     pass
             report += [(gp, lam) for lam in sorted(lams)]
         index = {gp.rows(): i for i, gp in enumerate(strat)}
+        name = "Q(%s) " % ",".join(map(str, pattern))
+        out[name + "component_report"] = over([(pattern, config)], api.component_report, lambda reps: [json.dumps(rep.as_json()) for rep in reps])
 
         def vperm_pass(strat=strat, index=index, config=config):
             return repr(list(api.classify._vperm_pairs(strat, index, config, api.CALIBRATED_SYM, lambda i: i)))
         passes.append((vperm_pass, len(strat)))
-        out["Q(%s) vperm pass" % ",".join(map(str, pattern))] = (lambda run=vperm_pass: [run()]), len(strat), list
+        out[name + "vperm pass"] = (lambda run=vperm_pass: [run()]), len(strat), list
     for name, inputs in (("report", report), ("queries", queries)):
         out[name + " vertical_permutation"] = over(inputs, outcome(api.vertical_permutation))
         out[name + " separatrix_spectrum"] = over(inputs, outcome(api.separatrix_spectrum))
@@ -197,11 +203,14 @@ for i in range(rounds):
     for key in result:
         for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             run, count, _ = probes[name][key]
+            gc.collect()  # no garbage of the other side or key is collected in this window
+            gc.disable()
             passes, t, elapsed = 0, time.perf_counter(), 0.0
             while elapsed < min_s:
                 run()
                 passes += 1
                 elapsed = time.perf_counter() - t
+            gc.enable()
             result[key][name].append(elapsed / passes / count * 1e6)
     print("round", i, file=sys.stderr, flush=True)
 print(json.dumps(result))
