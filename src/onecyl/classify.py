@@ -88,7 +88,6 @@ from .suspension import (
     minimal_admissible,
     orbit_forms,
     sample_admissible,
-    sl2z_orbit,
     vertical_permutation,
 )
 
@@ -322,23 +321,17 @@ def collapse_letter(gp: GeneralizedPermutation, letter: int) -> GeneralizedPermu
     return GeneralizedPermutation.from_rows(top, bottom)
 
 
-def _collapsible(gp: GeneralizedPermutation, letter: int) -> bool:
-    """Multiplicity-one certificate for shrinking the letter's interval.
-
-    Either the two copies sit on different boundary circles, or they
-    share a circle with another doubled letter: both cases free the
-    length from the balance equation for almost every vector.
-    """
-    for doubled in (gp.top_doubled(), gp.bottom_doubled()):
-        if letter in doubled:
-            return len(doubled) > 1
-    return True
-
-
 def _collapse_keys(gp: GeneralizedPermutation, sym: SymmetryGroup):
-    """Canonical keys of the certified one-letter collapses, letter by letter."""
+    """Canonical keys of the certified one-letter collapses, letter by letter.
+
+    A letter is certified (multiplicity one) when its two copies sit on
+    different boundary circles, or share a circle with another doubled
+    letter: both cases free its length from the balance equation for
+    almost every vector.
+    """
+    doubled_rows = gp.top_doubled(), gp.bottom_doubled()
     for letter in range(1, gp.num_letters + 1):
-        if _collapsible(gp, letter):
+        if all(letter not in doubled or len(doubled) > 1 for doubled in doubled_rows):
             shrunk = collapse_letter(gp, letter)
             if shrunk is not None:
                 yield shrunk.canonical_key(sym)
@@ -377,7 +370,7 @@ def bubble(
                     "no bubbled form with angle %d within budget (tried %d)" % (s, tried)
                 )
             tried += 1
-            candidate = variant.rotated(*ab).prepend_shared_head()
+            candidate = insert_split_letter(variant.rotated(*ab), 0, 0)
             if singularity_pattern(candidate).orders != bubbled:
                 continue
             try:
@@ -511,20 +504,22 @@ def _vperm_pairs(classes, index, config, sym, find):
 
 
 def _orbit_pairs(classes, index, config, sym, find):
-    """One orbit of the shear / quarter-turn action per all-ones suspension:
-    a class whose cover lies in an earlier orbit pairs with its owner."""
+    """One orbit of the shear / quarter-turn action per all-ones suspension,
+    walked from the cover the class keyed up to ``ORBIT_CAP`` forms: a
+    class whose cover lies in an earlier orbit pairs with its owner."""
     owner: dict = {}
     for i, gp in enumerate(classes):
         if len(gp.top) != len(gp.bottom):
             continue  # all-ones needs equal rows
-        key = build_cover(gp, all_ones(gp)).canonical_key()
+        forms = orbit_forms(build_cover(gp, all_ones(gp)))
+        _, key, _, _ = next(forms)
         if key in owner:
             j, word = owner[key]
             yield "orbit", i, j, j, "word=%s" % (word or "id")
             continue
-        result = sl2z_orbit(gp, all_ones(gp), cap=ORBIT_CAP)
-        for k in result.keys:  # the start form's key, among them, has word ""
-            owner.setdefault(k, (i, result.words[k]))
+        owner[key] = i, ""
+        for _, k, _, word in itertools.islice(forms, ORBIT_CAP - 1):
+            owner.setdefault(k, (i, word))
 
 
 def _excise_pairs(classes, index, config, sym, find):

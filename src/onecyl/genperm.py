@@ -337,8 +337,3 @@ class GeneralizedPermutation:
         if len(self.top) == 1 or len(self.bottom) == 1:
             raise NotRestrictable("restriction would empty a row")
         return GeneralizedPermutation.from_rows(self.top[1:], self.bottom[1:])
-
-    def prepend_shared_head(self) -> "GeneralizedPermutation":
-        """Insert a fresh letter at the head of both rows (inverse of restrict)."""
-        fresh = len(self.names) + 1
-        return GeneralizedPermutation.from_rows((fresh,) + self.top, (fresh,) + self.bottom)

@@ -865,7 +865,7 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
     Returns the generalized permutation of the quotient surface when the
     horizontal foliation of the base is a single cylinder presented by a
     deck-swapped pair of cover cylinders; None when the shape does not
-    decode (several base cylinders, or a deck-invariant cover cylinder).
+    decode (several base cylinders).
     Boundary intervals are maximal runs of unit edges between cover
     singularities, so the reading carries no marked points.
     """
@@ -901,8 +901,9 @@ def decode_one_cylinder(cover: SquareTiledCover) -> GeneralizedPermutation | Non
     if len(ends) != 2:
         return None
     (b, t), _ = ends
-    if cylinder_of[row_of[deck[rows[b][0]]]] != 1:
-        return None  # deck-invariant cover cylinder: not handled
+    # a base cylinder's core curve is a closed regular geodesic, of holonomy
+    # +1, so it lifts to two cylinders and deck swaps them
+    assert cylinder_of[row_of[deck[rows[b][0]]]] == 1, "deck-invariant cover cylinder"
     bottom_row, top_row = rows[b], rows[t]
 
     # unit edges: edge q above top-row square q, edge n + q below bottom-row square q

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -84,7 +85,8 @@ def test_enumerate_rejects_an_empty_pattern():
 
 
 def test_empty_strata():
-    for pattern in ((0,), (-1, 1), (1, 3), (4,)):
+    # (1,) and (3,) fill an odd number of cells, which no pairing does
+    for pattern in ((0,), (-1, 1), (1, 3), (4,), (1,), (3,)):
         assert enumerate_stratum(pattern) == []
 
 
@@ -135,14 +137,7 @@ def test_excisions_of_table_reps():
     restricted, s = excise_simple_cylinder(irreducible_rep("12-II"))
     assert s == 6
     assert singularity_pattern(restricted).orders == (4, 4)
-    from onecyl.classify import _collapsible
-
-    assert any(
-        _collapsible(restricted, x)
-        and collapse_letter(restricted, x) is not None
-        and collapse_letter(restricted, x).canonical_key(CALIBRATED_SYM) in q8_keys
-        for x in range(1, restricted.num_letters + 1)
-    )
+    assert any(key in q8_keys for key in _collapse_keys(restricted, CALIBRATED_SYM))
 
     restricted, s = excise_simple_cylinder(irreducible_rep("(-1,9)"))
     assert s == 3
@@ -194,6 +189,24 @@ def test_bubble_out_of_range():
     q8_rep = enumerate_stratum((8,))[0]
     with pytest.raises(NotFoundWithinBudget):
         bubble(q8_rep, 7)
+
+
+def test_bubble_skips_candidates_without_a_certified_head_cylinder(monkeypatch):
+    # bubble builds 33 candidates and certifies none at angle 1; 8 of them
+    # expose no certified head cylinder at all, and the search goes on past them
+    refused = []
+
+    def counting(gp):
+        try:
+            return excise_simple_cylinder(gp)
+        except NoSimpleCylinderForm:
+            refused.append(gp)
+            raise
+
+    monkeypatch.setattr(classify, "excise_simple_cylinder", counting)
+    with pytest.raises(NotFoundWithinBudget, match=r"^no bubbled form with angle 1 within budget \(tried 33\)$"):
+        bubble(GP("1 / 1 2 2"), 1)
+    assert len(refused) == 8
 
 
 def test_merge_edges_are_recorded():
@@ -352,18 +365,17 @@ def nonempty_strata(most: int) -> list[tuple[int, ...]]:
     return [pat for total in range(2, most + 1, 2) for pat in orders(total, total) if enumerate_stratum(pat)]
 
 
-FOUR_MOVES = MoveConfig(use_excisions=True, substratum_connected=True, orbit_decode_cap=3000)
-Q12_MOVES = MoveConfig(
-    lambda_samples=6,
-    lambda_bound=8,
-    use_orbits=False,
-    use_excisions=True,
-    substratum_connected=True,
-    orbit_decode_cap=3000,
-)
+CLI_MOVES = MoveConfig(use_excisions=True, orbit_decode_cap=3000)  # vperm,orbit,excise,decode
+Q12_MOVES = MoveConfig(lambda_samples=6, lambda_bound=8, use_orbits=False, use_excisions=True, orbit_decode_cap=3000)
 # one sampled vector leaves work for every later move: orbit, excise and
 # decoded-orbit edges all occur over the strata below
-SPARSE_MOVES = MoveConfig(lambda_samples=0, use_excisions=True, substratum_connected=True, orbit_decode_cap=3000)
+SPARSE_MOVES = MoveConfig(lambda_samples=0, use_excisions=True, orbit_decode_cap=3000)
+
+
+def reference_report_json(pattern: tuple[int, ...], config: MoveConfig) -> dict:
+    # the reference excises only under substratum_connected; component_report
+    # ignores the flag and works out the smaller stratum's connectivity itself
+    return reference_component_report(pattern, replace(config, substratum_connected=True)).as_json()
 
 
 def test_small_strata_are_the_fifteen_nonempty_ones():
@@ -374,14 +386,14 @@ def test_small_strata_are_the_fifteen_nonempty_ones():
 
 @pytest.mark.parametrize(
     "config",
-    [MoveConfig(), FOUR_MOVES, Q12_MOVES, SPARSE_MOVES],
+    [MoveConfig(), CLI_MOVES, Q12_MOVES, SPARSE_MOVES],
     ids=["defaults", "four-moves", "q12-moves", "sparse"],
 )
 def test_pass_loop_matches_the_inline_blocks(config):
     kinds = set()
     for pattern in nonempty_strata(10):
         report = component_report(pattern, config)
-        assert report.as_json() == reference_component_report(pattern, config).as_json(), pattern
+        assert report.as_json() == reference_report_json(pattern, config), pattern
         kinds |= {(e.kind, e.detail.split("=")[0]) for e in report.edges}
     if config is SPARSE_MOVES:
         assert kinds == {("vperm", "lam"), ("orbit", "word"), ("excise", "s"), ("orbit", "decoded after word")}
@@ -390,7 +402,7 @@ def test_pass_loop_matches_the_inline_blocks(config):
 @pytest.mark.parametrize(
     "pattern, config",
     [
-        ((3, 1, 1, -1), FOUR_MOVES),
+        ((3, 1, 1, -1), CLI_MOVES),
         ((-1, 9), MoveConfig()),
         ((12,), Q12_MOVES),
         ((-1, 3, 6), MoveConfig(orbit_decode_cap=10)),
@@ -400,7 +412,7 @@ def test_pass_loop_matches_the_inline_blocks(config):
 )
 def test_pass_loop_matches_the_inline_blocks_on_larger_strata(pattern, config):
     report = component_report(pattern, config)
-    assert report.as_json() == reference_component_report(pattern, config).as_json()
+    assert report.as_json() == reference_report_json(pattern, config)
     if pattern == (3, 1, 1, -1):
         details = {e.detail for e in report.edges}
         assert "s=1" in details and "decoded after word=TS" in details
@@ -473,12 +485,9 @@ def test_excise_premise_is_read_per_zero_order():
         if e.restricted_irreducible
     ]
     assert {k for _, k, _ in certified} == {3, 6}
-    pairs = classify._excise_pairs(classes, index, FOUR_MOVES, CALIBRATED_SYM, lambda i: i)
+    pairs = classify._excise_pairs(classes, index, CLI_MOVES, CALIBRATED_SYM, lambda i: i)
     # the orders read (6, 3, -1), so the slots of order 6 come first
     assert {(i, j) for _, i, j, _, _ in pairs} == {(i, len(classes) + s) for i, k, s in certified if k == 6}
-
-
-CLI_MOVES = MoveConfig(use_excisions=True, orbit_decode_cap=3000)  # vperm,orbit,excise,decode
 
 
 @pytest.mark.parametrize(

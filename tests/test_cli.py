@@ -86,6 +86,13 @@ def test_enumerate_bad_type(capsys):
     code, out, err = run(capsys, "enumerate", "--type", "3")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "r,l" in err
+    code, out, err = run(capsys, "enumerate", "--type", "0,2")
+    assert (code, out, err) == (2, "", "error: rows may not be empty\n")
+
+
+def test_enumerate_unknown_symmetry_flag(capsys):
+    code, out, err = run(capsys, "enumerate", "--type", "5,5", "--sym", "rotate,flip")
+    assert (code, out, err) == (2, "", "error: unknown symmetry flags: flip\n")
 
 
 def test_lengths_unknown_letter(capsys):

@@ -11,6 +11,7 @@ from onecyl import (
 )
 from onecyl.errors import EmptyRow, LetterCountError, MalformedText, NotRestrictable
 from onecyl import genperm
+from onecyl.classify import insert_split_letter
 from onecyl.genperm import position_pairing
 
 GP = GeneralizedPermutation.parse
@@ -55,6 +56,8 @@ def test_parse_errors():
         GP("1 / 1 / 1")
     with pytest.raises(EmptyRow):
         GeneralizedPermutation.from_tokens(["1"], [])
+    with pytest.raises(EmptyRow):
+        GeneralizedPermutation.from_rows([], [1, 1])
 
 
 def test_integer_rows_need_each_letter_exactly_twice():
@@ -230,4 +233,4 @@ def test_restrict_after_prepend_is_identity():
     rng = random.Random(23)
     for _ in range(30):
         gp = random_gp(rng)
-        assert gp.prepend_shared_head().restrict().rows() == gp.rows()
+        assert insert_split_letter(gp, 0, 0).restrict().rows() == gp.rows()

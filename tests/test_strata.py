@@ -16,6 +16,7 @@ from onecyl import (
     smooth_marked_points,
     stratum_info,
 )
+from onecyl.classify import insert_split_letter
 from onecyl.errors import BadParameters, BadPattern, UnknownName
 from onecyl.strata import IRREDUCIBLE_REPS, UNKNOWN_TAG, ComponentTag, named_tags
 
@@ -264,5 +265,5 @@ def test_pattern_invariant_under_restrict_prepend():
         if not cells[:r] or not cells[r:]:
             continue
         gp = GeneralizedPermutation.from_rows(cells[:r], cells[r:])
-        back = gp.prepend_shared_head().restrict()
+        back = insert_split_letter(gp, 0, 0).restrict()
         assert singularity_pattern(back).orders == singularity_pattern(gp).orders

@@ -91,6 +91,8 @@ def test_feasibility():
     assert not admissible_feasible(GP("1 1 2 3 / 2 3"))
     with pytest.raises(Infeasible):
         sample_admissible(GP("1 1 2 3 / 2 3"))
+    with pytest.raises(Infeasible):
+        minimal_admissible(GP("1 1 2 3 / 2 3"))
 
 
 def test_sample_admissible_deterministic_and_positive():
@@ -1894,6 +1896,42 @@ def test_decode_matches_tuple_keyed_reference():
             outcomes[got is None] += 1
         assert outcomes[True] >= 100 and outcomes[False] >= 100
 
+
+def chained_cylinders(cover: SquareTiledCover) -> list[int]:
+    """Cover cylinder of each square, read without the decoder.
+
+    Rows are the cycles of right; a row joins the row above it unless a
+    point of the gap between them lies over a base singularity: a cone
+    angle other than 2*pi, or a deck-fixed point (the lift of a pole).
+    """
+    right, up, deck = cover.right, cover.up, cover.deck
+    right_inv, up_inv = _inv(right), _inv(up)
+    # the lower-left corners met turning once around a point: q, then the
+    # squares west, south-west and south of it, then q again
+    corner, turns = cycles([up[right[up_inv[right_inv[q]]]] for q in range(cover.n)])
+    # deck maps the lower-left corner of q to the upper-right of deck(q)
+    over_singular = [len(turns[corner[q]]) != 1 or corner[right[up[deck[q]]]] == corner[q] for q in range(cover.n)]
+    row_of, rows = cycles(right)
+    merger = _UnionFind(len(rows))
+    for i, row in enumerate(rows):
+        if not any(over_singular[up[q]] for q in row):
+            assert len({row_of[up[q]] for q in row}) == 1, "a regular gap tops one row"
+            merger.union(i, row_of[up[row[0]]])
+    return [merger.find(row_of[q]) for q in range(cover.n)]
+
+
+def test_deck_swaps_the_two_lifts_of_every_base_cylinder():
+    # the invariant decode_one_cylinder asserts: a base cylinder's core curve
+    # has holonomy +1, so its preimage is two cylinders that deck swaps
+    forms = 0
+    for p in range(2, 11, 2):
+        for r in range(p // 2, p):  # every class with p <= 10 once under row swap
+            for gp in enumerate_type(r, p - r):
+                for _, _, cover, word in itertools.islice(orbit_forms(build_cover(gp, minimal_admissible(gp))), 60):
+                    cylinder = chained_cylinders(cover)
+                    assert all(cylinder[deck] != c for c, deck in zip(cylinder, cover.deck)), (gp.render(), word)
+                    forms += 1
+    assert forms == 2887
 
 def test_corner_turn_vertices_match_union_find():
     rng = random.Random(61)
